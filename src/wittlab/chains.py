@@ -8,6 +8,11 @@ field-level constructions (including the finite characteristic-2 case), and
 a breadth-first oracle that doubles as the proof engine for the F_2
 counterexample.
 
+Builders assemble their chains as plain vector tuples through private cores
+and wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
+chain certificates: every public builder runs it exactly once, on the chain
+it returns, and nothing inside a builder re-checks intermediate pieces.
+
 Chain entries are stored as ordered tuples; the overlap condition and
 endpoint identity are evaluated on vector *sets*, matching the set
 intersection in the definition.
@@ -24,6 +29,7 @@ from .bilinear import (
     BilinearSpace,
     BilinearError,
     NotInMaximalIdealError,
+    _complement_within,
     diagonalize,
     orthogonal_complement,
     vec_add,
@@ -168,10 +174,12 @@ class Chain:
             cap = size_cap if size_cap is not None else DEFAULT_SIZE_CAP
             ring = parse_ring(obj["ring"], cap)
         space = BilinearSpace.from_json(ring, obj["gram"])
+        # unchecked: a decoded certificate is judged by verify_chain alone
         bases = [
             OrthogonalBasis(
                 space,
                 tuple(tuple(ring.element_from_json(c) for c in v) for v in bvecs),
+                validate=False,
             )
             for bvecs in obj["bases"]
         ]
@@ -199,6 +207,12 @@ def verify_chain(chain: Chain, start: OrthogonalBasis, end: OrthogonalBasis):
     if chain.bases[-1].vector_set() != end.vector_set():
         return False, "chain does not end at the requested basis"
     return True, "ok"
+
+
+def _certified(space, tuples, start: OrthogonalBasis, end: OrthogonalBasis) -> Chain:
+    """Wrap builder output in unchecked bases and verify the chain once."""
+    bases = [OrthogonalBasis(space, t, validate=False) for t in tuples]
+    return Chain(space, bases).verify(start, end)
 
 
 def standard_basis(space: BilinearSpace) -> OrthogonalBasis:
@@ -248,8 +262,7 @@ def chain_equal_mod_m(b1: OrthogonalBasis, b2: OrthogonalBasis) -> Chain:
     if red1 != red2:
         raise NotEqualModMError("bases differ modulo the maximal ideal")
     steps = _equal_mod_m_core(space, b1.vectors, b2.vectors)
-    chain = Chain(space, [OrthogonalBasis(space, t) for t in _dedupe(steps)])
-    return chain.verify(b1, b2)
+    return _certified(space, _dedupe(steps), b1, b2)
 
 
 def _equal_mod_m_core(space, cur, target):
@@ -300,17 +313,7 @@ def _dedupe(steps):
 
 def lift_basis(space: BilinearSpace, residue_vectors) -> OrthogonalBasis:
     """Lift an orthogonal basis of the reduced space to one over the ring."""
-    rspace = space.reduce()
-    residue_vectors = tuple(tuple(v) for v in residue_vectors)
-    ok, msg = _check_orthobasis(rspace, residue_vectors)
-    if not ok:
-        raise NotOrthogonalOverResidueError(msg)
-    lifts: list = []
-    for vbar in residue_vectors:
-        lifts.append(_lift_one(space, lifts, vbar))
-    basis = OrthogonalBasis(space, lifts)
-    if basis.reduce().vectors != residue_vectors:
-        raise ChainError("lift does not reduce to its input")
+    basis, _ = lift_pair(space, residue_vectors, residue_vectors)
     return basis
 
 
@@ -340,23 +343,37 @@ def lift_pair(space: BilinearSpace, bbar, cbar):
     cbar = tuple(tuple(v) for v in cbar)
     if len(bbar) != len(cbar):
         raise ChainError("residue bases must have equal length")
+    ok, msg = _check_orthobasis(space.reduce(), bbar)
+    if not ok:
+        raise NotOrthogonalOverResidueError(msg)
+    bvecs, cvecs = _lift_pair_core(space, bbar, cbar)
+    for lifts, residue in ((bvecs, bbar), (cvecs, cbar)):
+        if tuple(space.reduce_vector(v) for v in lifts) != residue:
+            raise ChainError("lift does not reduce to its input")
+    B = OrthogonalBasis(space, bvecs)
+    return B, (B if cvecs == bvecs else OrthogonalBasis(space, cvecs))
+
+
+def _lift_pair_core(space, bbar, cbar):
+    """Lift tuples of the two residue bases; the lifts share every position
+    in which bbar and cbar agree."""
     diff = [i for i in range(len(bbar)) if bbar[i] != cbar[i]]
     if len(diff) > 2:
         raise ChainError("residue bases differ in more than two places")
-    B = lift_basis(space, bbar)
+    lifts: list = []
+    for vbar in bbar:
+        lifts.append(_lift_one(space, lifts, vbar))
+    B = tuple(lifts)
     if not diff:
         return B, B
-    kept = [B.vectors[i] for i in range(len(bbar)) if i not in diff]
+    kept = [B[i] for i in range(len(bbar)) if i not in diff]
     new: list = []
     for d in diff:
         new.append(_lift_one(space, kept + new, cbar[d]))
-    cvecs = list(B.vectors)
+    cvecs = list(B)
     for pos, vec in zip(diff, new):
         cvecs[pos] = vec
-    C = OrthogonalBasis(space, cvecs)
-    if C.reduce().vectors != cbar:
-        raise ChainError("pair lift does not reduce to its input")
-    return B, C
+    return B, tuple(cvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +449,8 @@ def extend_vector_chain(basis: OrthogonalBasis, coeffs):
     if len(coeffs) != len(basis.vectors):
         raise ChainError("coefficient count must match the dimension")
     steps, final = _extend_core(space, basis.vectors, coeffs)
-    target = OrthogonalBasis(space, final)
-    chain = Chain(space, [OrthogonalBasis(space, t) for t in _dedupe(steps)])
-    chain.verify(basis, target)
-    return chain, target
+    target = OrthogonalBasis(space, final, validate=False)
+    return _certified(space, _dedupe(steps), basis, target), target
 
 
 def find_nonvanishing_vector(field: LocalRing, forms):
@@ -583,8 +598,12 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
     space = BilinearSpace.diagonal(field, (field.one,) * n)
     e = space.standard_basis()
     steps, hat = _hat_core(space, e)
-    chain = Chain(space, [OrthogonalBasis(space, t) for t in _dedupe([e] + steps)])
-    return chain.verify(OrthogonalBasis(space, e), OrthogonalBasis(space, hat))
+    return _certified(
+        space,
+        _dedupe([e] + steps),
+        OrthogonalBasis(space, e, validate=False),
+        OrthogonalBasis(space, hat, validate=False),
+    )
 
 
 def _support(coords):
@@ -695,11 +714,6 @@ def _field_chain_dim3_char2(space, tup_a, tup_b):
         steps.append(tb)
     for t in reversed(steps_b[:-1]):
         steps.append(t)
-    return _front_and_recurse_noop(steps, tup_b)
-
-
-def _front_and_recurse_noop(steps, tup_b):
-    # endpoints compare as sets; nothing further to do
     return steps
 
 
@@ -784,27 +798,21 @@ def chain_field(b: OrthogonalBasis, c: OrthogonalBasis,
     for the genuinely disconnected cases.
     """
     space = b.space
-    field = space.ring
-    if not field.is_field:
+    if not space.ring.is_field:
         raise ChainError("chain_field requires a field")
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    if b.vector_set() == c.vector_set():
-        return Chain(space, [b]).verify(b, c)
-    if space.n <= 2:
-        return Chain(space, [b, c]).verify(b, c)
-    if field.size == 2:
-        result = bfs_chain_oracle(b, c, node_budget=bfs_budget)
-        if result.status == "found":
-            return result.chain
-        if result.status == "unreachable":
-            raise ChainUnreachableError(
-                "endpoints lie in different chain components over F_2"
-            )
-        raise BudgetExceededError("BFS budget exhausted over F_2")
-    steps = _field_chain_core(space, b.vectors, c.vectors)
-    chain = Chain(space, [OrthogonalBasis(space, t) for t in _dedupe(steps)])
-    return chain.verify(b, c)
+    return _certified(space, _field_tuples(space, b.vectors, c.vectors, bfs_budget), b, c)
+
+
+def _field_tuples(space, tup_b, tup_c, bfs_budget=None):
+    if space.ring.size == 2 and space.n > 2 and frozenset(tup_b) != frozenset(tup_c):
+        return _bfs_tuples(
+            space, tup_b, tup_c, bfs_budget,
+            "endpoints lie in different chain components over F_2",
+            "BFS budget exhausted over F_2",
+        )
+    return _dedupe(_field_chain_core(space, tup_b, tup_c))
 
 
 # ---------------------------------------------------------------------------
@@ -836,65 +844,47 @@ def chain_local(b: OrthogonalBasis, c: OrthogonalBasis,
     BFS oracle (the chain lemma genuinely fails there).
     """
     space = b.space
-    ring = space.ring
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    if b.vector_set() == c.vector_set():
-        return Chain(space, [b]).verify(b, c)
-    if ring.is_field:
-        return chain_field(b, c, bfs_budget=bfs_budget)
-    F = ring.residue_field()
-    if F.size == 2:
-        result = bfs_chain_oracle(b, c, node_budget=bfs_budget)
-        if result.status == "found":
-            return result.chain
-        if result.status == "unreachable":
-            raise ChainUnreachableError(
-                "endpoints lie in different chain components (residue field F_2)"
-            )
-        raise BudgetExceededError(
-            "residue field is F_2 and the BFS oracle exhausted its budget"
+    if space.ring.is_field:
+        tuples = _field_tuples(space, b.vectors, c.vectors, bfs_budget)
+    else:
+        tuples = _local_tuples(space, b.vectors, c.vectors, bfs_budget)
+    return _certified(space, tuples, b, c)
+
+
+def _local_tuples(space, tup_b, tup_c, bfs_budget):
+    if frozenset(tup_b) == frozenset(tup_c):
+        return [tup_b]
+    if space.ring.residue_field().size == 2:
+        return _bfs_tuples(
+            space, tup_b, tup_c, bfs_budget,
+            "endpoints lie in different chain components (residue field F_2)",
+            "residue field is F_2 and the BFS oracle exhausted its budget",
         )
 
-    bbar = b.reduce()
-    cbar = c.reduce()
-    fchain = chain_field(bbar, cbar)
+    rspace = space.reduce()
+    bbar = tuple(space.reduce_vector(v) for v in tup_b)
+    cbar = tuple(space.reduce_vector(v) for v in tup_c)
     # align: make consecutive residue bases differ positionally in <= 2 slots
-    tups = [bbar.vectors]
-    for basis in fchain.bases[1:]:
-        tups.append(_align_step(tups[-1], basis.vector_set()))
-    # ensure the final aligned tuple is cbar itself, positionally
-    if frozenset(tups[-1]) != cbar.vector_set():  # pragma: no cover
+    tups = [bbar]
+    for t in _field_tuples(rspace, bbar, cbar)[1:]:
+        tups.append(_align_step(tups[-1], frozenset(t)))
+    if frozenset(tups[-1]) != frozenset(cbar):  # pragma: no cover
         raise ChainError("field chain endpoint mismatch")
 
-    pieces = [b]
-    cur = b
-    for i in range(len(tups) - 1):
-        Bi, Ci1 = lift_pair(space, tups[i], tups[i + 1])
-        mid = chain_equal_mod_m(cur, Bi)
-        pieces.extend(mid.bases[1:])
-        pieces.append(Ci1)
-        cur = Ci1
+    pieces = [tup_b]
+    cur = tup_b
+    for prev, nxt in zip(tups, tups[1:]):
+        lift_prev, lift_next = _lift_pair_core(space, prev, nxt)
+        pieces.extend(_equal_mod_m_core(space, cur, lift_prev))
+        pieces.append(lift_next)
+        cur = lift_next
     # permute cur so its reduction matches c's positionally, then close up
-    red_positions = {}
-    for idx, v in enumerate(cur.vectors):
-        red_positions[space.reduce_vector(v)] = idx
-    arranged = tuple(
-        cur.vectors[red_positions[space.reduce_vector(v)]] for v in c.vectors
-    )
-    cur2 = OrthogonalBasis(space, arranged)
-    tail = chain_equal_mod_m(cur2, c)
-    pieces.extend(tail.bases[1:] if tail.bases[0].vector_set() == pieces[-1].vector_set() else tail.bases)
-    chain = Chain(space, _dedupe_bases(pieces))
-    return chain.verify(b, c)
-
-
-def _dedupe_bases(bases):
-    out = [bases[0]]
-    for basis in bases[1:]:
-        if basis.vector_set() != out[-1].vector_set():
-            out.append(basis)
-    return out
+    by_reduction = {space.reduce_vector(v): v for v in cur}
+    arranged = tuple(by_reduction[space.reduce_vector(v)] for v in tup_c)
+    pieces.extend(_equal_mod_m_core(space, arranged, tup_c))
+    return _dedupe(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +912,24 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
     Edges replace at most two vectors.  "unreachable" is only reported after
     the full component of the start basis has been explored.
     """
-    space = b.space
+    result, tuples = _bfs_core(b.space, b.vectors, c.vectors, node_budget, space_cap)
+    if tuples is not None:
+        result.chain = _certified(b.space, tuples, b, c)
+    return result
+
+
+def _bfs_tuples(space, tup_b, tup_c, node_budget, unreachable, exhausted):
+    """Path tuples of a BFS search; raises with the given messages otherwise."""
+    result, tuples = _bfs_core(space, tup_b, tup_c, node_budget, DEFAULT_BFS_SPACE_CAP)
+    if result.status == "unreachable":
+        raise ChainUnreachableError(unreachable)
+    if result.status == "budget":
+        raise BudgetExceededError(exhausted)
+    return tuples
+
+
+def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
+    """(BfsResult without a chain, path tuples or None)."""
     ring = space.ring
     if node_budget is None:
         node_budget = DEFAULT_BFS_NODE_BUDGET
@@ -930,8 +937,8 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
         raise BudgetExceededError(
             f"|R|^n = {ring.size ** space.n} exceeds the BFS space cap {space_cap}"
         )
-    start = b.vector_set()
-    goal = c.vector_set()
+    start = frozenset(tup_b)
+    goal = frozenset(tup_c)
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -940,7 +947,7 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
         node = queue.popleft()
         explored += 1
         if explored > node_budget:
-            return BfsResult("budget", explored=explored)
+            return BfsResult("budget", explored=explored), None
         for nxt in _bfs_neighbors(space, node):
             if nxt in parents:
                 continue
@@ -950,11 +957,8 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
                 break
             queue.append(nxt)
     if not found:
-        return BfsResult(
-            "unreachable",
-            explored=explored,
-            component=tuple(sorted(parents, key=_node_key)),
-        )
+        component = tuple(sorted(parents, key=_node_key))
+        return BfsResult("unreachable", explored=explored, component=component), None
     path = []
     node = goal
     while node is not None:
@@ -964,9 +968,7 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
     tuples = [_canonical_tuple(path[0])]
     for nod in path[1:]:
         tuples.append(_align_step(tuples[-1], nod))
-    chain = Chain(space, [OrthogonalBasis(space, t) for t in tuples])
-    chain.verify(b, c)
-    return BfsResult("found", chain=chain, explored=explored, component=())
+    return BfsResult("found", explored=explored, component=()), tuples
 
 
 def _node_key(node):
@@ -1088,12 +1090,6 @@ def random_orthogonal_basis(space: BilinearSpace, rng, attempts: int = 2000) -> 
     if vecs is None:
         raise ChainError("could not sample an orthogonal basis")
     return OrthogonalBasis(space, vecs)
-
-
-def _complement_within(space, basis, chosen):
-    rows = tuple(tuple(space.eval_b(ch, v) for v in basis) for ch in chosen)
-    _, kernel = mx.kernel_basis(space.ring, rows)
-    return tuple(vec_combo(basis, coeffs) for coeffs in kernel)
 
 
 def random_diagonal_space(ring: LocalRing, n: int, rng) -> BilinearSpace:

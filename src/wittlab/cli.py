@@ -96,6 +96,49 @@ def _load_payload(text: str):
     raise UsageError(f"cannot parse {text!r} as JSON and no such file exists")
 
 
+# exception class -> exit code; the first matching class wins
+_ERROR_EXIT_CODES = {
+    UsageError: 2,
+    RingError: 2,
+    BilinearError: 2,
+    chains.NotOrthogonalError: 2,
+    json.JSONDecodeError: 2,
+    chains.BudgetExceededError: 1,
+    groups.GroupsError: 1,
+}
+
+
+def _is_grid(obj):
+    """A JSON list of lists (the entries themselves are decoded later)."""
+    return isinstance(obj, list) and all(isinstance(row, list) for row in obj)
+
+
+def _certificate_kind(payload) -> str:
+    """'chain' or 'congruence' for a well-shaped certificate; UsageError
+    otherwise, before any of it is decoded."""
+    if not isinstance(payload, dict):
+        raise UsageError("certificate must be a JSON object")
+    if "bases" in payload:
+        if not isinstance(payload.get("ring"), str):
+            raise UsageError("chain certificate needs a 'ring' string")
+        if not _is_grid(payload.get("gram")):
+            raise UsageError("chain certificate needs a 'gram' matrix")
+        bases = payload["bases"]
+        if not (isinstance(bases, list) and bases and all(_is_grid(b) for b in bases)):
+            raise UsageError("chain certificate needs a nonempty list of bases of vectors")
+        return "chain"
+    if "matrix" in payload:
+        grids = [payload.get(key) for key in ("source", "target", "matrix")]
+        n = len(grids[2]) if isinstance(grids[2], list) else -1
+        if not all(_is_grid(g) and len(g) == n and all(len(r) == n for r in g) for g in grids):
+            raise UsageError(
+                "congruence witness needs 'source', 'target' and 'matrix' "
+                "square matrices of one size"
+            )
+        return "congruence"
+    raise UsageError("certificate is neither a chain ('bases') nor a witness ('matrix')")
+
+
 def _vectors_from_json(ring, obj):
     return tuple(tuple(ring.element_from_json(c) for c in v) for v in obj)
 
@@ -121,18 +164,10 @@ def run(argv) -> int:
     out = {"schema": SCHEMA, "command": args.command, "config": _config_of(args)}
     try:
         code = _dispatch(args, out)
-    except UsageError as exc:
+    except tuple(_ERROR_EXIT_CODES) as exc:
         print(json.dumps({"error": str(exc), "schema": SCHEMA}, sort_keys=True))
         print(f"witt-lab: {exc}", file=sys.stderr)
-        return 2
-    except (RingError, BilinearError, chains.NotOrthogonalError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc), "schema": SCHEMA}, sort_keys=True))
-        print(f"witt-lab: {exc}", file=sys.stderr)
-        return 2
-    except (chains.BudgetExceededError, groups.GroupsError) as exc:
-        print(json.dumps({"error": str(exc), "schema": SCHEMA}, sort_keys=True))
-        print(f"witt-lab: {exc}", file=sys.stderr)
-        return 1
+        return next(c for cls, c in _ERROR_EXIT_CODES.items() if isinstance(exc, cls))
 
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)
@@ -186,13 +221,13 @@ def _dispatch(args, out) -> int:
 
     if cmd == "verify":
         payload = _load_payload(args.cert)
-        if "certificate" in payload:
+        if isinstance(payload, dict) and "certificate" in payload:
             payload = payload["certificate"]
-        if "bases" in payload:
+        kind = _certificate_kind(payload)
+        if kind == "chain":
             chain = chains.Chain.from_json(payload, size_cap=args.size_cap)
             ok, msg = chains.verify_chain(chain, chain.bases[0], chain.bases[-1])
-            out["kind"] = "chain"
-        elif "matrix" in payload:
+        else:
             if ring is None:
                 raise UsageError("--ring is required to verify a congruence witness")
             try:
@@ -200,9 +235,7 @@ def _dispatch(args, out) -> int:
                 ok, msg = True, "ok"
             except BilinearError as exc:
                 ok, msg = False, str(exc)
-            out["kind"] = "congruence"
-        else:
-            raise UsageError("certificate is neither a chain ('bases') nor a witness ('matrix')")
+        out["kind"] = kind
         out["valid"] = ok
         out["diagnostic"] = msg
         return 0 if ok else 1

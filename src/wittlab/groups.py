@@ -252,12 +252,11 @@ def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentatio
 def witt_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
     """GW presentation extended by the ideal generated by h."""
     base = gw_presentation(ring, rank_cap)
-    index = base.generator_index()
-    h = GroupRingElement.hyperbolic(ring)
-    rows = list(base.rows)
-    rows.extend(_ideal_rows(ring, index, [h]))
-    key = ("witt", ring.spec, rank_cap)
+    key = ("witt", ring.spec, base.notes["rank_cap"])
     if key not in _presentation_cache:
+        h = GroupRingElement.hyperbolic(ring)
+        rows = list(base.rows)
+        rows.extend(_ideal_rows(ring, base.generator_index(), [h]))
         p = Presentation(ring, base.generators, _dedupe_rows(rows), "witt", dict(base.notes))
         _presentation_cache[key] = p
     return _presentation_cache[key]

@@ -3,7 +3,8 @@
 Matrices are tuples of row tuples of RingElement.  Everything here relies
 on the local property: an invertible matrix always admits a unit pivot in
 every elimination step (otherwise its determinant would sit in the maximal
-ideal).
+ideal).  mat_inverse, kernel_basis and solve_field are entry points over one
+unit-pivot reduced-row-echelon routine, _rref.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ def mat_vec(A, v):
     return tuple(_dot(row, v) for row in A)
 
 
-def mat_eq(A, B):
-    return A == B
-
-
 def mat_det(ring: LocalRing, A) -> RingElement:
     """Determinant by expansion over column subsets (exact over any ring)."""
     n = len(A)
@@ -86,24 +83,8 @@ def mat_inverse(ring: LocalRing, A):
     """Inverse of an invertible matrix via Gauss-Jordan with unit pivots."""
     n = len(A)
     M = [list(row) + list(idrow) for row, idrow in zip(A, mat_identity(ring, n))]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if M[r][col].is_unit():
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError("matrix is not invertible over the local ring")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = M[col][col].inv()
-        M[col] = [inv * c for c in M[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = M[r][col]
-            if f.is_zero():
-                continue
-            M[r] = [c - f * p for c, p in zip(M[r], M[col])]
+    if len(_rref(M, n)) < n:
+        raise SingularMatrixError("matrix is not invertible over the local ring")
     return tuple(tuple(row[n:]) for row in M)
 
 
@@ -113,25 +94,22 @@ def congruent(M, A):
     return mat_mul(Mt, mat_mul(A, M))
 
 
-def kernel_basis(ring: LocalRing, T):
-    """Basis of {x : T x = 0} for T with free row span admitting unit pivots.
+def _rref(rows, ncols):
+    """Reduce the row lists in place to reduced row echelon form on their
+    first ncols columns and return the pivot columns.
 
-    Returns (pivot_columns, kernel_vectors).  Raises SingularMatrixError
-    when a leftover row has no unit entry (row span not a free summand of
-    full expected rank, e.g. a degenerate restriction).
+    Each column takes the first row at or below the current rank whose entry
+    is a unit as its pivot; columns without one are skipped.  Over a field a
+    unit is any nonzero entry, so this is plain Gauss-Jordan there.
     """
-    rows = [list(r) for r in T]
     m = len(rows)
-    n = len(rows[0]) if m else 0
     pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if rows[r][col].is_unit():
-                pivot = r
+    for col in range(ncols):
+        rank = len(pivots)
+        for pivot in range(rank, m):
+            if rows[pivot][col].is_unit():
                 break
-        if pivot is None:
+        else:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = rows[rank][col].inv()
@@ -144,9 +122,21 @@ def kernel_basis(ring: LocalRing, T):
                 continue
             rows[r] = [c - f * p for c, p in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if any(not c.is_zero() for c in rows[r]):
+    return pivots
+
+
+def kernel_basis(ring: LocalRing, T):
+    """Basis of {x : T x = 0} for T with free row span admitting unit pivots.
+
+    Returns (pivot_columns, kernel_vectors).  Raises SingularMatrixError
+    when a leftover row has no unit entry (row span not a free summand of
+    full expected rank, e.g. a degenerate restriction).
+    """
+    rows = [list(r) for r in T]
+    n = len(rows[0]) if rows else 0
+    pivots = _rref(rows, n)
+    for row in rows[len(pivots):]:
+        if any(not c.is_zero() for c in row):
             raise SingularMatrixError("row space has no unit pivot for a nonzero row")
     zero, one = ring.zero, ring.one
     free_cols = [j for j in range(n) if j not in pivots]
@@ -165,31 +155,9 @@ def solve_field(field: LocalRing, A, b):
     m = len(A)
     n = len(A[0]) if m else 0
     rows = [list(A[i]) + [b[i]] for i in range(m)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [inv * c for c in rows[rank]]
-        for r in range(m):
-            if r == rank:
-                continue
-            f = rows[r][col]
-            if f.is_zero():
-                continue
-            rows[r] = [c - f * p for c, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if not rows[r][n].is_zero():
-            return None
+    pivots = _rref(rows, n)
+    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+        return None
     x = [field.zero] * n
     for i, p in enumerate(pivots):
         x[p] = rows[i][n]

@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import sys
 import time
+import zlib
 
 import pytest
 
@@ -120,7 +121,7 @@ def test_criterion_05_chain_lemma_suite():
     with criterion(5, "100 verified chains per (ring, n), n in {2,3,4}", 300):
         for spec in MATRIX_SPECS:
             ring = parse_ring(spec)
-            rng = seeded(0xC5 + hash(spec) % 1000)
+            rng = seeded(0xC5 + zlib.crc32(spec.encode()) % 1000)
             for n in (2, 3, 4):
                 for _ in range(100):
                     S = random_diagonal_space(ring, n, rng)

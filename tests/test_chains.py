@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -26,6 +27,7 @@ from wittlab import (
     standard_basis,
     verify_chain,
 )
+from wittlab import chains
 from wittlab.bilinear import NotInMaximalIdealError, vec_add
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
 
@@ -486,7 +488,7 @@ def test_chain_local_reduction_is_field_chain():
 def test_chain_local_randomized_per_ring(spec):
     # 500 verified instances per ring across dimensions 2..4
     ring = parse_ring(spec)
-    rng = seeded(hash(spec) % (2**32))
+    rng = seeded(zlib.crc32(spec.encode()))
     per_dim = 500 // 3 + 1
     for n in (2, 3, 4):
         for _ in range(per_dim):
@@ -510,3 +512,55 @@ def test_chain_certificate_json_round_trip():
     ok, msg = verify_chain(back, back.bases[0], back.bases[-1])
     assert ok, msg
     assert back.bases[0].vector_set() == A.vector_set()
+
+
+# ---------------------------------------------------------------------------
+# trust boundary: one verify_chain per returned chain
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """Counts of verify_chain and _check_orthobasis calls inside chains."""
+    calls = {"verify_chain": 0, "_check_orthobasis": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(chains, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(chains, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+def test_chain_local_checks_each_basis_once(spec, check_calls):
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    S = random_diagonal_space(ring, 4, rng)
+    A = random_orthogonal_basis(S, rng)
+    B = random_orthogonal_basis(S, rng)
+    check_calls.update(verify_chain=0, _check_orthobasis=0)
+    chain = chain_local(A, B)
+    assert check_calls == {"verify_chain": 1, "_check_orthobasis": len(chain)}
+
+
+def test_every_chain_builder_verifies_once(check_calls):
+    rng = seeded(9)
+    F4, F5, Z9, Z4 = (parse_ring(s) for s in ("GF(4)", "GF(5)", "Z/9", "Z/4"))
+    S5 = random_diagonal_space(F5, 4, rng)
+    A5, B5 = random_orthogonal_basis(S5, rng), random_orthogonal_basis(S5, rng)
+    E5 = standard_basis(ident_space(F5, 4))
+    E9 = standard_basis(ident_space(Z9, 3))
+    M9 = elementary_move(E9, Z9.from_int(3), 0, 1)
+    E4 = standard_basis(ident_space(Z4, 2))
+    M4 = elementary_move(E4, Z4.from_int(2), 0, 1)
+    builders = [
+        lambda: chain_field(A5, B5),
+        lambda: chain_equal_mod_m(E9, M9),
+        lambda: extend_vector_chain(E5, (F5.one, F5.one, F5.zero, F5.one))[0],
+        lambda: hat_chain(4, F4),
+        lambda: bfs_chain_oracle(E4, M4).chain,
+    ]
+    for build in builders:
+        check_calls.update(verify_chain=0, _check_orthobasis=0)
+        chain = build()
+        assert check_calls == {"verify_chain": 1, "_check_orthobasis": len(chain)}

@@ -90,6 +90,29 @@ def test_verify_rejects_corrupted_chain(tmp_path, capsys):
     assert "step" in data["diagnostic"] or "start" in data["diagnostic"]
 
 
+def test_verify_reports_non_orthogonal_basis(capsys):
+    cert = f4_chain_certificate()
+    cert["bases"][1][1] = cert["bases"][1][0]
+    code, data = run_cli(capsys, "verify", "--cert", json.dumps(cert))
+    assert code == 1
+    assert data["valid"] is False
+    assert data["diagnostic"] == "basis 1: vectors 0 and 1 are not orthogonal"
+
+
+@pytest.mark.parametrize("cert", [
+    '{"bases": 1}',
+    '{"matrix": [[1]]}',
+    '1',
+    '{"ring":"GF(3)","gram":[[1]],"bases":[]}',
+])
+def test_verify_rejects_malformed_certificates(capsys, cert):
+    code = run(["verify", "--ring", "GF(3)", "--cert", cert])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"]
+    assert "Traceback" not in out.err
+
+
 def test_verify_congruence_witness(capsys):
     witness = {
         "source": [[2, 0], [0, 4]],

@@ -19,6 +19,7 @@ from wittlab import (
     stable_isometry_oracle,
     verify_rank2_equality,
     verify_steinberg_consequences,
+    witt_presentation,
     witt_structure,
 )
 from wittlab.groups import GroupsError, oracle_tuple_of_units
@@ -111,6 +112,11 @@ def test_gw_presentation_f3_isometry_row():
     row[idx[F3.one.data]] += 2
     row[idx[two.data]] -= 2
     assert tuple(row) in p.rows or tuple(-v for v in row) in p.rows
+
+
+def test_witt_presentation_cache_keys_on_resolved_rank_cap():
+    F3 = parse_ring("GF(3)")
+    assert witt_presentation(F3) is witt_presentation(F3, 2)
 
 
 def test_relation_rows_have_rank_zero():
