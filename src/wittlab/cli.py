@@ -113,6 +113,15 @@ def _is_grid(obj):
     return isinstance(obj, list) and all(isinstance(row, list) for row in obj)
 
 
+def _load_grid(text: str, flag: str):
+    """The payload of a matrix or basis flag; UsageError unless it is a
+    list of lists, before any of it is decoded."""
+    payload = _load_payload(text)
+    if not _is_grid(payload):
+        raise UsageError(f"{flag} must be a JSON list of lists")
+    return payload
+
+
 def _certificate_kind(payload) -> str:
     """'chain' or 'congruence' for a well-shaped certificate; UsageError
     otherwise, before any of it is decoded."""
@@ -198,7 +207,7 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "diagonalize":
-        space = BilinearSpace.from_json(ring, _load_payload(args.gram))
+        space = BilinearSpace.from_json(ring, _load_grid(args.gram, "--gram"))
         report, witness = diagonalize(space)
         out["units"] = [u.to_json() for u in report.units]
         out["blocks"] = [[a.to_json(), b.to_json()] for a, b in report.blocks]
@@ -206,9 +215,12 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "chain":
-        space = BilinearSpace.from_json(ring, _load_payload(args.gram))
-        b = chains.OrthogonalBasis(space, _vectors_from_json(ring, _load_payload(args.from_basis)))
-        c = chains.OrthogonalBasis(space, _vectors_from_json(ring, _load_payload(args.to_basis)))
+        gram = _load_grid(args.gram, "--gram")
+        from_basis = _load_grid(args.from_basis, "--from")
+        to_basis = _load_grid(args.to_basis, "--to")
+        space = BilinearSpace.from_json(ring, gram)
+        b = chains.OrthogonalBasis(space, _vectors_from_json(ring, from_basis))
+        c = chains.OrthogonalBasis(space, _vectors_from_json(ring, to_basis))
         try:
             chain = chains.chain_local(b, c, bfs_budget=args.bfs_budget)
         except chains.ChainUnreachableError as exc:

@@ -3,10 +3,14 @@
 Presentations use all units of R as generators.  The Milnor-Witt relations
 (square triviality, hyperbolic annihilation, Steinberg) are closed into an
 additive lattice by multiplying each ideal generator with every group-ring
-basis element.  GW adds rows for verified isometries of small diagonal
-forms; every emitted row is backed by either an explicit congruence witness
-or an exhaustive two-dimensional search, so the relation lattice never
-over-collapses.
+basis element.  GW adds rows for isometries of small diagonal forms, and
+every such row is backed by a proof that the relation lattice does not
+over-collapse.  Rank-2 rows come from a closed-form criterion: <a,b> and
+<c,d> are isometric iff ab = cd mod squares and <a,b> represents c.  The
+represented values are read off exact value tables, and every identification
+carries an explicit 2x2 congruence witness that is checked exactly.
+Rows of rank >= 3 come from verified two-entry rewrites or from an
+exhaustive isometry search.
 
 Group structure is computed by integer Smith normal form with retained
 transforms, which makes generator images, representative lifting, products,
@@ -19,7 +23,12 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .rings import LocalRing, RingElement
-from .bilinear import BilinearSpace, is_isometric, stable_diagonalize
+from .bilinear import (
+    BilinearSpace,
+    CongruenceWitness,
+    is_isometric,
+    stable_diagonalize,
+)
 from . import snf
 
 
@@ -276,19 +285,28 @@ class _ClassData:
         self.reps = sc.reps
         self.k = len(self.reps)
         self.index = {r.data: i for i, r in enumerate(self.reps)}
+        self.class_index = sc.class_index
         self.class_of = lambda u: sc.class_index[u.data]
         self.mul = [
             [sc.class_index[(a * b).data] for b in self.reps] for a in self.reps
         ]
         self.one_class = sc.class_index[ring.one.data]
         carrier = tuple(ring.elements())
+        # per class: value rep*x^2 -> number of x, and one such x
         self._coord_dist = []
+        self._coord_root = []
         for rep in self.reps:
             dist: dict = {}
+            root: dict = {}
             for x in carrier:
                 v = (rep * x * x).data
                 dist[v] = dist.get(v, 0) + 1
+                root.setdefault(v, x)
             self._coord_dist.append(dist)
+            self._coord_root.append(root)
+        self._sqrt = {}
+        for u in ring.units():
+            self._sqrt.setdefault((u * u).data, u)
         self._space_cache: dict = {}
 
     def det_class(self, tup):
@@ -310,6 +328,27 @@ class _ClassData:
                     nxt[k] = nxt.get(k, 0) + ca * cb
             acc = nxt
         return tuple(sorted((ring._rkey(k), v) for k, v in acc.items()))
+
+    def represented(self, pair):
+        """Square classes of the unit values of diag(reps[pair]) on R^2,
+        each with one vector (x, y) attaining a value in that class.
+
+        Exact: the sumset of the two coordinate value tables is the full
+        image of q.
+        """
+        ring = self.ring
+        out: dict = {}
+        rows, cols = (self._coord_root[c] for c in pair)
+        for va, x in rows.items():
+            for vb, y in cols.items():
+                v = ring._radd(va, vb)
+                if ring._runit(v):
+                    out.setdefault(self.class_index[v], (x, y))
+        return out
+
+    def sqrt(self, u: RingElement) -> RingElement:
+        """A unit square root of the unit square u."""
+        return self._sqrt[u.data]
 
     def space_of(self, tup) -> BilinearSpace:
         if tup not in self._space_cache:
@@ -357,8 +396,14 @@ _FULL_SEARCH_BUDGET = 400_000
 def _rank2_pairs(ring):
     """Partition of unordered square-class pairs by plain isometry.
 
-    Complete: the two-dimensional search is exhaustive, so both positive and
-    negative answers are certain.
+    <a,b> and <c,d> (a, b, c, d unit class reps) are isometric iff
+    ab = cd mod squares and <a,b> represents c.  Proof: if ax^2 + by^2 = c,
+    then v = (x, y) and w = (-by, ax) are orthogonal, q(w) = abc and
+    det[v w] = c is a unit, so <a,b> = <c, abc> = <c, d>; conversely an
+    isometry maps e_1 to a vector of q-value c.  No step needs the residue
+    field to avoid F_2.  The represented classes are exact
+    (_ClassData.represented), so both answers are certain, and each union is
+    backed by a checked CongruenceWitness.
     """
     if ring.spec in _rank2_cache:
         return _rank2_cache[ring.spec]
@@ -367,18 +412,32 @@ def _rank2_pairs(ring):
     uf = _UnionFind()
     for p in pairs:
         uf.find(p)
+    represented = {}
     for pa, pb in itertools.combinations(pairs, 2):
         if cd.det_class(pa) != cd.det_class(pb):
             continue
         if uf.find(pa) == uf.find(pb):
             continue
-        res = is_isometric(cd.space_of(pa), cd.space_of(pb))
-        if res.status == "isometric":
+        if pa not in represented:
+            represented[pa] = cd.represented(pa)
+        xy = represented[pa].get(pb[0])
+        if xy is not None:
+            _rank2_witness(cd, pa, pb, *xy)  # raises unless M^T A M = B exactly
             uf.union(pa, pb)
-        elif res.status == "unknown":  # pragma: no cover - tiny spaces
-            raise GroupsError("rank-2 isometry search ran out of budget")
     _rank2_cache[ring.spec] = (cd, uf, pairs)
     return _rank2_cache[ring.spec]
+
+
+def _rank2_witness(cd, pa, pb, x, y) -> CongruenceWitness:
+    """M with M^T diag(a, b) M = diag(c, d), given ax^2 + by^2 = c s^2:
+    the columns are v = (x, y)/s and t(-by, ax)/s with t^2 = d/(abc)."""
+    a, b = (cd.reps[i] for i in pa)
+    c, d = (cd.reps[i] for i in pb)
+    s_inv = cd.sqrt((a * x * x + b * y * y) * c.inv()).inv()
+    x, y = x * s_inv, y * s_inv
+    t = cd.sqrt(d * (a * b * c).inv())
+    matrix = ((x, -(b * y * t)), (y, a * x * t))
+    return CongruenceWitness(cd.ring, cd.space_of(pa).gram, cd.space_of(pb).gram, matrix)
 
 
 def _multiset_components(ring, m):
@@ -484,10 +543,7 @@ class AbelianGroupStructure:
         form = snf.smith_normal_form([list(r) for r in reduced], g)
         if not form.verify([list(r) for r in reduced]):
             raise GroupsError("Smith normal form self-check failed")
-        self._snf = form
-        self._V = form.V
         self._Vinv = snf.int_inverse_unimodular(form.V)
-        self._diag = form.diag
         rank = len(form.diag)
         if rank != len(reduced):
             raise GroupsError("relation lattice rank accounting failed")
@@ -496,6 +552,9 @@ class AbelianGroupStructure:
         self.invariant_factors = tuple(form.diag[i] for i in self._torsion_positions)
         self.free_rank = g - rank
         self._index = {gen.data: i for i, gen in enumerate(self.generators)}
+        # rows of V restricted to the coordinate columns: torsion, then free
+        kept = self._torsion_positions + list(range(rank, g))
+        self._V_kept = [tuple(Vi[j] for j in kept) for Vi in form.V]
         for row in presentation.rows:
             if not self.is_zero(self.coords_of_row(row)):
                 raise GroupsError("a relation row does not map to zero")
@@ -503,12 +562,13 @@ class AbelianGroupStructure:
     # -- coordinate plumbing -------------------------------------------------
 
     def coords_of_row(self, row):
-        y = [sum(row[i] * self._V[i][j] for i in range(self._g)) for j in range(self._g)]
-        torsion = tuple(
-            y[i] % self._diag[i] for i in self._torsion_positions
-        )
-        free = tuple(y[i] for i in range(self._rank, self._g))
-        return torsion + free
+        """The coordinate columns of row * V, from the nonzero entries of row."""
+        y = list(self.zero_coords)
+        for i, c in enumerate(row):
+            if c:
+                for j, v in enumerate(self._V_kept[i]):
+                    y[j] += c * v
+        return self._normalize(tuple(y))
 
     def coords_of_group_ring(self, elt: GroupRingElement):
         return self.coords_of_row(elt.to_row(self._index))
@@ -686,10 +746,8 @@ def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonRe
     relation lattice (the map is induced by the identity of Z[R*]).
     """
     pk = kmw_presentation(ring)
-    pg = gw_presentation(ring, rank_cap)
     sk = group_structure(pk)
     sg = gw_structure(ring, rank_cap)
-    g = len(pk.generators)
 
     # matrix: image of each KMW coordinate basis vector inside GW coordinates
     dim_k = len(sk.invariant_factors) + sk.free_rank
@@ -700,7 +758,7 @@ def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonRe
         matrix.append(list(sg.coords_of_row(x)))
 
     # kernel = L_GW / L_KMW
-    basis = snf.hnf_rows([list(r) for r in pg.rows], g)
+    basis = sg._lattice_basis
     rel_rows = []
     for row in pk.rows:
         coeffs = snf.solve_in_rowspace(basis, row)

@@ -113,6 +113,18 @@ def test_verify_rejects_malformed_certificates(capsys, cert):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--gram", "[[1,0],[0,1]]", "--from", "1", "--to", "[[1,0],[0,1]]"],
+    ["diagonalize", "--gram", "5"],
+])
+def test_matrix_flags_must_be_grids(capsys, argv):
+    code = run(argv + ["--ring", "GF(3)"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"]
+    assert "Traceback" not in out.err
+
+
 def test_verify_congruence_witness(capsys):
     witness = {
         "source": [[2, 0], [0, 4]],

@@ -1,8 +1,10 @@
 """Byte-for-byte golden outputs of the witt-lab CLI.
 
 Each file under tests/golden/ is the exact stdout of one ``witt-lab`` call
-listed in CASES.  Refactors of the chain builders, the elimination routines
-or the CLI must leave these bytes unchanged.
+listed in CASES.  Refactors of the chain builders, the elimination routines,
+the group presentations and structures, or the CLI must leave these bytes
+unchanged: the group files pin the invariant factors, every generator image
+and the comparison matrix.
 """
 
 import json
@@ -59,6 +61,19 @@ CASES = {
     ],
     "verify_f4_paper.json": ["verify", "--cert", json.dumps(f4_chain_certificate())],
 }
+
+# kmw, gw, witt and compare on rings with residue field F_4, F_5 and F_2
+_GROUP_RINGS = {
+    "gf4y2": "GF(4)[y]/(y^2)",
+    "z25": "Z/25",
+    "gf5x2": "GF(5)[x]/(x^2)",
+    "gf2x4": "GF(2)[x]/(x^4)",
+}
+CASES.update({
+    f"{cmd}_{tag}.json": [cmd, "--ring", spec]
+    for cmd in ("kmw", "gw", "witt", "compare")
+    for tag, spec in _GROUP_RINGS.items()
+})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -23,9 +23,10 @@ from wittlab import (
     witt_structure,
 )
 from wittlab.groups import GroupsError, oracle_tuple_of_units
+from wittlab import groups
 from wittlab import matrices as mx
 
-from conftest import MATRIX_SPECS, seeded
+from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS, seeded
 
 
 CEX = "GF(2)[x]/(x^4)"
@@ -112,6 +113,32 @@ def test_gw_presentation_f3_isometry_row():
     row[idx[F3.one.data]] += 2
     row[idx[two.data]] -= 2
     assert tuple(row) in p.rows or tuple(-v for v in row) in p.rows
+
+
+RANK2_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + [
+    "Z/8", "Z/16", "Z/25", "GF(3)[x]/(x^3)", "GF(5)[x]/(x^2)", "GF(2)[x]/(x^3)",
+]
+
+
+@pytest.mark.parametrize("spec", RANK2_SPECS)
+def test_rank2_pairs_match_exhaustive_search(spec, monkeypatch):
+    """The closed-form rank-2 partition is the one exhaustive is_isometric
+    gives, and every union is backed by exactly one checked witness."""
+    witnesses = []
+    checked_witness = groups.CongruenceWitness
+
+    def counting_witness(*args):
+        witnesses.append(checked_witness(*args))
+        return witnesses[-1]
+
+    monkeypatch.setattr(groups, "_rank2_cache", {})
+    monkeypatch.setattr(groups, "CongruenceWitness", counting_witness)
+    cd, uf, pairs = groups._rank2_pairs(parse_ring(spec))
+    for pa, pb in itertools.combinations(pairs, 2):
+        iso = is_isometric(cd.space_of(pa), cd.space_of(pb)).status == "isometric"
+        assert iso == (uf.find(pa) == uf.find(pb)), (pa, pb)
+    unions = len(pairs) - len({uf.find(p) for p in pairs})
+    assert len(witnesses) == unions
 
 
 def test_witt_presentation_cache_keys_on_resolved_rank_cap():
