@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import chains, groups
 from .bilinear import (
@@ -34,54 +35,90 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    arguments: tuple = ()        # (flag, add_argument keywords) after the common flags
+    minimums: tuple = ()         # (flag, least value) for integer flags
+    ring_required: bool = True
+
+
+def _group_command(help_text):
+    return _Command(help_text, (("--rank-cap", {"type": int, "default": None}),),
+                    (("--rank-cap", 2),))
+
+
+# every subcommand, in the order the full parser lists them
+COMMANDS = {
+    "ring-info": _Command("carrier, units, residue field, square classes"),
+    "diagonalize": _Command(
+        "split a Gram matrix into unit lines and residual blocks",
+        (("--gram", {"required": True, "help": "Gram matrix as JSON or a file path"}),),
+    ),
+    "chain": _Command(
+        "produce a chain certificate between two orthogonal bases",
+        (
+            ("--gram", {"required": True}),
+            ("--from", {"dest": "from_basis", "required": True,
+                        "help": "basis as JSON or a file path"}),
+            ("--to", {"dest": "to_basis", "required": True}),
+            ("--bfs-budget", {"type": int, "default": None}),
+            ("--allow-unreachable", {"action": "store_true"}),
+        ),
+        (("--bfs-budget", 1),),
+    ),
+    "verify": _Command(
+        "verify a chain certificate or a congruence witness",
+        (("--cert", {"required": True, "help": "certificate file path or inline JSON"}),),
+        ring_required=False,
+    ),
+    "gw": _group_command("Grothendieck-Witt group structure"),
+    "kmw": _group_command("Milnor-Witt K-group structure"),
+    "witt": _group_command("Witt group structure"),
+    "compare": _group_command("comparison map K0MW -> GW with kernel"),
+    "steinberg-check": _Command(
+        "Steinberg-consequence identities in the Steinberg-only quotient"
+    ),
+    "oracle": _Command(
+        "stable isometry classification of diagonal tuples",
+        (
+            ("--rank-cap", {"type": int, "default": 3}),
+            ("--stab-cap", {"type": int, "default": 2}),
+        ),
+        (("--rank-cap", 1), ("--stab-cap", 0)),
+    ),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The witt-lab parser with a sub-parser for each named command."""
     parser = _Parser(prog="witt-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, ring_required=True):
-        p.add_argument("--ring", required=ring_required, help="ring spec, e.g. 'GF(2)[x]/(x^4)'")
+    for name in names:
+        cmd = COMMANDS[name]
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--ring", required=cmd.ring_required,
+                       help="ring spec, e.g. 'GF(2)[x]/(x^4)'")
         p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="also write the JSON result to this path")
-
-    p = sub.add_parser("ring-info", help="carrier, units, residue field, square classes")
-    common(p)
-
-    p = sub.add_parser("diagonalize", help="split a Gram matrix into unit lines and residual blocks")
-    common(p)
-    p.add_argument("--gram", required=True, help="Gram matrix as JSON or a file path")
-
-    p = sub.add_parser("chain", help="produce a chain certificate between two orthogonal bases")
-    common(p)
-    p.add_argument("--gram", required=True)
-    p.add_argument("--from", dest="from_basis", required=True, help="basis as JSON or a file path")
-    p.add_argument("--to", dest="to_basis", required=True)
-    p.add_argument("--bfs-budget", type=int, default=None)
-    p.add_argument("--allow-unreachable", action="store_true")
-
-    p = sub.add_parser("verify", help="verify a chain certificate or a congruence witness")
-    common(p, ring_required=False)
-    p.add_argument("--cert", required=True, help="certificate file path or inline JSON")
-
-    for name, helptext in (
-        ("gw", "Grothendieck-Witt group structure"),
-        ("kmw", "Milnor-Witt K-group structure"),
-        ("witt", "Witt group structure"),
-        ("compare", "comparison map K0MW -> GW with kernel"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p)
-        p.add_argument("--rank-cap", type=int, default=None)
-
-    p = sub.add_parser("steinberg-check", help="Steinberg-consequence identities in the Steinberg-only quotient")
-    common(p)
-
-    p = sub.add_parser("oracle", help="stable isometry classification of diagonal tuples")
-    common(p)
-    p.add_argument("--rank-cap", type=int, default=3)
-    p.add_argument("--stab-cap", type=int, default=2)
-
+        for flag, keywords in cmd.arguments:
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Parse with the sub-parser of the named command alone; an unknown or
+    missing command gets the full parser and its error.  Raises UsageError,
+    also for an integer flag below its least value."""
+    argv = list(argv)
+    named = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = build_parser(named).parse_args(argv)
+    for flag, least in COMMANDS[args.command].minimums:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < least:
+            raise UsageError(f"argument {flag}: must be at least {least}, got {value}")
+    return args
 
 
 def _load_payload(text: str):
@@ -162,9 +199,8 @@ def _config_of(args) -> dict:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         print(f"witt-lab: {exc}", file=sys.stderr)

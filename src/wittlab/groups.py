@@ -97,12 +97,15 @@ class GroupRingElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        ring = self.ring
+        units, index, table = ring.units(), ring.unit_index(), ring.unit_product_table()
         out: dict = {}
         for ka, va in self.coeffs.items():
+            row = table[index[ka]]
             for kb, vb in other.coeffs.items():
-                k = self.ring._rmul(ka, kb)
+                k = units[row[index[kb]]].data
                 out[k] = out.get(k, 0) + va * vb
-        return GroupRingElement(self.ring, out)
+        return GroupRingElement(ring, out)
 
     __rmul__ = __mul__
 
@@ -149,10 +152,6 @@ class Presentation:
                 raise GroupsError(f"relation row {row} has nonzero coefficient sum")
 
 
-def _unit_generators(ring: LocalRing):
-    return tuple(ring.units())
-
-
 def _dedupe_rows(rows):
     seen = set()
     out = []
@@ -168,13 +167,19 @@ def _dedupe_rows(rows):
     return tuple(out)
 
 
-def _ideal_rows(ring, index, ideal_generators):
-    """Additive closure: every <u> * generator, u running over all units."""
+def _ideal_rows(ring, ideal_generators):
+    """Additive closure: every <u> * generator, u running over all units,
+    as rows indexed by position in ring.units().  Each generator's terms
+    are scattered through the unit product table's row for u."""
+    index = ring.unit_index()
+    terms = [[(index[k], v) for k, v in gen.coeffs.items()] for gen in ideal_generators]
     rows = []
-    for u in ring.units():
-        gu = GroupRingElement.generator(u)
-        for gen in ideal_generators:
-            rows.append((gu * gen).to_row(index))
+    for products in ring.unit_product_table():
+        for gen_terms in terms:
+            row = [0] * len(index)
+            for j, v in gen_terms:
+                row[products[j]] += v
+            rows.append(tuple(row))
     return rows
 
 
@@ -208,34 +213,30 @@ def _steinberg_ideal_generators(ring):
 _presentation_cache: dict = {}
 
 
-def kmw_presentation(ring: LocalRing) -> Presentation:
-    """Z[R*] modulo the square, hyperbolic, and Steinberg relations."""
-    key = ("kmw", ring.spec)
+def _ideal_presentation(ring, kind, ideal_generators) -> Presentation:
+    """Z[R*] modulo the ideal spanned by ideal_generators(ring), cached."""
+    key = (kind, ring.spec)
     if key not in _presentation_cache:
-        gens = _unit_generators(ring)
-        index = {g.data: i for i, g in enumerate(gens)}
-        rows = _dedupe_rows(_ideal_rows(ring, index, _kmw_ideal_generators(ring)))
-        p = Presentation(ring, gens, rows, "kmw")
+        rows = _dedupe_rows(_ideal_rows(ring, ideal_generators(ring)))
+        p = Presentation(ring, ring.units(), rows, kind)
         p.check_rank_zero_rows()
         _presentation_cache[key] = p
     return _presentation_cache[key]
+
+
+def kmw_presentation(ring: LocalRing) -> Presentation:
+    """Z[R*] modulo the square, hyperbolic, and Steinberg relations."""
+    return _ideal_presentation(ring, "kmw", _kmw_ideal_generators)
 
 
 def ktilde_presentation(ring: LocalRing) -> Presentation:
     """Steinberg relation only (the ring written K~0^MW)."""
-    key = ("ktilde", ring.spec)
-    if key not in _presentation_cache:
-        gens = _unit_generators(ring)
-        index = {g.data: i for i, g in enumerate(gens)}
-        rows = _dedupe_rows(_ideal_rows(ring, index, _steinberg_ideal_generators(ring)))
-        p = Presentation(ring, gens, rows, "ktilde")
-        p.check_rank_zero_rows()
-        _presentation_cache[key] = p
-    return _presentation_cache[key]
+    return _ideal_presentation(ring, "ktilde", _steinberg_ideal_generators)
 
 
 def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
-    """Kernel rows of Z[R*] -> GW(R): the Milnor-Witt rows plus rows from
+    """Kernel rows of Z[R*] -> GW(R): the Milnor-Witt rows (those of
+    kmw_presentation, which dedupe to the same list) plus rows from
     verified isometries among diagonal forms of rank <= rank_cap.
 
     For residue field != F_2 the rank-2 rows are provably sufficient, so
@@ -247,12 +248,10 @@ def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentatio
         rank_cap = 2 if F.size != 2 else 3
     key = ("gw", ring.spec, rank_cap)
     if key not in _presentation_cache:
-        gens = _unit_generators(ring)
-        index = {g.data: i for i, g in enumerate(gens)}
-        rows = list(_ideal_rows(ring, index, _kmw_ideal_generators(ring)))
-        iso_rows, notes = _isometry_rows(ring, index, rank_cap)
+        rows = list(kmw_presentation(ring).rows)
+        iso_rows, notes = _isometry_rows(ring, rank_cap)
         rows.extend(iso_rows)
-        p = Presentation(ring, gens, _dedupe_rows(rows), "gw", notes)
+        p = Presentation(ring, ring.units(), _dedupe_rows(rows), "gw", notes)
         p.check_rank_zero_rows()
         _presentation_cache[key] = p
     return _presentation_cache[key]
@@ -265,7 +264,7 @@ def witt_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentat
     if key not in _presentation_cache:
         h = GroupRingElement.hyperbolic(ring)
         rows = list(base.rows)
-        rows.extend(_ideal_rows(ring, base.generator_index(), [h]))
+        rows.extend(_ideal_rows(ring, [h]))
         p = Presentation(ring, base.generators, _dedupe_rows(rows), "witt", dict(base.notes))
         _presentation_cache[key] = p
     return _presentation_cache[key]
@@ -464,8 +463,9 @@ def _multiset_components(ring, m):
     return cd, uf, nodes
 
 
-def _isometry_rows(ring, index, rank_cap):
+def _isometry_rows(ring, rank_cap):
     """Rows <a_1>+..+<a_m> - <b_1>-..-<b_m> for verified rank-m isometries."""
+    index = ring.unit_index()
     rows = []
     notes: dict = {"rank_cap": rank_cap, "undecided": []}
     cd, uf2, pairs = _rank2_pairs(ring)
@@ -739,6 +739,18 @@ class ComparisonReport:
         }
 
 
+def _kmw_rows_in_gw_basis(pk: Presentation, sg: AbelianGroupStructure):
+    """Each Milnor-Witt row as integer coefficients over the GW lattice
+    basis; GroupsError if one is not in the GW lattice."""
+    rel_rows = []
+    for row in pk.rows:
+        coeffs = snf.solve_in_rowspace(sg._lattice_basis, row)
+        if coeffs is None:
+            raise GroupsError("Milnor-Witt row missing from the GW lattice")
+        rel_rows.append(coeffs)
+    return rel_rows
+
+
 def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonReport:
     """The surjection K0^MW(R) -> GW(R), <u> -> <u>, in structure coordinates.
 
@@ -757,16 +769,11 @@ def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonRe
         x = sk.section(unit_coords)
         matrix.append(list(sg.coords_of_row(x)))
 
-    # kernel = L_GW / L_KMW
-    basis = sg._lattice_basis
-    rel_rows = []
-    for row in pk.rows:
-        coeffs = snf.solve_in_rowspace(basis, row)
-        if coeffs is None:
-            raise GroupsError("Milnor-Witt row missing from the GW lattice")
-        rel_rows.append(coeffs)
-    r = len(basis)
-    form = snf.smith_normal_form(rel_rows, r) if r else snf.smith_normal_form([], 0)
+    # kernel = L_GW / L_KMW; its invariant factors are those of any basis of
+    # the solved KMW rows, so the SNF runs on their HNF
+    rel_rows = _kmw_rows_in_gw_basis(pk, sg)
+    r = len(sg._lattice_basis)
+    form = snf.smith_normal_form(snf.hnf_rows(rel_rows, r), r)
     factors = tuple(d for d in form.diag if d >= 2)
     kernel_free = r - len(form.diag)
     is_iso = not factors and kernel_free == 0

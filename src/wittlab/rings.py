@@ -180,6 +180,24 @@ class LocalRing:
             self._units_cache = tuple(x for x in self.elements() if x.is_unit())
         return self._units_cache
 
+    def unit_index(self) -> dict:
+        """Position in ``units()`` of each unit, keyed by its data."""
+        if self._unit_index_cache is None:
+            self._unit_index_cache = {u.data: i for i, u in enumerate(self.units())}
+        return self._unit_index_cache
+
+    def unit_product_table(self) -> tuple:
+        """``table[i][j]`` is the position in ``units()`` of the product of
+        units i and j, built from |R*|^2 raw products on first use."""
+        if self._unit_table_cache is None:
+            data = [u.data for u in self.units()]
+            index = self.unit_index()
+            rmul = self._rmul
+            self._unit_table_cache = tuple(
+                tuple(index[rmul(a, b)] for b in data) for a in data
+            )
+        return self._unit_table_cache
+
     def maximal_ideal(self) -> tuple[RingElement, ...]:
         if self._mideal_cache is None:
             self._mideal_cache = tuple(x for x in self.elements() if not x.is_unit())
@@ -224,6 +242,8 @@ class LocalRing:
 
     def _init_caches(self):
         self._units_cache = None
+        self._unit_index_cache = None
+        self._unit_table_cache = None
         self._mideal_cache = None
         self._squares_cache = None
         self._carrier_cache = None

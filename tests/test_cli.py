@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wittlab import cli
 from wittlab.cli import run
 
 from paper_data import f4_chain_certificate
@@ -197,3 +198,90 @@ def test_determinism_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--ring", "GF(3)", "--stab-cap", "-1"],
+    ["oracle", "--ring", "GF(3)", "--rank-cap", "-2"],
+    ["oracle", "--ring", "GF(3)", "--rank-cap", "0"],
+    ["gw", "--ring", "GF(3)", "--rank-cap", "-5"],
+    ["compare", "--ring", "GF(3)", "--rank-cap", "1"],
+    ["chain", "--ring", "GF(3)", "--gram", "[[1,0],[0,1]]", "--from", "[[1,0],[0,1]]",
+     "--to", "[[1,1],[1,2]]", "--bfs-budget", "-1"],
+])
+def test_out_of_range_integer_flags(capsys, argv):
+    code = run(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert "must be at least" in json.loads(out.out)["error"]
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--ring", "GF(3)", "--rank-cap", "1", "--stab-cap", "0"],
+    ["gw", "--ring", "GF(3)", "--rank-cap", "2"],
+    ["chain", "--ring", "GF(3)", "--gram", "[[1,0],[0,1]]", "--from", "[[1,0],[0,1]]",
+     "--to", "[[1,1],[1,2]]", "--bfs-budget", "1"],
+])
+def test_least_values_of_integer_flags_are_accepted(capsys, argv):
+    assert run(argv) == 0
+    capsys.readouterr()
+
+
+# one call of each command, with every flag it takes
+_FULL_ARGV = {
+    "ring-info": ["--ring", "GF(3)"],
+    "diagonalize": ["--ring", "GF(3)", "--gram", "[[1]]"],
+    "chain": ["--ring", "GF(3)", "--gram", "[[1]]", "--from", "[[1]]", "--to", "[[2]]",
+              "--bfs-budget", "7", "--allow-unreachable"],
+    "verify": ["--cert", "{}"],
+    "gw": ["--ring", "GF(3)", "--rank-cap", "3"],
+    "kmw": ["--ring", "GF(3)"],
+    "witt": ["--ring", "GF(3)", "--rank-cap", "2"],
+    "compare": ["--ring", "GF(3)"],
+    "steinberg-check": ["--ring", "GF(3)", "--seed", "5"],
+    "oracle": ["--ring", "GF(3)", "--size-cap", "99", "--stab-cap", "1"],
+}
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_the_command_table_names_every_command():
+    assert set(cli.COMMANDS) == set(_FULL_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(_FULL_ARGV))
+def test_single_command_parser_matches_full_parser(command, capsys):
+    argv = [command] + _FULL_ARGV[command]
+    full = cli.build_parser().parse_args(argv)
+    single = cli.parse_args(argv)
+    assert vars(single) == vars(full)
+    assert cli._config_of(single) == cli._config_of(full)
+    full_help = _help_text(cli.build_parser(), [command, "-h"], capsys)
+    single_help = _help_text(cli.build_parser([command]), [command, "-h"], capsys)
+    assert single_help == full_help
+    assert command in full_help
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["frobnicate", "--ring", "GF(3)"],
+     "argument command: invalid choice: 'frobnicate' (choose from 'ring-info', "
+     "'diagonalize', 'chain', 'verify', 'gw', 'kmw', 'witt', 'compare', "
+     "'steinberg-check', 'oracle')"),
+    ([], "the following arguments are required: command"),
+    (["gw"], "the following arguments are required: --ring"),
+    (["gw", "--ring", "GF(3)", "--bogus-flag"], "unrecognized arguments: --bogus-flag"),
+    (["oracle", "--ring", "GF(3)", "--stab-cap", "x"],
+     "argument --stab-cap: invalid int value: 'x'"),
+])
+def test_usage_error_texts(capsys, argv, error):
+    code = run(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out) == {"error": error}
+    assert out.err == f"witt-lab: {error}\n"

@@ -23,7 +23,7 @@ from wittlab import (
     witt_structure,
 )
 from wittlab.groups import GroupsError, oracle_tuple_of_units
-from wittlab import groups
+from wittlab import groups, snf
 from wittlab import matrices as mx
 
 from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS, seeded
@@ -139,6 +139,74 @@ def test_rank2_pairs_match_exhaustive_search(spec, monkeypatch):
         assert iso == (uf.find(pa) == uf.find(pb)), (pa, pb)
     unions = len(pairs) - len({uf.find(p) for p in pairs})
     assert len(witnesses) == unions
+
+
+TABLE_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["Z/8", "Z/16", "Z/81"]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_unit_product_table_matches_ring_multiplication(spec):
+    ring = parse_ring(spec)
+    units = ring.units()
+    table = ring.unit_product_table()
+    assert len(table) == len(units)
+    for u, products in zip(units, table):
+        assert len(products) == len(units)
+        for v, k in zip(units, products):
+            assert units[k].data == ring._rmul(u.data, v.data)
+
+
+def _product_formula_rows(ring, ideal_generators):
+    """Every <u> * generator with products taken by ring._rmul, as rows
+    indexed by position in ring.units()."""
+    units = ring.units()
+    index = {u.data: i for i, u in enumerate(units)}
+    rows = []
+    for u in units:
+        for gen in ideal_generators:
+            row = [0] * len(units)
+            for k, v in gen.coeffs.items():
+                row[index[ring._rmul(u.data, k)]] += v
+            rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_ideal_rows_match_product_formula(spec):
+    ring = parse_ring(spec)
+    for make in (groups._kmw_ideal_generators, groups._steinberg_ideal_generators):
+        gens = make(ring)
+        assert groups._ideal_rows(ring, gens) == _product_formula_rows(ring, gens)
+    h = [GroupRingElement.hyperbolic(ring)]
+    assert groups._ideal_rows(ring, h) == _product_formula_rows(ring, h)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_kernel_snf_of_hnf_matches_raw_rows(spec):
+    """The comparison kernel's invariant factors do not depend on the basis
+    of the solved Milnor-Witt rows."""
+    ring = parse_ring(spec)
+    sg = gw_structure(ring)
+    rel_rows = groups._kmw_rows_in_gw_basis(kmw_presentation(ring), sg)
+    r = len(sg._lattice_basis)
+    raw = snf.smith_normal_form(rel_rows, r)
+    reduced = snf.smith_normal_form(snf.hnf_rows(rel_rows, r), r)
+    assert reduced.diag == raw.diag
+    report = comparison_map(ring)
+    assert report.kernel_invariant_factors == tuple(d for d in raw.diag if d >= 2)
+    assert report.kernel_free_rank == r - len(raw.diag)
+
+
+def test_gw_presentation_extends_the_kmw_rows():
+    """gw rows dedupe the kmw rows followed by the isometry rows, and the
+    Milnor-Witt rows are built once for both presentations."""
+    for spec in ["GF(3)", "Z/9", CEX, "GF(4)[y]/(y^2)"]:
+        ring = parse_ring(spec)
+        kmw_rows = kmw_presentation(ring).rows
+        gw_rows = gw_presentation(ring).rows
+        assert gw_rows[:len(kmw_rows)] == kmw_rows
+        iso_rows, _ = groups._isometry_rows(ring, gw_presentation(ring).notes["rank_cap"])
+        assert gw_rows == groups._dedupe_rows(list(kmw_rows) + iso_rows)
 
 
 def test_witt_presentation_cache_keys_on_resolved_rank_cap():
