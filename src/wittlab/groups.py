@@ -9,8 +9,10 @@ over-collapse.  Rank-2 rows come from a closed-form criterion: <a,b> and
 <c,d> are isometric iff ab = cd mod squares and <a,b> represents c.  The
 represented values are read off exact value tables, and every identification
 carries an explicit 2x2 congruence witness that is checked exactly.
-Rows of rank >= 3 come from verified two-entry rewrites or from an
-exhaustive isometry search.
+One classifier of diagonal unit tuples serves both the GW rows and the
+stable isometry oracle: tuples of rank >= 3 are joined by verified two-entry
+rewrites or by an exhaustive isometry search, and pairs that no method
+decides are reported as undecided.
 
 Group structure is computed by integer Smith normal form with retained
 transforms, which makes generator images, representative lifting, products,
@@ -142,6 +144,9 @@ class Presentation:
     rows: tuple                  # tuple of int tuples, deduped
     kind: str
     notes: dict = dc_field(default_factory=dict)
+    structure: "AbelianGroupStructure | None" = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def generator_index(self):
         return {g.data: i for i, g in enumerate(self.generators)}
@@ -283,9 +288,7 @@ class _ClassData:
         sc = ring.square_classes()
         self.reps = sc.reps
         self.k = len(self.reps)
-        self.index = {r.data: i for i, r in enumerate(self.reps)}
         self.class_index = sc.class_index
-        self.class_of = lambda u: sc.class_index[u.data]
         self.mul = [
             [sc.class_index[(a * b).data] for b in self.reps] for a in self.reps
         ]
@@ -307,6 +310,7 @@ class _ClassData:
         for u in ring.units():
             self._sqrt.setdefault((u * u).data, u)
         self._space_cache: dict = {}
+        self.rank2_class = self._rank2_partition()
 
     def det_class(self, tup):
         acc = self.one_class
@@ -356,6 +360,38 @@ class _ClassData:
             )
         return self._space_cache[tup]
 
+    def _rank2_partition(self):
+        """Each unordered square-class pair -> the tuple of pairs isometric
+        to it.
+
+        <a,b> and <c,d> (a, b, c, d unit class reps) are isometric iff
+        ab = cd mod squares and <a,b> represents c.  Proof: if ax^2 + by^2 = c,
+        then v = (x, y) and w = (-by, ax) are orthogonal, q(w) = abc and
+        det[v w] = c is a unit, so <a,b> = <c, abc> = <c, d>; conversely an
+        isometry maps e_1 to a vector of q-value c.  No step needs the
+        residue field to avoid F_2.  The represented classes are exact
+        (represented), so both answers are certain, and each union is backed
+        by a checked CongruenceWitness.
+        """
+        pairs = list(itertools.combinations_with_replacement(range(self.k), 2))
+        uf = _UnionFind()
+        represented = {}
+        for pa, pb in itertools.combinations(pairs, 2):
+            if self.det_class(pa) != self.det_class(pb):
+                continue
+            if uf.find(pa) == uf.find(pb):
+                continue
+            if pa not in represented:
+                represented[pa] = self.represented(pa)
+            xy = represented[pa].get(pb[0])
+            if xy is not None:
+                _rank2_witness(self, pa, pb, *xy)  # raises unless M^T A M = B exactly
+                uf.union(pa, pb)
+        classes: dict = {}
+        for p in pairs:
+            classes.setdefault(uf.find(p), []).append(p)
+        return {p: tuple(classes[uf.find(p)]) for p in pairs}
+
 
 _class_data_cache: dict = {}
 
@@ -387,44 +423,8 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-_rank2_cache: dict = {}
 _FULL_SEARCH_SPACE_CAP = 1 << 16
 _FULL_SEARCH_BUDGET = 400_000
-
-
-def _rank2_pairs(ring):
-    """Partition of unordered square-class pairs by plain isometry.
-
-    <a,b> and <c,d> (a, b, c, d unit class reps) are isometric iff
-    ab = cd mod squares and <a,b> represents c.  Proof: if ax^2 + by^2 = c,
-    then v = (x, y) and w = (-by, ax) are orthogonal, q(w) = abc and
-    det[v w] = c is a unit, so <a,b> = <c, abc> = <c, d>; conversely an
-    isometry maps e_1 to a vector of q-value c.  No step needs the residue
-    field to avoid F_2.  The represented classes are exact
-    (_ClassData.represented), so both answers are certain, and each union is
-    backed by a checked CongruenceWitness.
-    """
-    if ring.spec in _rank2_cache:
-        return _rank2_cache[ring.spec]
-    cd = _class_data(ring)
-    pairs = list(itertools.combinations_with_replacement(range(cd.k), 2))
-    uf = _UnionFind()
-    for p in pairs:
-        uf.find(p)
-    represented = {}
-    for pa, pb in itertools.combinations(pairs, 2):
-        if cd.det_class(pa) != cd.det_class(pb):
-            continue
-        if uf.find(pa) == uf.find(pb):
-            continue
-        if pa not in represented:
-            represented[pa] = cd.represented(pa)
-        xy = represented[pa].get(pb[0])
-        if xy is not None:
-            _rank2_witness(cd, pa, pb, *xy)  # raises unless M^T A M = B exactly
-            uf.union(pa, pb)
-    _rank2_cache[ring.spec] = (cd, uf, pairs)
-    return _rank2_cache[ring.spec]
 
 
 def _rank2_witness(cd, pa, pb, x, y) -> CongruenceWitness:
@@ -440,83 +440,99 @@ def _rank2_witness(cd, pa, pb, x, y) -> CongruenceWitness:
 
 
 def _multiset_components(ring, m):
-    """Connected components of rank-m class multisets under verified
-    two-entry rewrites (sound for every ring; complete whenever the chain
-    lemma applies, i.e. residue field != F_2)."""
-    cd, uf2, pairs = _rank2_pairs(ring)
-    pair_groups: dict = {}
-    for p in pairs:
-        pair_groups.setdefault(uf2.find(p), []).append(p)
-    nodes = list(itertools.combinations_with_replacement(range(cd.k), m))
+    """Union-find over rank-m class multisets joined by verified two-entry
+    rewrites (sound for every ring; complete whenever the chain lemma
+    applies, i.e. residue field != F_2).  At m = 2 its classes are the
+    closed-form rank-2 partition."""
+    cd = _class_data(ring)
     uf = _UnionFind()
-    for node in nodes:
+    for node in itertools.combinations_with_replacement(range(cd.k), m):
         uf.find(node)
-    for node in nodes:
         for i, j in itertools.combinations(range(m), 2):
             rest = tuple(node[t] for t in range(m) if t not in (i, j))
-            key = tuple(sorted((node[i], node[j])))
-            for other in pair_groups[uf2.find(key)]:
-                if other == key:
-                    continue
-                neighbor = tuple(sorted(rest + other))
-                uf.union(node, neighbor)
-    return cd, uf, nodes
+            key = (node[i], node[j])
+            for other in cd.rank2_class[key]:
+                if other != key:
+                    uf.union(node, tuple(sorted(rest + other)))
+    return uf
+
+
+def _tuple_classes(ring, m, stab):
+    """Classes of rank-m class tuples up to isometry after padding both
+    sides with <1>^stab, each class a sorted tuple and the classes ordered
+    by least member; the pairs of class representatives joined by a search;
+    and the pairs that no method decides.
+
+    Identification is by verified two-entry rewrites at the top padding
+    level, or by an explicit witness search at any padding s <= stab (an
+    isometry at padding s extends to s+1 by adding a hyperbolic fixed line,
+    so smaller paddings may decide pairs whose top level is out of search
+    range).  Separation is by determinant class, by the exact q-value
+    distribution at the top level, or by an exhausted search there.
+    """
+    cd = _class_data(ring)
+    uf = _multiset_components(ring, m + stab)
+
+    def padded(t, s=stab):
+        return tuple(sorted(t + (cd.one_class,) * s))
+
+    nodes = list(itertools.combinations_with_replacement(range(cd.k), m))
+    buckets: dict = {}
+    for t in nodes:
+        buckets.setdefault(uf.find(padded(t)), []).append(t)
+    joined, undecided = [], []
+    for ra, rb in itertools.combinations(sorted(buckets), 2):
+        a, b = buckets[ra][0], buckets[rb][0]
+        if cd.det_class(a) != cd.det_class(b):
+            continue
+        if cd.q_distribution(padded(a)) != cd.q_distribution(padded(b)):
+            continue
+        for s in range(stab + 1):
+            if ring.size ** (m + s) > _FULL_SEARCH_SPACE_CAP:
+                undecided.append((a, b))
+                break
+            pa, pb = padded(a, s), padded(b, s)
+            if s < stab and cd.q_distribution(pa) != cd.q_distribution(pb):
+                continue  # not isometric at this padding, maybe above
+            status = is_isometric(
+                cd.space_of(pa), cd.space_of(pb), budget=_FULL_SEARCH_BUDGET
+            ).status
+            if status == "isometric":
+                uf.union(padded(a), padded(b))
+                joined.append((a, b))
+                break
+            if status == "not_isometric" and s == stab:
+                break  # exhausted at the top level: separated
+        else:
+            undecided.append((a, b))
+    classes: dict = {}
+    for t in nodes:
+        classes.setdefault(uf.find(padded(t)), []).append(t)
+    return tuple(tuple(v) for _, v in sorted(classes.items())), joined, undecided
 
 
 def _isometry_rows(ring, rank_cap):
-    """Rows <a_1>+..+<a_m> - <b_1>-..-<b_m> for verified rank-m isometries."""
+    """Rows <a_1>+..+<a_m> - <b_1>-..-<b_m>, 2 <= m <= rank_cap: each pair
+    joined by a search, then the first member of each isometry class of
+    rank-m tuples minus each other member."""
+    cd = _class_data(ring)
     index = ring.unit_index()
     rows = []
-    notes: dict = {"rank_cap": rank_cap, "undecided": []}
-    cd, uf2, pairs = _rank2_pairs(ring)
-
-    def row_for(ta, tb):
-        r = [0] * len(index)
-        for c in ta:
-            r[index[cd.reps[c].data]] += 1
-        for c in tb:
-            r[index[cd.reps[c].data]] -= 1
-        return tuple(r)
-
-    groups: dict = {}
-    for p in pairs:
-        groups.setdefault(uf2.find(p), []).append(p)
-    for members in groups.values():
-        base = members[0]
-        for other in members[1:]:
-            rows.append(row_for(base, other))
-
-    for m in range(3, rank_cap + 1):
-        cd2, uf, nodes = _multiset_components(ring, m)
-        comp: dict = {}
-        for node in nodes:
-            comp.setdefault(uf.find(node), []).append(node)
-        # try to decide pairs of distinct components with matching invariants
-        reps = sorted(comp)
-        for ra, rb in itertools.combinations(reps, 2):
-            a, b = comp[ra][0], comp[rb][0]
-            if cd.det_class(a) != cd.det_class(b):
-                continue
-            if cd.q_distribution(a) != cd.q_distribution(b):
-                continue
-            if ring.size ** m > _FULL_SEARCH_SPACE_CAP:
-                notes["undecided"].append((a, b))
-                continue
-            res = is_isometric(cd.space_of(a), cd.space_of(b), budget=_FULL_SEARCH_BUDGET)
-            if res.status == "isometric":
-                rows.append(row_for(a, b))
-                uf.union(a, b)
-            elif res.status == "unknown":
-                notes["undecided"].append((a, b))
-        comp2: dict = {}
-        for node in nodes:
-            comp2.setdefault(uf.find(node), []).append(node)
-        for members in comp2.values():
-            base = members[0]
-            for other in members[1:]:
-                rows.append(row_for(base, other))
-    if not notes["undecided"]:
-        notes.pop("undecided")
+    undecided = []
+    for m in range(2, rank_cap + 1):
+        classes, joined, open_pairs = _tuple_classes(ring, m, 0)
+        undecided.extend(open_pairs)
+        pairs = joined + [(base, other) for base, *others in classes for other in others]
+        for ta, tb in pairs:
+            r = [0] * len(index)
+            for c in ta:
+                r[index[cd.reps[c].data]] += 1
+            for c in tb:
+                r[index[cd.reps[c].data]] -= 1
+            rows.append(tuple(r))
+    notes: dict = {"rank_cap": rank_cap}
+    if undecided:
+        notes["undecided"] = undecided
     return rows, notes
 
 
@@ -656,14 +672,12 @@ class AbelianGroupStructure:
         return " + ".join(parts) if parts else "0"
 
 
-_structure_cache: dict = {}
-
-
 def group_structure(presentation: Presentation) -> AbelianGroupStructure:
-    key = (presentation.kind, presentation.ring.spec, presentation.notes.get("rank_cap"))
-    if key not in _structure_cache:
-        _structure_cache[key] = AbelianGroupStructure(presentation)
-    return _structure_cache[key]
+    """The structure of presentation, built once and kept on it (library
+    presentations are one object per ring and kind)."""
+    if presentation.structure is None:
+        presentation.structure = AbelianGroupStructure(presentation)
+    return presentation.structure
 
 
 def kmw_structure(ring: LocalRing) -> AbelianGroupStructure:
@@ -879,8 +893,6 @@ def verify_rank2_equality(ring: LocalRing, samples: int, rng) -> Rank2Report:
     if ring.residue_field().size == 2:
         raise GroupsError("the rank-2 equality is only claimed away from residue field F_2")
     s = kmw_structure(ring)
-    from .bilinear import vec_combo  # local import to keep module deps flat
-
     failures = 0
     done = 0
     while done < samples:
@@ -944,81 +956,24 @@ class OracleClassification:
         }
 
 
-_oracle_cache: dict = {}
-
-
 def stable_isometry_oracle(ring: LocalRing, rank_cap: int = 3,
                            stab_cap: int = 2) -> OracleClassification:
     """Classify diagonal unit tuples of rank <= rank_cap up to isometry
-    after padding both sides with <1>^s, s <= stab_cap.
-
-    Identification is by verified two-entry rewrites at the top padding
-    level, or by an explicit witness search at any padding (an isometry at
-    padding s extends to s+1 by adding a hyperbolic fixed line, so smaller
-    paddings may decide pairs whose top level is out of search range).
-    Separation is by determinant class, by the exact q-value distribution
-    at the top level, or by an exhausted search there.  Pairs beyond all
-    methods are reported as undecided rather than guessed.
+    after padding both sides with <1>^s, s <= stab_cap (see _tuple_classes).
+    Pairs beyond all methods are reported as undecided rather than guessed.
     """
-    key = (ring.spec, rank_cap, stab_cap)
-    if key in _oracle_cache:
-        return _oracle_cache[key]
-    cd = _class_data(ring)
-    undecided: list = []
     classes: dict = {}
+    undecided: list = []
     class_of: dict = {}
     for m in range(1, rank_cap + 1):
-        top = m + stab_cap
-        _, uf, _ = _multiset_components(ring, top)
-        nodes = list(itertools.combinations_with_replacement(range(cd.k), m))
-        pad_top = (cd.one_class,) * stab_cap
-
-        def padded(t, s=stab_cap):
-            return tuple(sorted(t + (cd.one_class,) * s))
-
-        buckets: dict = {}
-        for t in nodes:
-            buckets.setdefault(uf.find(padded(t)), []).append(t)
-        reps = sorted(buckets)
-        for ra, rb in itertools.combinations(reps, 2):
-            a, b = buckets[ra][0], buckets[rb][0]
-            if cd.det_class(a) != cd.det_class(b):
-                continue
-            pa_top, pb_top = padded(a), padded(b)
-            if cd.q_distribution(pa_top) != cd.q_distribution(pb_top):
-                continue
-            decided = False
-            for s in range(stab_cap + 1):
-                if ring.size ** (m + s) > _FULL_SEARCH_SPACE_CAP:
-                    break
-                pa, pb = padded(a, s), padded(b, s)
-                if cd.q_distribution(pa) != cd.q_distribution(pb):
-                    continue  # not isometric at this padding, maybe above
-                res = is_isometric(
-                    cd.space_of(pa), cd.space_of(pb), budget=_FULL_SEARCH_BUDGET
-                )
-                if res.status == "isometric":
-                    uf.union(pa_top, pb_top)
-                    decided = True
-                    break
-                if res.status == "not_isometric" and s == stab_cap:
-                    decided = True  # exhausted at the top level: separated
-                    break
-            if not decided:
-                undecided.append((a, b))
-        buckets = {}
-        for t in nodes:
-            root = uf.find(padded(t))
-            buckets.setdefault(root, []).append(t)
-            class_of[t] = root
-        classes[m] = tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
-    result = OracleClassification(ring, rank_cap, stab_cap, classes, undecided, class_of)
-    _oracle_cache[key] = result
-    return result
+        classes[m], _, open_pairs = _tuple_classes(ring, m, stab_cap)
+        undecided.extend(open_pairs)
+        for i, members in enumerate(classes[m]):
+            class_of.update(dict.fromkeys(members, i))
+    return OracleClassification(ring, rank_cap, stab_cap, classes, undecided, class_of)
 
 
 def oracle_tuple_of_units(ring, units):
     """Square-class index tuple for a tuple of unit elements."""
-    cd = _class_data(ring)
     sc = ring.square_classes()
     return tuple(sorted(sc.class_index[u.data] for u in units))

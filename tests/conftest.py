@@ -37,3 +37,16 @@ def rng():
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@pytest.fixture()
+def search_cap_one(monkeypatch):
+    """Empty group-layer caches and an isometry-search cap of one vector, so
+    every pair of tuple classes that determinant class and q-distribution
+    leave open is reported as undecided instead of searched."""
+    from wittlab import groups
+
+    for name, value in list(vars(groups).items()):
+        if name.endswith("_cache") and isinstance(value, dict):
+            monkeypatch.setattr(groups, name, {})
+    monkeypatch.setattr(groups, "_FULL_SEARCH_SPACE_CAP", 1)

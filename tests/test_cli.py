@@ -191,6 +191,12 @@ def test_oracle_output(capsys):
     assert data["undecided"] == []
 
 
+def test_gw_reports_undecided_isometry_pairs(capsys, search_cap_one):
+    code, data = run_cli(capsys, "gw", "--ring", "Z/4", "--rank-cap", "4")
+    assert code == 0
+    assert data["undecided_isometry_pairs"] == 1
+
+
 def test_determinism_byte_identical(capsys):
     code1 = run(["gw", "--ring", "Z/9", "--seed", "0"])
     out1 = capsys.readouterr().out

@@ -88,6 +88,14 @@ CASES.update({
 })
 CASES["oracle_gf2x4.json"] += ["--stab-cap", "0"]
 
+# the padded search path: oracle at the default caps (rank 3, stab 2) on rings
+# with residue field F_2 and F_3, and the rank-4 search path of gw on Z/4
+CASES.update({
+    f"oracle_{tag}.json": ["oracle", "--ring", spec]
+    for tag, spec in (("z4", "Z/4"), ("gf2x2", "GF(2)[x]/(x^2)"), ("z9", "Z/9"))
+})
+CASES["gw_z4_cap4.json"] = ["gw", "--ring", "Z/4", "--rank-cap", "4"]
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):

@@ -131,13 +131,13 @@ def test_rank2_pairs_match_exhaustive_search(spec, monkeypatch):
         witnesses.append(checked_witness(*args))
         return witnesses[-1]
 
-    monkeypatch.setattr(groups, "_rank2_cache", {})
     monkeypatch.setattr(groups, "CongruenceWitness", counting_witness)
-    cd, uf, pairs = groups._rank2_pairs(parse_ring(spec))
+    cd = groups._ClassData(parse_ring(spec))
+    pairs = list(cd.rank2_class)
     for pa, pb in itertools.combinations(pairs, 2):
         iso = is_isometric(cd.space_of(pa), cd.space_of(pb)).status == "isometric"
-        assert iso == (uf.find(pa) == uf.find(pb)), (pa, pb)
-    unions = len(pairs) - len({uf.find(p) for p in pairs})
+        assert iso == (cd.rank2_class[pa] == cd.rank2_class[pb]), (pa, pb)
+    unions = len(pairs) - len(set(cd.rank2_class.values()))
     assert len(witnesses) == unions
 
 
@@ -235,6 +235,18 @@ def test_group_structure_free():
     s = group_structure(p)
     assert s.free_rank == 3
     assert s.invariant_factors == ()
+
+
+def test_group_structure_follows_its_presentation():
+    """Two presentations of one kind over one ring get their own structures."""
+    from wittlab.groups import Presentation, group_structure
+
+    F5 = parse_ring("GF(5)")
+    free = Presentation(F5, F5.units(), (), "test")
+    assert group_structure(free).describe() == "Z + Z + Z + Z"
+    one_row = Presentation(F5, F5.units(), ((1, -1, 0, 0),), "test")
+    assert group_structure(one_row).describe() == "Z + Z + Z"
+    assert group_structure(free).describe() == "Z + Z + Z + Z"
 
 
 def test_counterexample_structures():
@@ -542,3 +554,13 @@ def test_gw_guard_against_overcollapse():
         s = gw_structure(ring)
         assert s.free_rank == 1
         assert s.torsion_order() >= len(ring.square_classes())
+
+
+@pytest.mark.parametrize("spec,pairs", [("Z/4", 1), ("Z/8", 2), (CEX, 4)])
+def test_gw_rows_and_oracle_share_undecided_pairs(spec, pairs, search_cap_one):
+    """With every isometry search out of range, the GW rows and the oracle at
+    padding 0 leave the same pairs of rank-4 tuple classes undecided."""
+    ring = parse_ring(spec)
+    undecided = gw_presentation(ring, 4).notes["undecided"]
+    assert len(undecided) == pairs
+    assert stable_isometry_oracle(ring, 4, 0).undecided == undecided
