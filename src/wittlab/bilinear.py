@@ -2,7 +2,11 @@
 
 A space is a symmetric matrix with unit determinant.  Every structural
 statement made by this module is certified: congruences carry an explicit
-witness matrix M with M^T A M = B, verified by exact recomputation.
+witness matrix M with M^T A M = B, verified by exact recomputation.  Each
+witness is checked once, at the public entry point that returns it; the
+private cores behind `diagonalize` and `resolve_block` return unchecked
+columns and matrices, so `stable_diagonalize` composes them and checks only
+its final witness.
 """
 
 from __future__ import annotations
@@ -202,6 +206,10 @@ class CongruenceWitness:
             raise BilinearError(f"invalid congruence witness: {msg}")
 
     def check(self):
+        n = len(self.matrix)
+        for grid in (self.source, self.target, self.matrix):
+            if len(grid) != n or any(len(row) != n for row in grid):
+                return False, "source, target and matrix must be square matrices of one size"
         got = mx.congruent(self.matrix, self.source)
         if got != self.target:
             return False, "M^T A M differs from the target"
@@ -212,14 +220,6 @@ class CongruenceWitness:
     def inverse(self) -> "CongruenceWitness":
         Minv = mx.mat_inverse(self.ring, self.matrix)
         return CongruenceWitness(self.ring, self.target, self.source, Minv)
-
-    def then(self, other: "CongruenceWitness") -> "CongruenceWitness":
-        """Compose with a witness whose source is this witness's target."""
-        if other.source != self.target:
-            raise BilinearError("witnesses do not compose")
-        return CongruenceWitness(
-            self.ring, self.source, other.target, mx.mat_mul(self.matrix, other.matrix)
-        )
 
     def to_json(self):
         return {
@@ -325,14 +325,10 @@ def _find_anisotropic(space, basis):
     return None
 
 
-def diagonalize(space: BilinearSpace):
-    """Split off unit-valued lines, then residual rank-2 blocks.
-
-    Returns (DecompositionReport, CongruenceWitness); the witness conjugates
-    the Gram matrix to diag(u_1..u_l) with trailing blocks [[a,1],[1,b]],
-    a, b in the maximal ideal.
-    """
-    ring = space.ring
+def _diagonalize(space: BilinearSpace):
+    """Unchecked core of `diagonalize`: (units, blocks, unit_cols,
+    block_cols), where unit_cols[i] has q-value units[i] and the pair
+    block_cols[k] = (x, y) spans the block [[a,1],[1,b]] of blocks[k]."""
     unit_cols: list = []
     block_cols: list = []
     blocks: list = []
@@ -366,19 +362,47 @@ def diagonalize(space: BilinearSpace):
         rec(rest)
 
     rec(space.standard_basis())
-
-    cols = list(unit_cols)
-    for x, y in block_cols:
-        cols.append(x)
-        cols.append(y)
-    M = mx.mat_transpose(tuple(cols)) if cols else ()
-    units = tuple(space.eval_q(v) for v in unit_cols)
-    target = _block_diagonal_gram(ring, units, blocks)
-    witness = CongruenceWitness(ring, space.gram, target, M)
     for a, b in blocks:
         if a.is_unit() or b.is_unit():
             raise BilinearError("residual block entries must be in the maximal ideal")
-    return DecompositionReport(units, tuple(blocks), witness), witness
+    units = tuple(space.eval_q(v) for v in unit_cols)
+    return units, tuple(blocks), unit_cols, block_cols
+
+
+def diagonalize(space: BilinearSpace):
+    """Split off unit-valued lines, then residual rank-2 blocks.
+
+    Returns (DecompositionReport, CongruenceWitness); the witness conjugates
+    the Gram matrix to diag(u_1..u_l) with trailing blocks [[a,1],[1,b]],
+    a, b in the maximal ideal.
+    """
+    ring = space.ring
+    units, blocks, unit_cols, block_cols = _diagonalize(space)
+    cols = unit_cols + [v for pair in block_cols for v in pair]
+    M = mx.mat_transpose(tuple(cols)) if cols else ()
+    target = _block_diagonal_gram(ring, units, blocks)
+    witness = CongruenceWitness(ring, space.gram, target, M)
+    return DecompositionReport(units, blocks, witness), witness
+
+
+def _resolve_block(ring: LocalRing, a: RingElement, b: RingElement):
+    """Unchecked core of `resolve_block`: ((u1, u2, u3), M) with M the 3x3
+    matrix taking [[a,1],[1,b]] + <-1> to diag(u1, u2, u3)."""
+    one = ring.one
+    z = ring.zero
+    m1 = ring.minus_one
+    ia = (m1 + a).inv()   # 1/(-1+a)
+    ib = (m1 + b).inv()
+    u1 = (one - a * b) * ia * ib
+    u2 = m1 + a
+    u3 = m1 + b
+    # transpose of the explicit 3x3 row matrix from the construction
+    P = (
+        (-ia, -ib, (m1 + a * b) * ia * ib),
+        (m1, z, one),
+        (z, m1, one),
+    )
+    return (u1, u2, u3), mx.mat_transpose(P)
 
 
 def resolve_block(ring: LocalRing, a: RingElement, b: RingElement):
@@ -389,29 +413,15 @@ def resolve_block(ring: LocalRing, a: RingElement, b: RingElement):
     """
     if a.is_unit() or b.is_unit():
         raise NotInMaximalIdealError("block entries must lie in the maximal ideal")
-    one = ring.one
-    z = ring.zero
-    m1 = ring.minus_one
-    ia = (m1 + a).inv()   # 1/(-1+a)
-    ib = (m1 + b).inv()
-    u1 = (one - a * b) * ia * ib
-    u2 = m1 + a
-    u3 = m1 + b
+    (u1, u2, u3), M = _resolve_block(ring, a, b)
+    one, z, m1 = ring.one, ring.zero, ring.minus_one
     source = (
         (a, one, z),
         (one, b, z),
         (z, z, m1),
     )
     target = ((u1, z, z), (z, u2, z), (z, z, u3))
-    # transpose of the explicit 3x3 row matrix from the construction
-    P = (
-        (-ia, -ib, (m1 + a * b) * ia * ib),
-        (m1, z, one),
-        (z, m1, one),
-    )
-    M = mx.mat_transpose(P)
-    witness = CongruenceWitness(ring, source, target, M)
-    return (u1, u2, u3), witness
+    return (u1, u2, u3), CongruenceWitness(ring, source, target, M)
 
 
 def stable_diagonalize(space: BilinearSpace):
@@ -419,68 +429,29 @@ def stable_diagonalize(space: BilinearSpace):
 
     Returns (diagonal_units, r, witness) where the witness conjugates
     A + (-1) I_r to diag(diagonal_units); r is the number of residual
-    blocks of diagonalize(space).
+    blocks of diagonalize(space).  The witness has one column per unit line
+    of the diagonalization, padded with r zeros, and three per block k: the
+    columns of (x_k, y_k, e_{n+k}) times that block's resolve matrix.
     """
     ring = space.ring
-    report, witness = diagonalize(space)
-    r = report.r
-    m1 = ring.minus_one
-    padded = space
-    for _ in range(r):
-        padded = padded.orthogonal_sum(BilinearSpace.diagonal(ring, (m1,)))
     n = space.n
-    z, one = ring.zero, ring.one
-    # step 1: (witness + identity on the padding) reaches blockdiag + (-1)^r
-    W1 = []
-    for i in range(n + r):
-        row = []
-        for j in range(n + r):
-            if i < n and j < n:
-                row.append(witness.matrix[i][j])
-            else:
-                row.append(one if i == j else z)
-        W1.append(tuple(row))
-    mid = mx.congruent(tuple(W1), padded.gram)
-    # step 2: permute so each block is followed by one -1
-    l = report.l
-    perm = list(range(l))
-    for k in range(r):
-        perm.extend([l + 2 * k, l + 2 * k + 1, n + k])
-    P = tuple(
-        tuple(one if perm[j] == i else z for j in range(n + r))
-        for i in range(n + r)
+    units, blocks, unit_cols, block_cols = _diagonalize(space)
+    r = len(blocks)
+    z, m1 = ring.zero, ring.minus_one
+    pad = (z,) * r
+    cols = [v + pad for v in unit_cols]
+    diag_units = list(units)
+    for k, ((a, b), (x, y)) in enumerate(zip(blocks, block_cols)):
+        block_units, B = _resolve_block(ring, a, b)
+        diag_units.extend(block_units)
+        e = (z,) * (n + k) + (ring.one,) + (z,) * (r - k - 1)
+        cols.extend(vec_combo((x + pad, y + pad, e), coeffs) for coeffs in zip(*B))
+    source = tuple(row + pad for row in space.gram) + tuple(
+        (z,) * (n + k) + (m1,) + (z,) * (r - k - 1) for k in range(r)
     )
-    mid2 = mx.congruent(P, mid)
-    # step 3: resolve each [block, -1] triple
-    diag_units = list(report.units)
-    blockwise = [mx.mat_identity(ring, l)] if l else []
-    for a, b in report.blocks:
-        (u1, u2, u3), bw = resolve_block(ring, a, b)
-        diag_units.extend([u1, u2, u3])
-        blockwise.append(bw.matrix)
-    W3 = _direct_sum_matrices(ring, blockwise, n + r)
-    total = mx.mat_mul(mx.mat_mul(tuple(W1), P), W3)
-    target = tuple(
-        tuple(diag_units[i] if i == j else z for j in range(n + r))
-        for i in range(n + r)
-    )
-    final = CongruenceWitness(ring, padded.gram, target, total)
-    return tuple(diag_units), r, final
-
-
-def _direct_sum_matrices(ring, mats, size):
-    z = ring.zero
-    rows = [[z] * size for _ in range(size)]
-    off = 0
-    for m in mats:
-        k = len(m)
-        for i in range(k):
-            for j in range(k):
-                rows[off + i][off + j] = m[i][j]
-        off += k
-    for i in range(off, size):
-        rows[i][i] = ring.one
-    return tuple(tuple(r) for r in rows)
+    target = _block_diagonal_gram(ring, diag_units, ())
+    M = mx.mat_transpose(tuple(cols)) if cols else ()
+    return tuple(diag_units), r, CongruenceWitness(ring, source, target, M)
 
 
 @dataclass
@@ -541,9 +512,6 @@ def is_isometric(s1: BilinearSpace, s2: BilinearSpace, budget: int | None = None
     res = extend(0)
     if res == "found":
         M = mx.mat_transpose(tuple(chosen))
-        det = mx.mat_det(ring, M)
-        if not det.is_unit():  # pragma: no cover - implied by unit Gram dets
-            raise BilinearError("isometry witness degenerated")
         return IsometryResult("isometric", CongruenceWitness(ring, s2.gram, s1.gram, M))
     if res == "budget":
         return IsometryResult("unknown")

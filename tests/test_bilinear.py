@@ -9,6 +9,8 @@ from wittlab import (
     DimensionMismatchError,
     check_representation_identity,
     diagonalize,
+    gw_class,
+    gw_structure,
     hyperbolic_scaling_witness,
     is_isometric,
     orthogonal_complement,
@@ -17,8 +19,10 @@ from wittlab import (
     stable_diagonalize,
     steinberg_witness,
 )
-from wittlab.bilinear import NotInMaximalIdealError, vec_combo
+from wittlab.bilinear import BilinearError, NotInMaximalIdealError, vec_combo
 from wittlab import matrices as mx
+
+from conftest import seeded
 
 
 def ident(ring, n):
@@ -253,6 +257,103 @@ def test_witness_verification_rejects_wrong_target():
     T = BilinearSpace.diagonal(F3, (F3.one, F3.from_int(2)))
     with pytest.raises(Exception):
         CongruenceWitness(F3, S.gram, T.gram, mx.mat_identity(F3, 2))
+
+
+def test_witness_rejects_matrices_of_mismatched_shape():
+    """A 1x2 matrix would satisfy M^T <1> M = [[1,0],[0,0]] entry by entry;
+    a 2x1 matrix cannot even be multiplied.  Both are rejected by shape,
+    before any arithmetic."""
+    F3 = parse_ring("GF(3)")
+    one, z = F3.one, F3.zero
+    shape = "square matrices of one size"
+    with pytest.raises(BilinearError, match=shape):
+        CongruenceWitness(F3, ((one,),), ((one, z), (z, z)), ((one, z),))
+    with pytest.raises(BilinearError, match=shape):
+        CongruenceWitness(F3, ((one,),), ((one,),), ((one,), (z,)))
+
+
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """The number of CongruenceWitness.check calls made so far."""
+    calls = []
+    check = CongruenceWitness.check
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(CongruenceWitness, "check", counted)
+    return calls
+
+
+def test_each_public_call_checks_one_witness(check_calls):
+    R = parse_ring("GF(2)[x]/(x^4)")
+    x = R.element((0, 1))
+    structure = gw_structure(R)
+    # two residual blocks, so the composed witness replaces 2 + 2 checks
+    S = BilinearSpace.hyperbolic(R).orthogonal_sum(
+        BilinearSpace(R, ((x, R.one), (R.one, x)))
+    )
+    Z9 = parse_ring("Z/9")
+    iso = (BilinearSpace.diagonal(Z9, (Z9.one,)), BilinearSpace.diagonal(Z9, (Z9.from_int(4),)))
+    calls = {
+        "diagonalize": lambda: diagonalize(S),
+        "resolve_block": lambda: resolve_block(R, x, x * x),
+        "stable_diagonalize": lambda: stable_diagonalize(S),
+        "gw_class": lambda: gw_class(S, structure),
+        "is_isometric": lambda: is_isometric(*iso),
+    }
+    for name, call in calls.items():
+        del check_calls[:]
+        call()
+        assert len(check_calls) == 1, name
+
+
+def _reference_stable_diagonalize(space):
+    """The former composition W1·P·W3: the diagonalization witness plus the
+    identity on r padding lines, a permutation that puts one padding line
+    after each block, and the direct sum of the identity on the unit lines
+    with each block's resolve matrix."""
+    ring = space.ring
+    report, witness = diagonalize(space)
+    n, l, r = space.n, report.l, report.r
+    size = n + r
+    z, one = ring.zero, ring.one
+    W1 = tuple(
+        tuple(witness.matrix[i][j] if i < n and j < n else (one if i == j else z)
+              for j in range(size))
+        for i in range(size)
+    )
+    perm = list(range(l))
+    for k in range(r):
+        perm.extend([l + 2 * k, l + 2 * k + 1, n + k])
+    P = tuple(tuple(one if perm[j] == i else z for j in range(size)) for i in range(size))
+    units = list(report.units)
+    W3 = [[one if i == j else z for j in range(size)] for i in range(size)]
+    for k, (a, b) in enumerate(report.blocks):
+        block_units, bw = resolve_block(ring, a, b)
+        units.extend(block_units)
+        off = l + 3 * k
+        for i in range(3):
+            W3[off + i][off:off + 3] = bw.matrix[i]
+    total = mx.mat_mul(mx.mat_mul(W1, P), tuple(tuple(row) for row in W3))
+    return tuple(units), r, total
+
+
+def test_stable_diagonalize_matches_reference_composition():
+    rng = seeded(9)
+    blocks_seen = 0
+    for spec in ["Z/9", "Z/4", "GF(5)", "GF(4)[y]/(y^2)", "GF(2)[x]/(x^4)"]:
+        ring = parse_ring(spec)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                S = _random_space(ring, n, rng)
+                if S is None:
+                    continue
+                units, r, witness = stable_diagonalize(S)
+                assert (units, r, witness.matrix) == _reference_stable_diagonalize(S), spec
+                blocks_seen += r
+    assert blocks_seen >= 10
 
 
 def test_steinberg_witness_examples():

@@ -96,6 +96,23 @@ CASES.update({
 })
 CASES["gw_z4_cap4.json"] = ["gw", "--ring", "Z/4", "--rank-cap", "4"]
 
+# diagonalize: unit lines only over Z/9 and GF(5)[x]/(x^2), two residual
+# blocks (a hyperbolic plane plus [[x,1],[1,x]]) over GF(2)[x]/(x^4)
+_DIAGONALIZE_GRAMS = {
+    "z9": ("Z/9", [[3, 1, 0], [1, 3, 2], [0, 2, 4]]),
+    "gf2x4": ("GF(2)[x]/(x^4)", [
+        [[], [1], [], []],
+        [[1], [], [], []],
+        [[], [], [0, 1], [1]],
+        [[], [], [1], [0, 1]],
+    ]),
+    "gf5x2": ("GF(5)[x]/(x^2)", [[[0, 1], [1], [2]], [[1], [0, 1], []], [[2], [], [3, 1]]]),
+}
+CASES.update({
+    f"diagonalize_{tag}.json": ["diagonalize", "--ring", spec, "--gram", json.dumps(gram)]
+    for tag, (spec, gram) in _DIAGONALIZE_GRAMS.items()
+})
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):
