@@ -38,9 +38,6 @@ class NotInMaximalIdealError(BilinearError):
     pass
 
 
-_ALL_VECTORS: dict = {}
-
-
 class BilinearSpace:
     """(R^n, b) with b(x, y) = x^T A y for a symmetric unit-determinant A."""
 
@@ -58,7 +55,6 @@ class BilinearSpace:
         self.det = mx.mat_det(ring, self.gram)
         if self.n and not self.det.is_unit():
             raise DegenerateError(f"det = {self.det!r} is not a unit of {ring.spec}")
-        self._vector_cache = None
         self._q_buckets = None
 
     # -- constructors -------------------------------------------------------
@@ -124,13 +120,11 @@ class BilinearSpace:
         return (self.ring.zero,) * self.n
 
     def all_vectors(self):
-        if self._vector_cache is None:
-            key = (self.ring.spec, self.n)
-            if key not in _ALL_VECTORS:
-                elems = tuple(self.ring.elements())
-                _ALL_VECTORS[key] = tuple(itertools.product(elems, repeat=self.n))
-            self._vector_cache = _ALL_VECTORS[key]
-        return self._vector_cache
+        """Every vector of R^n, one tuple per n kept on the ring."""
+        ring, n = self.ring, self.n
+        return ring.cached(
+            ("vectors", n), lambda: tuple(itertools.product(tuple(ring.elements()), repeat=n))
+        )
 
     def vectors_with_q(self, value: RingElement):
         if self._q_buckets is None:

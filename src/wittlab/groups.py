@@ -215,18 +215,16 @@ def _steinberg_ideal_generators(ring):
     return gens
 
 
-_presentation_cache: dict = {}
-
-
 def _ideal_presentation(ring, kind, ideal_generators) -> Presentation:
-    """Z[R*] modulo the ideal spanned by ideal_generators(ring), cached."""
-    key = (kind, ring.spec)
-    if key not in _presentation_cache:
+    """Z[R*] modulo the ideal spanned by ideal_generators(ring), built once
+    per ring and kind and kept on the ring."""
+    def build():
         rows = _dedupe_rows(_ideal_rows(ring, ideal_generators(ring)))
         p = Presentation(ring, ring.units(), rows, kind)
         p.check_rank_zero_rows()
-        _presentation_cache[key] = p
-    return _presentation_cache[key]
+        return p
+
+    return ring.cached((kind, None), build)
 
 
 def kmw_presentation(ring: LocalRing) -> Presentation:
@@ -246,33 +244,35 @@ def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentatio
 
     For residue field != F_2 the rank-2 rows are provably sufficient, so
     rank_cap defaults to 2 there and to 3 for residue field F_2 (where no
-    exactness theorem exists; undecided pairs are recorded in notes).
+    exactness theorem exists; undecided pairs are recorded in notes).  The
+    presentation is kept on the ring under the resolved rank cap.
     """
     F = ring.residue_field()
     if rank_cap is None:
         rank_cap = 2 if F.size != 2 else 3
-    key = ("gw", ring.spec, rank_cap)
-    if key not in _presentation_cache:
+
+    def build():
         rows = list(kmw_presentation(ring).rows)
         iso_rows, notes = _isometry_rows(ring, rank_cap)
         rows.extend(iso_rows)
         p = Presentation(ring, ring.units(), _dedupe_rows(rows), "gw", notes)
         p.check_rank_zero_rows()
-        _presentation_cache[key] = p
-    return _presentation_cache[key]
+        return p
+
+    return ring.cached(("gw", rank_cap), build)
 
 
 def witt_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
-    """GW presentation extended by the ideal generated by h."""
+    """GW presentation extended by the ideal generated by h, kept on the
+    ring under the resolved rank cap."""
     base = gw_presentation(ring, rank_cap)
-    key = ("witt", ring.spec, base.notes["rank_cap"])
-    if key not in _presentation_cache:
-        h = GroupRingElement.hyperbolic(ring)
+
+    def build():
         rows = list(base.rows)
-        rows.extend(_ideal_rows(ring, [h]))
-        p = Presentation(ring, base.generators, _dedupe_rows(rows), "witt", dict(base.notes))
-        _presentation_cache[key] = p
-    return _presentation_cache[key]
+        rows.extend(_ideal_rows(ring, [GroupRingElement.hyperbolic(ring)]))
+        return Presentation(ring, base.generators, _dedupe_rows(rows), "witt", dict(base.notes))
+
+    return ring.cached(("witt", base.notes["rank_cap"]), build)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +306,7 @@ class _ClassData:
                 root.setdefault(v, x)
             self._coord_dist.append(dist)
             self._coord_root.append(root)
-        self._sqrt = {}
-        for u in ring.units():
-            self._sqrt.setdefault((u * u).data, u)
+        self._roots = sc.roots
         self._space_cache: dict = {}
         self.rank2_class = self._rank2_partition()
 
@@ -350,8 +348,8 @@ class _ClassData:
         return out
 
     def sqrt(self, u: RingElement) -> RingElement:
-        """A unit square root of the unit square u."""
-        return self._sqrt[u.data]
+        """The first unit in units() whose square is the unit square u."""
+        return self._roots[u.data]
 
     def space_of(self, tup) -> BilinearSpace:
         if tup not in self._space_cache:
@@ -393,13 +391,8 @@ class _ClassData:
         return {p: tuple(classes[uf.find(p)]) for p in pairs}
 
 
-_class_data_cache: dict = {}
-
-
 def _class_data(ring) -> _ClassData:
-    if ring.spec not in _class_data_cache:
-        _class_data_cache[ring.spec] = _ClassData(ring)
-    return _class_data_cache[ring.spec]
+    return ring.cached("class_data", lambda: _ClassData(ring))
 
 
 class _UnionFind:
@@ -567,7 +560,7 @@ class AbelianGroupStructure:
         self._torsion_positions = [i for i, d in enumerate(form.diag) if d >= 2]
         self.invariant_factors = tuple(form.diag[i] for i in self._torsion_positions)
         self.free_rank = g - rank
-        self._index = {gen.data: i for i, gen in enumerate(self.generators)}
+        self._index = presentation.generator_index()
         # rows of V restricted to the coordinate columns: torsion, then free
         kept = self._torsion_positions + list(range(rank, g))
         self._V_kept = [tuple(Vi[j] for j in kept) for Vi in form.V]
@@ -674,7 +667,7 @@ class AbelianGroupStructure:
 
 def group_structure(presentation: Presentation) -> AbelianGroupStructure:
     """The structure of presentation, built once and kept on it (library
-    presentations are one object per ring and kind)."""
+    presentations are one object per ring, kind and rank cap)."""
     if presentation.structure is None:
         presentation.structure = AbelianGroupStructure(presentation)
     return presentation.structure

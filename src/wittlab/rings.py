@@ -8,6 +8,10 @@ where POLY is a polynomial in the bracketed variable with integer
 coefficients, or ``a`` for a fixed generator of GF(q).  Whitespace is
 ignored.  A parsed ring knows its unit group, its maximal ideal, its
 residue field with lift/reduce maps, and its square-class structure.
+Everything a ring builds lazily about itself (units, product tables, square
+classes, vector enumerations, group presentations) is kept in the ring's
+own state through ``LocalRing.cached``; ``parse_ring`` keeps one ring per
+spec, so a fresh registry gives fresh rings with empty state.
 
 Elements are kept in a unique canonical form (least nonnegative residue,
 or a trailing-zero-trimmed coefficient tuple over the base field), so
@@ -149,6 +153,19 @@ class LocalRing:
     size: int
     is_field: bool
 
+    def __init__(self):
+        self._state: dict = {}
+
+    def cached(self, key, build):
+        """The value of ``build()`` for ``key``: built on the first use of
+        ``key`` and kept for as long as this ring lives."""
+        try:
+            return self._state[key]
+        except KeyError:
+            pass
+        value = self._state[key] = build()
+        return value
+
     # -- element factories -------------------------------------------------
 
     def element(self, data) -> RingElement:
@@ -176,32 +193,27 @@ class LocalRing:
             yield self.element(data)
 
     def units(self) -> tuple[RingElement, ...]:
-        if self._units_cache is None:
-            self._units_cache = tuple(x for x in self.elements() if x.is_unit())
-        return self._units_cache
+        return self.cached("units", lambda: tuple(x for x in self.elements() if x.is_unit()))
 
     def unit_index(self) -> dict:
         """Position in ``units()`` of each unit, keyed by its data."""
-        if self._unit_index_cache is None:
-            self._unit_index_cache = {u.data: i for i, u in enumerate(self.units())}
-        return self._unit_index_cache
+        return self.cached("unit_index", lambda: {u.data: i for i, u in enumerate(self.units())})
 
     def unit_product_table(self) -> tuple:
         """``table[i][j]`` is the position in ``units()`` of the product of
         units i and j, built from |R*|^2 raw products on first use."""
-        if self._unit_table_cache is None:
+        def build():
             data = [u.data for u in self.units()]
             index = self.unit_index()
             rmul = self._rmul
-            self._unit_table_cache = tuple(
-                tuple(index[rmul(a, b)] for b in data) for a in data
-            )
-        return self._unit_table_cache
+            return tuple(tuple(index[rmul(a, b)] for b in data) for a in data)
+
+        return self.cached("unit_product_table", build)
 
     def maximal_ideal(self) -> tuple[RingElement, ...]:
-        if self._mideal_cache is None:
-            self._mideal_cache = tuple(x for x in self.elements() if not x.is_unit())
-        return self._mideal_cache
+        return self.cached(
+            "maximal_ideal", lambda: tuple(x for x in self.elements() if not x.is_unit())
+        )
 
     def random_element(self, rng) -> RingElement:
         return self.element(self._carrier()[rng.randrange(self.size)])
@@ -228,25 +240,15 @@ class LocalRing:
     # -- squares -----------------------------------------------------------
 
     def square_classes(self) -> "SquareClasses":
-        if self._squares_cache is None:
-            self._squares_cache = _build_square_classes(self)
-        return self._squares_cache
+        return self.cached("square_classes", lambda: _build_square_classes(self))
 
     def is_square(self, x: RingElement) -> bool:
         """True iff x is the square of a unit (x must be a unit)."""
         if not x.is_unit():
             raise NonUnitError(f"{x!r} is not a unit of {self.spec}")
-        return x.data in self.square_classes().square_set
+        return x.data in self.square_classes().roots
 
     # -- plumbing ----------------------------------------------------------
-
-    def _init_caches(self):
-        self._units_cache = None
-        self._unit_index_cache = None
-        self._unit_table_cache = None
-        self._mideal_cache = None
-        self._squares_cache = None
-        self._carrier_cache = None
 
     def _verify_local(self):
         # In a finite local ring the non-units are exactly the maximal
@@ -280,15 +282,14 @@ class LocalRing:
 class SquareClasses:
     """Unit square classes R*/(R*)^2 with canonical representatives."""
 
-    __slots__ = ("ring", "reps", "squares", "square_set", "class_index", "index_of")
+    __slots__ = ("ring", "reps", "squares", "roots", "class_index")
 
-    def __init__(self, ring, reps, squares, class_index):
+    def __init__(self, ring, reps, roots, class_index):
         self.ring = ring
         self.reps = reps                # tuple of RingElement, canonical order
-        self.squares = squares          # tuple of RingElement: {u^2 : u unit}
-        self.square_set = frozenset(s.data for s in squares)
+        self.roots = roots              # dict: square data -> first unit root in units()
+        self.squares = tuple(ring.element(s) for s in roots)  # {u^2 : u unit}
         self.class_index = class_index  # dict: unit data -> index into reps
-        self.index_of = {rep.data: i for i, rep in enumerate(reps)}
 
     def class_of(self, u: RingElement) -> RingElement:
         """Canonical representative of u's square class."""
@@ -300,14 +301,9 @@ class SquareClasses:
 
 def _build_square_classes(ring: LocalRing) -> SquareClasses:
     units = ring.units()
-    square_data = []
-    seen = set()
+    roots: dict = {}
     for u in units:
-        s = ring._rmul(u.data, u.data)
-        if s not in seen:
-            seen.add(s)
-            square_data.append(s)
-    squares = tuple(ring.element(d) for d in square_data)
+        roots.setdefault(ring._rmul(u.data, u.data), u)
     class_index: dict = {}
     reps = []
     for u in units:
@@ -315,9 +311,9 @@ def _build_square_classes(ring: LocalRing) -> SquareClasses:
             continue
         idx = len(reps)
         reps.append(u)
-        for s in square_data:
+        for s in roots:
             class_index[ring._rmul(u.data, s)] = idx
-    if len(reps) * len(squares) != len(units):
+    if len(reps) * len(roots) != len(units):
         raise RingError(f"square class accounting broken in {ring.spec}")
     F = ring.residue_field()
     if F.size % 2 == 0:
@@ -325,7 +321,7 @@ def _build_square_classes(ring: LocalRing) -> SquareClasses:
         imgs = {F._rmul(x.data, x.data) for x in F.elements()}
         if len(imgs) != F.size:
             raise RingError(f"squaring not injective on residue field of {ring.spec}")
-    return SquareClasses(ring, tuple(reps), squares, class_index)
+    return SquareClasses(ring, tuple(reps), roots, class_index)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +333,13 @@ class Zmod(LocalRing):
     """Z/p^k with least nonnegative residues; a field when k = 1."""
 
     def __init__(self, p: int, k: int, display: str | None = None):
+        super().__init__()
         self.p = p
         self.k = k
         self.size = p ** k
         self.is_field = k == 1
         self.spec = display if display is not None else f"Z/{self.size}"
         self._residue = self if k == 1 else Zmod(p, 1, display=f"GF({p})")
-        self._init_caches()
 
     # raw ops on ints in [0, size)
     def _radd(self, a, b):
@@ -379,9 +375,7 @@ class Zmod(LocalRing):
         return n % self.size
 
     def _carrier(self):
-        if self._carrier_cache is None:
-            self._carrier_cache = tuple(range(self.size))
-        return self._carrier_cache
+        return self.cached("carrier", lambda: tuple(range(self.size)))
 
     def residue_field(self):
         return self._residue
@@ -563,6 +557,7 @@ class PolyQuotient(LocalRing):
                  display: str | None = None, size_cap: int = DEFAULT_SIZE_CAP):
         if not base.is_field:
             raise NotLocalError("polynomial quotients require a field of coefficients")
+        super().__init__()
         self.base = base
         self.modulus = modulus  # monic, data-level coefficient tuple
         self.var = var
@@ -592,7 +587,6 @@ class PolyQuotient(LocalRing):
         if display is None:
             display = f"{base.spec}[{var}]/({format_poly(base, modulus, var)})"
         self.spec = display
-        self._init_caches()
 
         if self.is_field:
             self._residue = self
@@ -615,19 +609,20 @@ class PolyQuotient(LocalRing):
         return _pneg(self.base, a)
 
     def _rinv(self, a):
-        if self._inv_table is not None:
-            try:
-                return self._inv_table[a]
-            except KeyError:
-                raise NonUnitError(f"{self.format_element(a)} is not a unit of {self.spec}")
-        return self._rinv_compute(a)
-
-    def _rinv_compute(self, a):
+        """Inverse by the extended gcd with the modulus, memoized per unit."""
+        inverses = self.cached("inverses", dict)
+        try:
+            return inverses[a]
+        except KeyError:
+            pass
         g, s, _ = _pxgcd(self.base, a, self.modulus)
         if len(g) != 1:
             raise NonUnitError(f"{self.format_element(a)} is not a unit of {self.spec}")
         c = self.base._rinv(g[0])
-        return _pmod(self.base, tuple(self.base._rmul(ci, c) for ci in s), self.modulus)
+        inv = inverses[a] = _pmod(
+            self.base, tuple(self.base._rmul(ci, c) for ci in s), self.modulus
+        )
+        return inv
 
     def _runit(self, a):
         if self.is_field:
@@ -656,7 +651,7 @@ class PolyQuotient(LocalRing):
         return (d,) if d != self.base._zero_data() else ()
 
     def _carrier(self):
-        if self._carrier_cache is None:
+        def build():
             base_carrier = self.base._carrier()
             q = len(base_carrier)
             out = []
@@ -667,8 +662,9 @@ class PolyQuotient(LocalRing):
                     coeffs.append(base_carrier[n % q])
                     n //= q
                 out.append(_ptrim(self.base, coeffs))
-            self._carrier_cache = tuple(out)
-        return self._carrier_cache
+            return tuple(out)
+
+        return self.cached("carrier", build)
 
     def residue_field(self):
         return self._residue
@@ -695,18 +691,6 @@ class PolyQuotient(LocalRing):
 
     def format_element(self, a):
         return format_poly(self.base, a, self.var)
-
-    def _init_caches(self):
-        super()._init_caches()
-        self._inv_table = None
-
-    def _build_inverse_table(self):
-        if self.size <= 1024 and self._inv_table is None:
-            table = {}
-            for data in self._carrier():
-                if self._runit(data):
-                    table[data] = self._rinv_compute(data)
-            self._inv_table = table
 
 
 def format_poly(base: LocalRing, coeffs, var: str) -> str:
@@ -883,7 +867,7 @@ class _PolyParser:
 
 
 def parse_ring(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> LocalRing:
-    """Parse a ring spec string; results are cached per (spec, cap)."""
+    """Parse a ring spec string; the registry keeps one ring per (spec, cap)."""
     stripped = re.sub(r"\s+", "", spec)
     key = (stripped, size_cap)
     if key in _parse_cache:
@@ -923,15 +907,12 @@ def _parse_ring_uncached(stripped: str, size_cap: int) -> LocalRing:
         ring = PolyQuotient(base, poly, var, size_cap=size_cap)
         ring._verify_local()
         ring._verify_lift_section()
-        ring._build_inverse_table()
         return ring
 
     if _GF_RE.match(stripped):
         ring = _parse_field(stripped, size_cap)
         ring._verify_local()
         ring._verify_lift_section()
-        if isinstance(ring, PolyQuotient):
-            ring._build_inverse_table()
         return ring
 
     raise RingSyntaxError(f"cannot parse ring spec {stripped!r}")

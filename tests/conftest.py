@@ -41,12 +41,11 @@ def seeded(seed):
 
 @pytest.fixture()
 def search_cap_one(monkeypatch):
-    """Empty group-layer caches and an isometry-search cap of one vector, so
-    every pair of tuple classes that determinant class and q-distribution
-    leave open is reported as undecided instead of searched."""
-    from wittlab import groups
+    """A fresh ring registry, so every ring parsed in the test starts with
+    empty state, and an isometry-search cap of one vector, so every pair of
+    tuple classes that determinant class and q-distribution leave open is
+    reported as undecided instead of searched."""
+    from wittlab import groups, rings
 
-    for name, value in list(vars(groups).items()):
-        if name.endswith("_cache") and isinstance(value, dict):
-            monkeypatch.setattr(groups, name, {})
+    monkeypatch.setattr(rings, "_parse_cache", {})
     monkeypatch.setattr(groups, "_FULL_SEARCH_SPACE_CAP", 1)

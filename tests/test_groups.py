@@ -214,6 +214,20 @@ def test_witt_presentation_cache_keys_on_resolved_rank_cap():
     assert witt_presentation(F3) is witt_presentation(F3, 2)
 
 
+def test_presentations_live_on_their_ring(monkeypatch):
+    from wittlab import rings
+
+    R = parse_ring("Z/9")
+    p = gw_presentation(R)
+    assert gw_presentation(R) is p
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    fresh = parse_ring("Z/9")
+    assert fresh is not R
+    q = gw_presentation(fresh)
+    assert q is not p
+    assert (q.rows, q.notes) == (p.rows, p.notes)
+
+
 def test_relation_rows_have_rank_zero():
     for spec in ["GF(3)", "Z/9", CEX, "GF(4)[y]/(y^2)"]:
         ring = parse_ring(spec)

@@ -3,12 +3,16 @@ import itertools
 import pytest
 
 from wittlab import (
+    BilinearSpace,
     NonUnitError,
     NotLocalError,
     RingSyntaxError,
     TooLargeError,
     parse_ring,
 )
+from wittlab.rings import PolyQuotient
+
+from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS
 
 
 def test_parse_counterexample_ring():
@@ -79,6 +83,47 @@ def test_inverses():
         R = parse_ring(spec)
         for u in R.units():
             assert u * u.inv() == R.one
+
+
+# Rings whose inverses all come from the memoized xgcd: every residue field
+# of the shared test rings, the GF(4) coefficient field of GF(4)[y]/(y^2), and
+# GF(2)[x]/(x^11), built directly because parsing would spend seconds on the
+# 1024^2 pairs of its locality check.
+INVERSE_RINGS = {f"residue of {spec}": parse_ring(spec).residue_field()
+                 for spec in MATRIX_SPECS + F2_RESIDUE_SPECS}
+INVERSE_RINGS["base of GF(4)[y]/(y^2)"] = parse_ring("GF(4)[y]/(y^2)").base
+INVERSE_RINGS["GF(2)[x]/(x^11)"] = PolyQuotient(parse_ring("GF(2)"), (0,) * 11 + (1,), "x")
+
+
+@pytest.mark.parametrize("label", list(INVERSE_RINGS))
+def test_inverses_exhaustive(label):
+    ring = INVERSE_RINGS[label]
+    for _ in range(2):  # the second pass reads the memo
+        for x in ring.elements():
+            if x.is_unit():
+                assert x * x.inv() == ring.one
+            else:
+                with pytest.raises(NonUnitError) as info:
+                    x.inv()
+                assert str(info.value) == f"{x!r} is not a unit of {ring.spec}"
+
+
+def test_ring_state_is_built_once():
+    R = parse_ring("GF(4)[y]/(y^2)")
+    assert R.units() is R.units()
+    a = BilinearSpace.diagonal(R, (R.one, R.one))
+    b = BilinearSpace.hyperbolic(R)
+    assert a.all_vectors() is b.all_vectors()
+    assert len(a.all_vectors()) == R.size ** 2
+
+
+def test_square_roots_are_first_in_unit_order():
+    for spec in ["Z/9", "GF(2)[x]/(x^4)", "GF(4)[y]/(y^2)", "GF(5)"]:
+        ring = parse_ring(spec)
+        roots = ring.square_classes().roots
+        for s, r in roots.items():
+            assert r == next(u for u in ring.units() if (u * u).data == s)
+        assert len(roots) == len(ring.square_classes().squares)
 
 
 def test_square_classes_counterexample_ring():
