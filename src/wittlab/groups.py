@@ -1,18 +1,21 @@
 """GW(R), K0^MW(R), and W(R) as finitely presented abelian groups.
 
 Presentations use all units of R as generators.  The Milnor-Witt relations
-(square triviality, hyperbolic annihilation, Steinberg) are closed into an
-additive lattice by multiplying each ideal generator with every group-ring
-basis element.  GW adds rows for isometries of small diagonal forms, and
-every such row is backed by a proof that the relation lattice does not
-over-collapse.  Rank-2 rows come from a closed-form criterion: <a,b> and
-<c,d> are isometric iff ab = cd mod squares and <a,b> represents c.  The
-represented values are read off exact value tables, and every identification
-carries an explicit 2x2 congruence witness that is checked exactly.
-One classifier of diagonal unit tuples serves both the GW rows and the
-stable isometry oracle: tuples of rank >= 3 are joined by verified two-entry
-rewrites or by an exhaustive isometry search, and pairs that no method
-decides are reported as undecided.
+(square triviality, hyperbolic annihilation, Steinberg) make <u> equal to
+<us^2>, so their ideal is the preimage of its image in Z[R*/R*^2]: the
+hyperbolic and Steinberg generators are closed over the square classes,
+lifted to the class representatives, and joined by <u> - <rep(u)> for every
+other unit.  Relation rows are therefore a generating set of the relation
+lattice, not the full product closure over all units.  GW adds rows for
+isometries of small diagonal forms, and every such row is backed by a proof
+that the relation lattice does not over-collapse.  Rank-2 rows come from a
+closed-form criterion: <a,b> and <c,d> are isometric iff ab = cd mod squares
+and <a,b> represents c.  The represented values are read off exact value
+tables, and every identification carries an explicit 2x2 congruence witness
+that is checked exactly.  One classifier of diagonal unit tuples serves both
+the GW rows and the stable isometry oracle: tuples of rank >= 3 are joined
+by verified two-entry rewrites or by an exhaustive isometry search, and
+pairs that no method decides are reported as undecided.
 
 Group structure is computed by integer Smith normal form with retained
 transforms, which makes generator images, representative lifting, products,
@@ -114,9 +117,6 @@ class GroupRingElement:
     def is_zero(self):
         return not self.coeffs
 
-    def rank(self):
-        return sum(self.coeffs.values())
-
     def to_row(self, index: dict) -> tuple:
         row = [0] * len(index)
         for k, v in self.coeffs.items():
@@ -161,66 +161,91 @@ def _dedupe_rows(rows):
     seen = set()
     out = []
     for r in rows:
-        if not any(r):
-            continue
-        key = r
-        negkey = tuple(-x for x in r)
-        if key in seen or negkey in seen:
-            continue
-        seen.add(key)
-        out.append(r)
+        if any(r) and r not in seen and tuple(-x for x in r) not in seen:
+            seen.add(r)
+            out.append(r)
     return tuple(out)
 
 
-def _ideal_rows(ring, ideal_generators):
-    """Additive closure: every <u> * generator, u running over all units,
-    as rows indexed by position in ring.units().  Each generator's terms
-    are scattered through the unit product table's row for u."""
+def _partition(ring, by_squares):
+    """The units by square class, or each unit alone: the class of each
+    unit's data, each class's representative (its first unit in units()),
+    and the class product table."""
+    if not by_squares:
+        return ring.unit_index(), ring.units(), ring.unit_product_table()
+    sc = ring.square_classes()
+    table = ring.cached("class_product_table", lambda: tuple(
+        tuple(sc.class_index[ring._rmul(a.data, b.data)] for b in sc.reps) for a in sc.reps
+    ))
+    return sc.class_index, sc.reps, table
+
+
+def _class_terms(class_of, terms) -> dict:
+    """A sum of (unit data, coefficient) terms as a class -> coefficient dict."""
+    out: dict = {}
+    for u, v in terms:
+        out[class_of[u]] = out.get(class_of[u], 0) + v
+    return {c: v for c, v in out.items() if v}
+
+
+def _ideal_generators(ring, class_of, hyperbolic) -> list:
+    """For each unit a in order, <<a>>h (when hyperbolic) and the Steinberg
+    generator <<a>><<1-a>> (when 1-a is a unit), as class -> coefficient
+    dicts; zero and repeated generators are dropped."""
+    one = ring._one_data()
+    gens, seen = [], set()
+    for a in (u.data for u in ring.units()):
+        terms = []
+        if hyperbolic:
+            terms.append(((one, 1), (ring._rneg(one), 1), (a, -1), (ring._rneg(a), -1)))
+        b = ring._radd(one, ring._rneg(a))
+        if ring._runit(b):
+            terms.append(((one, 1), (a, -1), (b, -1), (ring._rmul(a, b), 1)))
+        for gen in (_class_terms(class_of, t) for t in terms):
+            key = frozenset(gen.items())
+            if gen and key not in seen:
+                seen.add(key)
+                gens.append(gen)
+    return gens
+
+
+def _closure_rows(ring, partition, generators):
+    """Rows spanning the preimage in Z[R*] of the ideal of Z[G] generated
+    by generators, G the classes of partition (see _partition).
+
+    For each class g, then each generator, the row of g * generator on the
+    representatives' columns; then <u> - <rep(u)> for each unit u that is
+    not its class's representative.  Those differences span the kernel of
+    Z[R*] -> Z[G], and an element of the preimage is the lift of its image
+    plus an element of that kernel.
+    """
+    class_of, reps, table = partition
     index = ring.unit_index()
-    terms = [[(index[k], v) for k, v in gen.coeffs.items()] for gen in ideal_generators]
+    cols = [index[r.data] for r in reps]
     rows = []
-    for products in ring.unit_product_table():
-        for gen_terms in terms:
+    for products in table:
+        for gen in generators:
             row = [0] * len(index)
-            for j, v in gen_terms:
-                row[products[j]] += v
+            for c, v in gen.items():
+                row[cols[products[c]]] += v
+            rows.append(tuple(row))
+    for u, i in index.items():
+        rep = cols[class_of[u]]
+        if rep != i:
+            row = [0] * len(index)
+            row[i], row[rep] = 1, -1
             rows.append(tuple(row))
     return rows
 
 
-def _kmw_ideal_generators(ring):
-    one = GroupRingElement.one(ring)
-    h = GroupRingElement.hyperbolic(ring)
-    gens = []
-    for a in ring.units():
-        asq = a * a
-        gens.append(one - GroupRingElement.generator(asq))          # <<a^2>>
-        gens.append(GroupRingElement.pfister(a) * h)                # <<a>> h
-        if (ring.one - a).is_unit():
-            gens.append(
-                GroupRingElement.pfister(a)
-                * GroupRingElement.pfister(ring.one - a)
-            )                                                       # Steinberg
-    return gens
-
-
-def _steinberg_ideal_generators(ring):
-    gens = []
-    for a in ring.units():
-        if (ring.one - a).is_unit():
-            gens.append(
-                GroupRingElement.pfister(a)
-                * GroupRingElement.pfister(ring.one - a)
-            )
-    return gens
-
-
-def _ideal_presentation(ring, kind, ideal_generators) -> Presentation:
-    """Z[R*] modulo the ideal spanned by ideal_generators(ring), built once
-    per ring and kind and kept on the ring."""
+def _ideal_presentation(ring, kind) -> Presentation:
+    """Z[R*] modulo the ideal of the Steinberg generators (ktilde, closed
+    over all units) or of the Milnor-Witt ones (kmw, closed over the square
+    classes), built once per ring and kind and kept on the ring."""
     def build():
-        rows = _dedupe_rows(_ideal_rows(ring, ideal_generators(ring)))
-        p = Presentation(ring, ring.units(), rows, kind)
+        part = _partition(ring, kind == "kmw")
+        gens = _ideal_generators(ring, part[0], kind == "kmw")
+        p = Presentation(ring, ring.units(), _dedupe_rows(_closure_rows(ring, part, gens)), kind)
         p.check_rank_zero_rows()
         return p
 
@@ -228,19 +253,26 @@ def _ideal_presentation(ring, kind, ideal_generators) -> Presentation:
 
 
 def kmw_presentation(ring: LocalRing) -> Presentation:
-    """Z[R*] modulo the square, hyperbolic, and Steinberg relations."""
-    return _ideal_presentation(ring, "kmw", _kmw_ideal_generators)
+    """Z[R*] modulo the square, hyperbolic, and Steinberg relations.
+
+    The <<a^2>> generators identify <u> with <us^2>, so the rows are the
+    <<a>>h and Steinberg generators closed over the square classes and
+    lifted to the representatives, plus <u> - <rep(u)> for every other
+    unit: a generating set of the relation lattice, not the full product
+    closure over all units.
+    """
+    return _ideal_presentation(ring, "kmw")
 
 
 def ktilde_presentation(ring: LocalRing) -> Presentation:
     """Steinberg relation only (the ring written K~0^MW)."""
-    return _ideal_presentation(ring, "ktilde", _steinberg_ideal_generators)
+    return _ideal_presentation(ring, "ktilde")
 
 
 def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
-    """Kernel rows of Z[R*] -> GW(R): the Milnor-Witt rows (those of
-    kmw_presentation, which dedupe to the same list) plus rows from
-    verified isometries among diagonal forms of rank <= rank_cap.
+    """Rows generating the kernel of Z[R*] -> GW(R): the Milnor-Witt rows
+    (those of kmw_presentation, which dedupe to the same list) plus rows
+    from verified isometries among diagonal forms of rank <= rank_cap.
 
     For residue field != F_2 the rank-2 rows are provably sufficient, so
     rank_cap defaults to 2 there and to 3 for residue field F_2 (where no
@@ -263,13 +295,16 @@ def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentatio
 
 
 def witt_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
-    """GW presentation extended by the ideal generated by h, kept on the
-    ring under the resolved rank cap."""
+    """GW presentation extended by the ideal generated by h: one row
+    <g>h per square class g (the GW rows already identify <u> with
+    <rep(u)>), kept on the ring under the resolved rank cap."""
     base = gw_presentation(ring, rank_cap)
 
     def build():
-        rows = list(base.rows)
-        rows.extend(_ideal_rows(ring, [GroupRingElement.hyperbolic(ring)]))
+        part = _partition(ring, True)
+        one = ring._one_data()
+        h = _class_terms(part[0], ((one, 1), (ring._rneg(one), 1)))
+        rows = list(base.rows) + _closure_rows(ring, part, [h])
         return Presentation(ring, base.generators, _dedupe_rows(rows), "witt", dict(base.notes))
 
     return ring.cached(("witt", base.notes["rank_cap"]), build)
@@ -289,9 +324,7 @@ class _ClassData:
         self.reps = sc.reps
         self.k = len(self.reps)
         self.class_index = sc.class_index
-        self.mul = [
-            [sc.class_index[(a * b).data] for b in self.reps] for a in self.reps
-        ]
+        self.mul = _partition(ring, True)[2]
         self.one_class = sc.class_index[ring.one.data]
         carrier = tuple(ring.elements())
         # per class: value rep*x^2 -> number of x, and one such x
@@ -611,14 +644,6 @@ class AbelianGroupStructure:
         )
         return torsion + coords[nt:]
 
-    def order(self):
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
     def torsion_order(self):
         out = 1
         for d in self.invariant_factors:
@@ -725,14 +750,6 @@ class ComparisonReport:
     kernel_invariant_factors: tuple
     kernel_free_rank: int
     is_isomorphism: bool
-
-    def kernel_order(self):
-        if self.kernel_free_rank:
-            return None
-        out = 1
-        for d in self.kernel_invariant_factors:
-            out *= d
-        return out
 
     def to_json(self):
         return {

@@ -250,19 +250,6 @@ class LocalRing:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _verify_local(self):
-        # In a finite local ring the non-units are exactly the maximal
-        # ideal; additive closure of the non-unit set is the witness.
-        nonunits = [x.data for x in self.elements() if not self._runit(x.data)]
-        for a in nonunits:
-            for b in nonunits:
-                if self._runit(self._radd(a, b)):
-                    fa = self.format_element(a)
-                    fb = self.format_element(b)
-                    raise NotLocalError(
-                        f"{self.spec} is not local: non-units {fa} and {fb} sum to a unit"
-                    )
-
     def _verify_lift_section(self):
         F = self.residue_field()
         for xbar in F.elements():
@@ -888,9 +875,7 @@ def _parse_ring_uncached(stripped: str, size_cap: int) -> LocalRing:
         if n > size_cap:
             raise TooLargeError(f"|Z/{n}| exceeds the size cap {size_cap}")
         p, k = pp
-        ring = Zmod(p, k)
-        ring._verify_local()
-        return ring
+        return Zmod(p, k)
 
     m = _QUOT_RE.match(stripped)
     if m:
@@ -905,13 +890,11 @@ def _parse_ring_uncached(stripped: str, size_cap: int) -> LocalRing:
             raise RingSyntaxError("modulus must have unit leading coefficient")
         poly = _pmonic(base, poly)
         ring = PolyQuotient(base, poly, var, size_cap=size_cap)
-        ring._verify_local()
         ring._verify_lift_section()
         return ring
 
     if _GF_RE.match(stripped):
         ring = _parse_field(stripped, size_cap)
-        ring._verify_local()
         ring._verify_lift_section()
         return ring
 

@@ -74,6 +74,8 @@ CASES.update({
     for cmd in ("kmw", "gw", "witt", "compare")
     for tag, spec in _GROUP_RINGS.items()
 })
+# compare on Z/81, whose 54 units fall into 2 square classes
+CASES["compare_z81.json"] = ["compare", "--ring", "Z/81"]
 
 # ring-info, oracle and steinberg-check on a field and on a char-2 local ring
 # whose Steinberg consequences fail; the GF(2)[x]/(x^4) oracle runs at

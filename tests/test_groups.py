@@ -13,6 +13,7 @@ from wittlab import (
     is_isometric,
     kmw_presentation,
     kmw_structure,
+    ktilde_presentation,
     ktilde_structure,
     parse_ring,
     product_table,
@@ -22,7 +23,12 @@ from wittlab import (
     witt_presentation,
     witt_structure,
 )
-from wittlab.groups import GroupsError, oracle_tuple_of_units
+from wittlab.groups import (
+    AbelianGroupStructure,
+    GroupsError,
+    Presentation,
+    oracle_tuple_of_units,
+)
 from wittlab import groups, snf
 from wittlab import matrices as mx
 
@@ -88,16 +94,25 @@ def test_gw_presentation_contains_paper_row():
 
 
 def test_gw_presentation_square_rows_any_ring():
+    """<u> - <ut^2> lies in the GW lattice for all units u, t, and each unit
+    other than its square class's representative has the row <u> - <rep(u)>."""
     Z9 = parse_ring("Z/9")
     p = gw_presentation(Z9)
     idx = p.generator_index()
+    basis = snf.hnf_rows([list(r) for r in p.rows], len(p.generators))
     for u in Z9.units():
         for t in Z9.units():
             row = [0] * len(p.generators)
             row[idx[u.data]] += 1
             row[idx[(u * t * t).data]] -= 1
-            if any(row):
-                assert tuple(row) in p.rows or tuple(-v for v in row) in p.rows
+            assert snf.solve_in_rowspace(basis, row) is not None
+    sc = Z9.square_classes()
+    for u in Z9.units():
+        rep = sc.class_of(u)
+        if rep != u:
+            row = [0] * len(p.generators)
+            row[idx[u.data]], row[idx[rep.data]] = 1, -1
+            assert tuple(row) in p.rows or tuple(-v for v in row) in p.rows
 
 
 def test_gw_presentation_f3_isometry_row():
@@ -156,6 +171,27 @@ def test_unit_product_table_matches_ring_multiplication(spec):
             assert units[k].data == ring._rmul(u.data, v.data)
 
 
+def _unit_generators(ring, kind):
+    """The Milnor-Witt ideal generators over all units, from ring
+    arithmetic: for each unit a, <<a^2>> and <<a>>h (kmw only) and the
+    Steinberg <<a>><<1-a>> when 1-a is a unit, as unit data -> coefficient."""
+    one = ring.one
+    gens = []
+    for a in ring.units():
+        terms = []
+        if kind == "kmw":
+            terms.append(((one, 1), (a * a, -1)))
+            terms.append(((one, 1), (-one, 1), (a, -1), (-a, -1)))
+        if (one - a).is_unit():
+            terms.append(((one, 1), (a, -1), (one - a, -1), (a * (one - a), 1)))
+        for t in terms:
+            gen: dict = {}
+            for u, v in t:
+                gen[u.data] = gen.get(u.data, 0) + v
+            gens.append(gen)
+    return gens
+
+
 def _product_formula_rows(ring, ideal_generators):
     """Every <u> * generator with products taken by ring._rmul, as rows
     indexed by position in ring.units()."""
@@ -165,20 +201,105 @@ def _product_formula_rows(ring, ideal_generators):
     for u in units:
         for gen in ideal_generators:
             row = [0] * len(units)
-            for k, v in gen.coeffs.items():
+            for k, v in gen.items():
                 row[index[ring._rmul(u.data, k)]] += v
             rows.append(tuple(row))
     return rows
 
 
+def _unit_level_rows(ring, kind):
+    """The relation rows of the unit-level closure: every <u> times every
+    ideal generator, deduped, then the GW isometry rows and the Witt <u>h."""
+    dedupe = groups._dedupe_rows
+    if kind == "ktilde":
+        return dedupe(_product_formula_rows(ring, _unit_generators(ring, "ktilde")))
+    rows = dedupe(_product_formula_rows(ring, _unit_generators(ring, "kmw")))
+    if kind == "kmw":
+        return rows
+    rank_cap = 2 if ring.residue_field().size != 2 else 3
+    rows = dedupe(list(rows) + groups._isometry_rows(ring, rank_cap)[0])
+    if kind == "gw":
+        return rows
+    h = {ring.one.data: 1}
+    h[ring.minus_one.data] = h.get(ring.minus_one.data, 0) + 1
+    return dedupe(list(rows) + _product_formula_rows(ring, [h]))
+
+
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_ideal_rows_match_product_formula(spec):
+    """The closure routine against products taken by ring._rmul: over the
+    square classes, class-level rows on the representatives' columns and
+    then <u> - <rep(u)>; over the trivial partition, the unit-level rows."""
     ring = parse_ring(spec)
-    for make in (groups._kmw_ideal_generators, groups._steinberg_ideal_generators):
-        gens = make(ring)
-        assert groups._ideal_rows(ring, gens) == _product_formula_rows(ring, gens)
-    h = [GroupRingElement.hyperbolic(ring)]
-    assert groups._ideal_rows(ring, h) == _product_formula_rows(ring, h)
+    sc = ring.square_classes()
+    index = ring.unit_index()
+    gens = groups._ideal_generators(ring, sc.class_index, True)
+    images = {frozenset(groups._class_terms(sc.class_index, gen.items()).items())
+              for gen in _unit_generators(ring, "kmw")}
+    assert {frozenset(g.items()) for g in gens} == images - {frozenset()}
+    expected = []
+    for g in sc.reps:
+        for gen in gens:
+            row = [0] * len(index)
+            for c, v in gen.items():
+                product = sc.class_of(ring.element(ring._rmul(g.data, sc.reps[c].data)))
+                row[index[product.data]] += v
+            expected.append(tuple(row))
+    for u in ring.units():
+        if sc.class_of(u) != u:
+            row = [0] * len(index)
+            row[index[u.data]], row[index[sc.class_of(u).data]] = 1, -1
+            expected.append(tuple(row))
+    assert groups._closure_rows(ring, groups._partition(ring, True), gens) == expected
+    unit_gens = groups._ideal_generators(ring, index, False)
+    assert groups._closure_rows(ring, groups._partition(ring, False), unit_gens) == \
+        _product_formula_rows(ring, [{ring.units()[i].data: v for i, v in g.items()}
+                                     for g in unit_gens])
+
+
+DIFFERENTIAL_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["Z/8", "Z/16", "Z/81"]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_square_class_lattices_match_unit_level_closure(spec):
+    """kmw, gw and witt rows span the lattice of the unit-level closure and
+    give the same structure JSON; ktilde keeps the unit-level rows."""
+    ring = parse_ring(spec)
+    g = len(ring.units())
+    for kind, present in (("kmw", kmw_presentation), ("gw", gw_presentation),
+                          ("witt", witt_presentation)):
+        new = present(ring)
+        old = _unit_level_rows(ring, kind)
+        for rows, other in ((new.rows, old), (old, new.rows)):
+            basis = snf.hnf_rows([list(r) for r in rows], g)
+            for row in other:
+                assert snf.solve_in_rowspace(basis, row) is not None, (kind, row)
+        reference = Presentation(ring, ring.units(), old, kind, dict(new.notes))
+        assert AbelianGroupStructure(reference).to_json() == \
+            groups.group_structure(new).to_json(), kind
+    assert ktilde_presentation(ring).rows == _unit_level_rows(ring, "ktilde")
+
+
+@pytest.mark.parametrize("spec", ["Z/25", "Z/81"])
+def test_cold_group_commands_skip_the_unit_product_table(spec, monkeypatch, capsys):
+    """kmw, gw, witt and compare build no |R*|^2 unit product table, and
+    each presentation has at most |R*| - k + k * (class generators) +
+    (isometry rows) rows, k the number of square classes."""
+    from wittlab import rings
+    from wittlab.cli import run
+
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    for cmd in ("kmw", "gw", "witt", "compare"):
+        assert run([cmd, "--ring", spec]) == 0
+    capsys.readouterr()
+    ring = parse_ring(spec)
+    assert "unit_product_table" not in ring._state
+    units, k = len(ring.units()), len(ring.square_classes())
+    gens = len(groups._ideal_generators(ring, ring.square_classes().class_index, True))
+    iso = len(groups._isometry_rows(ring, gw_presentation(ring).notes["rank_cap"])[0])
+    assert len(kmw_presentation(ring).rows) <= units - k + k * gens
+    assert len(gw_presentation(ring).rows) <= units - k + k * gens + iso
+    assert len(witt_presentation(ring).rows) <= units - k + k * (gens + 1) + iso
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)

@@ -10,7 +10,6 @@ from wittlab import (
     TooLargeError,
     parse_ring,
 )
-from wittlab.rings import PolyQuotient
 
 from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS
 
@@ -87,12 +86,11 @@ def test_inverses():
 
 # Rings whose inverses all come from the memoized xgcd: every residue field
 # of the shared test rings, the GF(4) coefficient field of GF(4)[y]/(y^2), and
-# GF(2)[x]/(x^11), built directly because parsing would spend seconds on the
-# 1024^2 pairs of its locality check.
+# GF(2)[x]/(x^11), whose 2048 elements parse without a pairwise check.
 INVERSE_RINGS = {f"residue of {spec}": parse_ring(spec).residue_field()
                  for spec in MATRIX_SPECS + F2_RESIDUE_SPECS}
 INVERSE_RINGS["base of GF(4)[y]/(y^2)"] = parse_ring("GF(4)[y]/(y^2)").base
-INVERSE_RINGS["GF(2)[x]/(x^11)"] = PolyQuotient(parse_ring("GF(2)"), (0,) * 11 + (1,), "x")
+INVERSE_RINGS["GF(2)[x]/(x^11)"] = parse_ring("GF(2)[x]/(x^11)")
 
 
 @pytest.mark.parametrize("label", list(INVERSE_RINGS))
@@ -192,7 +190,9 @@ def test_unit_xor_maximal_ideal():
 
 
 def test_nonunit_additive_closure():
-    for spec in ["Z/27", "GF(2)[x]/(x^4)", "GF(4)[y]/(y^2)"]:
+    """Parsing proves locality from the modulus alone (a prime power, or a
+    power of one irreducible); the non-units then form an ideal."""
+    for spec in MATRIX_SPECS + F2_RESIDUE_SPECS:
         ring = parse_ring(spec)
         ideal = ring.maximal_ideal()
         for a, b in itertools.product(ideal, repeat=2):
