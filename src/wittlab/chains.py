@@ -4,9 +4,14 @@ Two orthogonal bases of an inner product space are chain equivalent when a
 sequence of orthogonal bases connects them in which consecutive bases share
 all but at most two vectors.  This module builds such chains as verifiable
 certificates: the reduction from a local ring to its residue field, the
-field-level constructions (including the finite characteristic-2 case), and
-a breadth-first oracle that doubles as the proof engine for the F_2
-counterexample.
+field-level constructions, and a breadth-first oracle that doubles as the
+proof engine for the F_2 counterexample.
+
+Over a field other than F_2 one minimal-support loop serves both
+characteristics: it contracts the first target vector into the current
+tuple pair by pair, then recurses on its complement.  Characteristic 2
+adds a rescaling to q = 1 and the hat-basis escape; dimension 3 in
+characteristic 2 has its own construction.
 
 Builders assemble their chains as plain vector tuples through private cores
 and wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
@@ -20,6 +25,7 @@ intersection in the definition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -606,10 +612,6 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
     )
 
 
-def _support(coords):
-    return [i for i, c in enumerate(coords) if not c.is_zero()]
-
-
 def _field_chain_core(space, tup_a, tup_b):
     """Steps connecting two orthogonal tuples spanning the same subspace of
     a space over a finite field.  Dispatches on dimension and characteristic."""
@@ -621,63 +623,84 @@ def _field_chain_core(space, tup_a, tup_b):
     field = space.ring
     if field.size == 2:
         raise ChainUnreachableError("no constructive chain over F_2; use the BFS oracle")
-    if field.size % 2:
-        return _field_chain_odd(space, tup_a, tup_b)
-    if k == 3:
+    if field.size % 2 == 0 and k == 3:
         return _field_chain_dim3_char2(space, tup_a, tup_b)
-    return _field_chain_char2(space, tup_a, tup_b)
+    return _field_chain_contract(space, tup_a, tup_b)
 
 
-def _front_and_recurse(space, steps, cur, tup_b):
-    """cur contains tup_b[0] at position `pos`; recurse on the complement."""
-    pos = cur.index(tup_b[0])
-    arranged = (cur[pos],) + cur[:pos] + cur[pos + 1:]
-    sub = _field_chain_core(space, arranged[1:], tup_b[1:])
-    for t in sub[1:]:
-        steps.append((tup_b[0],) + t)
-    return steps
+def _field_chain_contract(space, tup_a, tup_b):
+    """Minimal-support contraction of w1 = tup_b[0] into the current tuple,
+    then recursion on the complement of w1.
 
-
-def _field_chain_odd(space, tup_a, tup_b):
-    """Minimal-support contraction; in odd characteristic a contractible
-    pair always exists once the support has size >= 3."""
+    Each pass replaces the first pair (i, j) of support vectors whose part
+    z = c_i u_i + c_j u_j of w1 is anisotropic by z and its complement in
+    their plane, until w1 itself is in the tuple.  In odd characteristic
+    such a pair always exists (on a support of size 2, z is w1), and a
+    support of size 1 takes one rescaling step.  In characteristic 2
+    (dimension >= 4) both tuples are first rescaled to q = 1 and every new
+    vector is normalized back to q = 1, so q(z) = (c_i + c_j)^2; when all
+    support coefficients agree, the hat basis of the support plus one more
+    vector contains w1.
+    """
+    char2 = space.ring.size % 2 == 0
     steps = [tup_a]
-    cur = tup_a
-    w1 = tup_b[0]
-    while True:
+    if char2:
+        resc_a, cur = _rescale_steps(space, tup_a)
+        steps.extend(resc_a)
+        resc_b, target = _rescale_steps(space, tup_b)
+        normalize = functools.partial(_normalize_q1, space)
+    else:
+        resc_b, cur, target = [], tup_a, tup_b
+        normalize = lambda v: v
+    w1 = target[0]
+    while w1 not in cur:
         coords = _coords_in(space, cur, w1)
-        supp = _support(coords)
-        r = len(supp)
-        if r == 1:
-            i = supp[0]
-            if cur[i] != w1:
-                work = list(cur)
-                work[i] = w1
-                cur = tuple(work)
-                steps.append(cur)
-            return _front_and_recurse(space, steps, cur, tup_b)
-        if r == 2:
-            i, j = supp
-            s = _complement_in_plane(space, w1, cur[i], cur[j])
+        supp = [i for i, c in enumerate(coords) if not c.is_zero()]
+        if len(supp) == 1:  # odd characteristic only: q = 1 forces w1 = cur[i]
             work = list(cur)
-            work[i], work[j] = w1, s
+            work[supp[0]] = w1
             cur = tuple(work)
             steps.append(cur)
-            return _front_and_recurse(space, steps, cur, tup_b)
+            break
         pair = None
         for i, j in itertools.combinations(supp, 2):
             z = vec_add(vec_scale(coords[i], cur[i]), vec_scale(coords[j], cur[j]))
             if space.eval_q(z).is_unit():
                 pair = (i, j, z)
                 break
-        if pair is None:  # pragma: no cover - impossible in odd characteristic
+        if pair is not None:
+            i, j, z = pair
+            z = normalize(z)
+            s = normalize(_complement_in_plane(space, z, cur[i], cur[j]))
+            work = list(cur)
+            work[i], work[j] = z, s
+            cur = tuple(work)
+            steps.append(cur)
+            continue
+        if not char2:  # pragma: no cover - impossible in odd characteristic
             raise ChainError("no contractible pair in odd characteristic")
-        i, j, z = pair
-        s = _complement_in_plane(space, z, cur[i], cur[j])
-        work = list(cur)
-        work[i], work[j] = z, s
-        cur = tuple(work)
-        steps.append(cur)
+        # all support coefficients are 1: the support has odd size and w1 is its sum
+        if len(supp) == len(cur):  # pragma: no cover - contradicts orthogonality of tup_b
+            raise ChainError("full-support hat case cannot occur")
+        sub_idx = supp + [next(i for i in range(len(cur)) if i not in supp)]
+        sub = tuple(cur[i] for i in sub_idx)
+        rest = tuple(cur[i] for i in range(len(cur)) if i not in sub_idx)
+        hat_steps, hat = _hat_core(space, sub)
+        for t in hat_steps[1:]:
+            steps.append(t + rest)
+        cur = hat + rest
+        # w1 = hat vector omitting the appended index, i.e. hat[-1]
+        if cur[len(sub) - 1] != w1:  # pragma: no cover
+            raise ChainError("hat escape did not produce the target vector")
+    # cur contains w1; recurse on its complement
+    pos = cur.index(w1)
+    for t in _field_chain_core(space, cur[:pos] + cur[pos + 1:], target[1:])[1:]:
+        steps.append((w1,) + t)
+    for t in reversed(resc_b):
+        steps.append(t)
+    if frozenset(steps[-1]) != frozenset(tup_b):
+        steps.append(tup_b)
+    return steps
 
 
 def _field_chain_dim3_char2(space, tup_a, tup_b):
@@ -714,74 +737,6 @@ def _field_chain_dim3_char2(space, tup_a, tup_b):
         steps.append(tb)
     for t in reversed(steps_b[:-1]):
         steps.append(t)
-    return steps
-
-
-def _field_chain_char2(space, tup_a, tup_b):
-    """Finite characteristic-2 fields, dimension >= 4: rescale to q = 1 and
-    run the minimal-support loop with the hat-basis escape hatch."""
-    steps = [tup_a]
-    resc_a, cur = _rescale_steps(space, tup_a)
-    steps.extend(resc_a)
-    resc_b, target = _rescale_steps(space, tup_b)
-    w1 = target[0]
-    while True:
-        coords = _coords_in(space, cur, w1)
-        supp = _support(coords)
-        r = len(supp)
-        if r == 1:
-            i = supp[0]
-            if cur[i] != w1:  # pragma: no cover - q=1 forces equality
-                work = list(cur)
-                work[i] = w1
-                cur = tuple(work)
-                steps.append(cur)
-            break
-        if r == 2:
-            i, j = supp
-            s = _complement_in_plane(space, w1, cur[i], cur[j])
-            s = _normalize_q1(space, s)
-            work = list(cur)
-            work[i], work[j] = w1, s
-            cur = tuple(work)
-            steps.append(cur)
-            break
-        pair = None
-        for i, j in itertools.combinations(supp, 2):
-            if coords[i] != coords[j]:
-                pair = (i, j)
-                break
-        if pair is not None:
-            i, j = pair
-            z = vec_add(vec_scale(coords[i], cur[i]), vec_scale(coords[j], cur[j]))
-            z = _normalize_q1(space, z)
-            s = _complement_in_plane(space, z, cur[i], cur[j])
-            s = _normalize_q1(space, s)
-            work = list(cur)
-            work[i], work[j] = z, s
-            cur = tuple(work)
-            steps.append(cur)
-            continue
-        # all support coefficients equal; r is odd and w1 = sum of support vectors
-        if r == len(cur):  # pragma: no cover - contradicts orthogonality of tup_b
-            raise ChainError("full-support hat case cannot occur")
-        sub_idx = supp + [next(i for i in range(len(cur)) if i not in supp)]
-        sub = tuple(cur[i] for i in sub_idx)
-        rest_idx = [i for i in range(len(cur)) if i not in sub_idx]
-        rest = tuple(cur[i] for i in rest_idx)
-        hat_steps, hat = _hat_core(space, sub)
-        for t in hat_steps[1:]:
-            steps.append(t + rest)
-        cur = hat + rest
-        # w1 = hat vector omitting the appended index, i.e. hat[-1]
-        if cur[len(sub) - 1] != w1:  # pragma: no cover
-            raise ChainError("hat escape did not produce the target vector")
-    # cur contains w1; recurse on its complement
-    steps = _front_and_recurse(space, steps, cur, target)
-    for t in reversed(resc_b):
-        steps.append(t)
-    if frozenset(steps[-1]) != frozenset(tup_b):
-        steps.append(tup_b)
     return steps
 
 

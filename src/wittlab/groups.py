@@ -634,9 +634,6 @@ class AbelianGroupStructure:
     def add_coords(self, a, b):
         return self._normalize(tuple(x + y for x, y in zip(a, b)))
 
-    def scale_coords(self, n, a):
-        return self._normalize(tuple(n * x for x in a))
-
     def _normalize(self, coords):
         nt = len(self.invariant_factors)
         torsion = tuple(
@@ -981,9 +978,3 @@ def stable_isometry_oracle(ring: LocalRing, rank_cap: int = 3,
         for i, members in enumerate(classes[m]):
             class_of.update(dict.fromkeys(members, i))
     return OracleClassification(ring, rank_cap, stab_cap, classes, undecided, class_of)
-
-
-def oracle_tuple_of_units(ring, units):
-    """Square-class index tuple for a tuple of unit elements."""
-    sc = ring.square_classes()
-    return tuple(sorted(sc.class_index[u.data] for u in units))

@@ -42,10 +42,6 @@ def _dot(xs, ys):
     return acc
 
 
-def mat_vec(A, v):
-    return tuple(_dot(row, v) for row in A)
-
-
 def mat_det(ring: LocalRing, A) -> RingElement:
     """Determinant by expansion over column subsets (exact over any ring)."""
     n = len(A)

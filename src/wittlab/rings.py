@@ -114,9 +114,6 @@ class RingElement:
     def is_unit(self) -> bool:
         return self.ring._runit(self.data)
 
-    def in_maximal_ideal(self) -> bool:
-        return not self.ring._runit(self.data)
-
     def is_zero(self) -> bool:
         return self.data == self.ring.zero.data
 
@@ -464,16 +461,6 @@ def _pxgcd(base, a, b):
         s0, s1 = s1, _padd(base, s0, _pneg(base, _pmul(base, q, s1)))
         t0, t1 = t1, _padd(base, t0, _pneg(base, _pmul(base, q, t1)))
     return r0, s0, t0
-
-
-def _ppow(base, a, k, m):
-    result = (base._one_data(),)
-    while k:
-        if k & 1:
-            result = _pmod(base, _pmul(base, result, a), m)
-        a = _pmod(base, _pmul(base, a, a), m)
-        k >>= 1
-    return result
 
 
 def _peval(base, a, c):

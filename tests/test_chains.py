@@ -1,3 +1,4 @@
+import itertools
 import random
 import zlib
 
@@ -28,7 +29,7 @@ from wittlab import (
     verify_chain,
 )
 from wittlab import chains
-from wittlab.bilinear import NotInMaximalIdealError, vec_add
+from wittlab.bilinear import NotInMaximalIdealError, vec_add, vec_scale
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
 
 from conftest import MATRIX_SPECS, seeded
@@ -293,6 +294,171 @@ def test_chain_field_matrix_random():
                 chain = chain_field(A, B)
                 ok, msg = verify_chain(chain, A, B)
                 assert ok, msg
+
+
+# ---------------------------------------------------------------------------
+# the single contraction loop against the two per-characteristic loops it
+# replaced, kept here as the reference (minus their unreachable guards)
+# ---------------------------------------------------------------------------
+
+
+def _ref_support(coords):
+    return [i for i, c in enumerate(coords) if not c.is_zero()]
+
+
+def _ref_field_chain_core(space, tup_a, tup_b):
+    if frozenset(tup_a) == frozenset(tup_b):
+        return [tup_a]
+    k = len(tup_a)
+    if k <= 2:
+        return [tup_a, tup_b]
+    if space.ring.size % 2:
+        return _ref_field_chain_odd(space, tup_a, tup_b)
+    if k == 3:
+        return chains._field_chain_dim3_char2(space, tup_a, tup_b)
+    return _ref_field_chain_char2(space, tup_a, tup_b)
+
+
+def _ref_front_and_recurse(space, steps, cur, tup_b):
+    pos = cur.index(tup_b[0])
+    arranged = (cur[pos],) + cur[:pos] + cur[pos + 1:]
+    sub = _ref_field_chain_core(space, arranged[1:], tup_b[1:])
+    for t in sub[1:]:
+        steps.append((tup_b[0],) + t)
+    return steps
+
+
+def _ref_field_chain_odd(space, tup_a, tup_b):
+    steps = [tup_a]
+    cur = tup_a
+    w1 = tup_b[0]
+    while True:
+        coords = chains._coords_in(space, cur, w1)
+        supp = _ref_support(coords)
+        r = len(supp)
+        if r == 1:
+            i = supp[0]
+            if cur[i] != w1:
+                work = list(cur)
+                work[i] = w1
+                cur = tuple(work)
+                steps.append(cur)
+            return _ref_front_and_recurse(space, steps, cur, tup_b)
+        if r == 2:
+            i, j = supp
+            s = chains._complement_in_plane(space, w1, cur[i], cur[j])
+            work = list(cur)
+            work[i], work[j] = w1, s
+            cur = tuple(work)
+            steps.append(cur)
+            return _ref_front_and_recurse(space, steps, cur, tup_b)
+        pair = None
+        for i, j in itertools.combinations(supp, 2):
+            z = vec_add(vec_scale(coords[i], cur[i]), vec_scale(coords[j], cur[j]))
+            if space.eval_q(z).is_unit():
+                pair = (i, j, z)
+                break
+        assert pair is not None
+        i, j, z = pair
+        s = chains._complement_in_plane(space, z, cur[i], cur[j])
+        work = list(cur)
+        work[i], work[j] = z, s
+        cur = tuple(work)
+        steps.append(cur)
+
+
+def _ref_field_chain_char2(space, tup_a, tup_b):
+    steps = [tup_a]
+    resc_a, cur = chains._rescale_steps(space, tup_a)
+    steps.extend(resc_a)
+    resc_b, target = chains._rescale_steps(space, tup_b)
+    w1 = target[0]
+    while True:
+        coords = chains._coords_in(space, cur, w1)
+        supp = _ref_support(coords)
+        r = len(supp)
+        if r == 1:
+            break
+        if r == 2:
+            i, j = supp
+            s = chains._complement_in_plane(space, w1, cur[i], cur[j])
+            s = chains._normalize_q1(space, s)
+            work = list(cur)
+            work[i], work[j] = w1, s
+            cur = tuple(work)
+            steps.append(cur)
+            break
+        pair = None
+        for i, j in itertools.combinations(supp, 2):
+            if coords[i] != coords[j]:
+                pair = (i, j)
+                break
+        if pair is not None:
+            i, j = pair
+            z = vec_add(vec_scale(coords[i], cur[i]), vec_scale(coords[j], cur[j]))
+            z = chains._normalize_q1(space, z)
+            s = chains._complement_in_plane(space, z, cur[i], cur[j])
+            s = chains._normalize_q1(space, s)
+            work = list(cur)
+            work[i], work[j] = z, s
+            cur = tuple(work)
+            steps.append(cur)
+            continue
+        sub_idx = supp + [next(i for i in range(len(cur)) if i not in supp)]
+        sub = tuple(cur[i] for i in sub_idx)
+        rest = tuple(cur[i] for i in range(len(cur)) if i not in sub_idx)
+        hat_steps, hat = chains._hat_core(space, sub)
+        for t in hat_steps[1:]:
+            steps.append(t + rest)
+        cur = hat + rest
+    steps = _ref_front_and_recurse(space, steps, cur, target)
+    for t in reversed(resc_b):
+        steps.append(t)
+    if frozenset(steps[-1]) != frozenset(tup_b):
+        steps.append(tup_b)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "spec", ["GF(3)", "GF(5)", "GF(7)", "GF(9)", "GF(4)", "GF(8)", "GF(16)"]
+)
+def test_contraction_loop_matches_per_characteristic_loops(spec, monkeypatch):
+    field = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    pairs = []
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            S = random_diagonal_space(field, n, rng)
+            pairs.append((S, random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)))
+        if field.size % 2 == 0 and n % 2 == 0:
+            # e -> e-hat takes the hat escape
+            S = ident_space(field, n)
+            pairs.append((S, standard_basis(S), hat_basis(S)))
+    for S, A, B in pairs:
+        got = chains._field_chain_core(S, A.vectors, B.vectors)
+        with monkeypatch.context() as m:
+            # _hat_core's inner chain runs the reference too
+            m.setattr(chains, "_field_chain_core", _ref_field_chain_core)
+            want = _ref_field_chain_core(S, A.vectors, B.vectors)
+        assert got == want
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(16)"])
+def test_char2_pair_test_is_unequal_coefficients(spec):
+    # with q(u_i) = q(u_j) = 1 and u_i orthogonal to u_j, q(c_i u_i + c_j u_j)
+    # = (c_i + c_j)^2, so the unit test of the merged loop picks the same pair
+    # as a test for c_i != c_j
+    field = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    S = random_diagonal_space(field, 3, rng)
+    u = [chains._normalize_q1(S, v) for v in random_orthogonal_basis(S, rng).vectors]
+    for ui, uj in ((u[0], u[1]), (u[1], u[2])):
+        assert S.eval_q(ui) == S.eval_q(uj) == field.one
+        assert S.eval_b(ui, uj).is_zero()
+        for ci in field.elements():
+            for cj in field.elements():
+                z = vec_add(vec_scale(ci, ui), vec_scale(cj, uj))
+                assert S.eval_q(z).is_unit() == (ci != cj)
 
 
 # ---------------------------------------------------------------------------

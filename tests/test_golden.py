@@ -44,6 +44,21 @@ _GF4Y2_TO = [
     [[[1]], [[1, 1]], [[1, 1], [0, 1]], [[1], [0, 1]]],
 ]
 
+# GF(5) and Z/9, n = 4: random_diagonal_space plus two random_orthogonal_basis
+# draws with random.Random(6) and random.Random(2); their residue-field chains
+# run the odd-characteristic contraction loop, 5 and 4 pair contractions, of
+# which 3 and 2 are on a support of size >= 3
+_ODD_CHAINS = {
+    "gf5": ("GF(5)",
+            [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]],
+            [[0, 1, 4, 3], [2, 4, 3, 1], [3, 3, 3, 4], [4, 4, 1, 4]],
+            [[0, 1, 4, 4], [2, 3, 4, 0], [3, 4, 3, 2], [4, 0, 1, 2]]),
+    "z9": ("Z/9",
+           [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]],
+           [[0, 2, 6, 6], [0, 3, 0, 5], [7, 3, 5, 0], [2, 3, 8, 0]],
+           [[3, 0, 2, 5], [2, 2, 7, 8], [2, 2, 8, 7], [1, 8, 6, 6]]),
+}
+
 CASES = {
     "chain_gf3_n2.json": [
         "chain", "--ring", "GF(3)", "--gram", json.dumps([[1, 0], [0, 1]]),
@@ -61,6 +76,13 @@ CASES = {
     ],
     "verify_f4_paper.json": ["verify", "--cert", json.dumps(f4_chain_certificate())],
 }
+CASES.update({
+    f"chain_{tag}_n4.json": [
+        "chain", "--ring", spec, "--gram", json.dumps(gram),
+        "--from", json.dumps(frm), "--to", json.dumps(to),
+    ]
+    for tag, (spec, gram, frm, to) in _ODD_CHAINS.items()
+})
 
 # kmw, gw, witt and compare on rings with residue field F_4, F_5 and F_2
 _GROUP_RINGS = {

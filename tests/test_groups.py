@@ -27,7 +27,6 @@ from wittlab.groups import (
     AbelianGroupStructure,
     GroupsError,
     Presentation,
-    oracle_tuple_of_units,
 )
 from wittlab import groups, snf
 from wittlab import matrices as mx
@@ -691,12 +690,6 @@ def _gw_equal_tuples(ring, s, ta, tb):
     for c in tb:
         eb = eb + GroupRingElement.generator(cd.reps[c])
     return s.is_zero(s.coords_of_group_ring(ea - eb))
-
-
-def test_oracle_tuple_helper():
-    Z9 = parse_ring("Z/9")
-    t = oracle_tuple_of_units(Z9, (Z9.one, Z9.from_int(4)))
-    assert t == (0, 0)  # both in the square class of 1
 
 
 def test_gw_guard_against_overcollapse():
