@@ -299,23 +299,27 @@ def _complement_within(space, basis, chosen):
 
 
 def _find_anisotropic(space, basis):
-    """First vector of span(basis) with unit q-value: standard vectors of
-    the sub-coordinate system first, then the full carrier scan."""
+    """First vector of span(basis) with unit q-value in the order of a
+    carrier scan over coefficient tuples (the first coefficient most
+    significant, 0 and 1 the first carrier elements): a vector of `basis`,
+    else basis[a] + basis[j] for the first pair (a, j), a < j, with a unit
+    pairing when a and j both run downward.
+
+    When every q(basis_i) is in the maximal ideal, q(sum c_i basis_i) is
+    2 * sum_{i<k} c_i c_k b(basis_i, basis_k) modulo the ideal.  In residue
+    characteristic 2 that is in the ideal, so no vector qualifies.  Otherwise
+    the first tuple's leading nonzero slot is the last a that pairs to a unit
+    with a later vector, and its only other nonzero slot is the last such j.
+    """
     for v in basis:
         if space.eval_q(v).is_unit():
             return v
-    # In residue characteristic 2, cross terms carry a factor of 2 in the
-    # maximal ideal, so q(span) stays in the ideal whenever all q(basis_i)
-    # do; the carrier scan is provably fruitless then.
-    F = space.ring.residue_field()
-    char2 = F.size % 2 == 0
-    if char2:
+    if space.ring.residue_field().size % 2 == 0:
         return None
-    elems = tuple(space.ring.elements())
-    for coeffs in itertools.product(elems, repeat=len(basis)):
-        v = vec_combo(basis, coeffs)
-        if space.eval_q(v).is_unit():
-            return v
+    for a in reversed(range(len(basis))):
+        for j in reversed(range(a + 1, len(basis))):
+            if space.eval_b(basis[a], basis[j]).is_unit():
+                return vec_add(basis[a], basis[j])
     return None
 
 

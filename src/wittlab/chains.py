@@ -555,17 +555,8 @@ def _hat_core(space, sub):
     """
     field = space.ring
     m = len(sub)
-    one = field.one
-    b1 = bn = None
-    for cand1 in field.units():
-        for cand2 in field.units():
-            if not (cand1 + cand2).is_zero():
-                b1, bn = cand1, cand2
-                break
-        if b1 is not None:
-            break
-    if b1 is None:  # pragma: no cover - any field with >2 elements works
-        raise BadParametersError("cannot choose b_1, b_n")
+    # any two distinct units have a nonzero sum in characteristic 2
+    b1, bn = field.units()[:2]
 
     hat = []
     for k in range(m):
@@ -956,29 +947,21 @@ def _bfs_neighbors(space, node):
     elems = tuple(ring.elements())
     for i, j in itertools.combinations(range(n), 2):
         kept = tuple(v for k, v in enumerate(vectors) if k not in (i, j))
-        if kept:
-            comp = orthogonal_complement(space, kept)
-        else:
-            comp = space.standard_basis()
-        g1, g2 = comp[0], comp[1]
-        seen_z1 = set()
+        # g1, g2 are a free basis of the plane orthogonal to `kept`, so each
+        # (c1, c2) gives a new z1; z1 and z2 are anisotropic and orthogonal
+        # to each other and to `kept`, so nxt always has n vectors
+        g1, g2 = orthogonal_complement(space, kept)[:2]
         for c1 in elems:
             for c2 in elems:
                 z1 = vec_add(vec_scale(c1, g1), vec_scale(c2, g2))
-                if z1 in seen_z1:
-                    continue
-                seen_z1.add(z1)
                 if not space.eval_q(z1).is_unit():
                     continue
                 gp = _complement_in_plane(space, z1, g1, g2)
                 if not space.eval_q(gp).is_unit():
                     continue
                 for u in units:
-                    z2 = vec_scale(u, gp)
-                    if z2 == z1:
-                        continue
-                    nxt = frozenset(kept) | {z1, z2}
-                    if len(nxt) == n and nxt != node:
+                    nxt = frozenset(kept) | {z1, vec_scale(u, gp)}
+                    if nxt != node:
                         out.append(nxt)
     # deterministic expansion order
     out_sorted = sorted(set(out), key=_node_key)

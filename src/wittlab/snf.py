@@ -1,8 +1,12 @@
 """Exact integer matrix normal forms for finitely presented abelian groups.
 
-Everything works on plain Python ints (no overflow).  The Smith normal form
-keeps both unimodular transforms so generator images stay computable; a
-row-style Hermite reduction compresses large relation lists first, since
+Everything works on plain Python ints (no overflow).  There are two
+elimination routines.  `hnf_rows` returns the reduced Hermite basis of a row
+lattice, which depends on the lattice alone; it also inverts unimodular
+matrices (the right block of the Hermite basis of [A | I]) and decides
+unimodularity (a square matrix is unimodular iff its Hermite basis is I).
+`smith_normal_form` keeps both unimodular transforms so generator images
+stay computable; relation lists are compressed by `hnf_rows` first, since
 elementary integer row operations preserve the row lattice.
 """
 
@@ -23,98 +27,55 @@ def int_mat_mul(A, B):
     return [[sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def int_det(A):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+def _is_unimodular(M):
+    """|det M| = 1 for a square M: its Hermite basis is the identity."""
+    return hnf_rows(M, len(M)) == [tuple(r) for r in int_identity(len(M))]
 
 
 def int_inverse_unimodular(A):
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a square matrix with determinant +-1: the right block
+    of the Hermite basis of [A | I], whose left block is I iff A is
+    unimodular.  Raises ValueError otherwise."""
     n = len(A)
-    M = [row[:] + ident_row for row, ident_row in zip(A, int_identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        M[col], M[pivot] = M[pivot], M[col]
-        # gcd-reduce the column to a single +-1 pivot
-        for r in range(col + 1, n):
-            while M[r][col] != 0:
-                q = M[col][col] // M[r][col]
-                M[col] = [a - q * b for a, b in zip(M[col], M[r])]
-                M[col], M[r] = M[r], M[col]
-        if abs(M[col][col]) != 1:
-            raise ValueError("matrix is not unimodular")
-        if M[col][col] < 0:
-            M[col] = [-a for a in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
+    basis = hnf_rows([list(row) + e for row, e in zip(A, int_identity(n))], 2 * n)
+    if [r[:n] for r in basis] != [tuple(e) for e in int_identity(n)]:
+        raise ValueError("matrix is not unimodular")
+    return [list(r[n:]) for r in basis]
+
+
+def _sub_row(r, q, pivot, col):
+    """r -= q * pivot, for a pivot row that is zero before column col."""
+    if q:
+        r[col:] = [a - q * b for a, b in zip(r[col:], pivot[col:])]
 
 
 def hnf_rows(rows, width):
-    """Row-lattice basis in echelon form (elementary row operations only)."""
+    """The reduced Hermite basis of the row lattice of `rows`: echelon rows
+    with positive pivots, every entry above a pivot in [0, pivot).  Entries
+    above a pivot are reduced when it is appended, and every later row is
+    zero in its column.  This basis is unique (Cohen, GTM 138, 2.4.3), so it
+    depends on the lattice alone, not on which rows generate it."""
     work = [list(r) for r in rows if any(r)]
     basis = []
-    col = 0
-    while col < width and work:
-        nonzero = [r for r in work if r[col] != 0]
-        if not nonzero:
-            col += 1
+    for col in range(width):
+        live = [r for r in work if r[col]]
+        while len(live) > 1:  # gcd-reduce the column onto one row
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    _sub_row(r, r[col] // pivot[col], pivot, col)
+            live = [r for r in live if r[col]]
+        if not live:
             continue
-        while True:
-            nonzero.sort(key=lambda r: abs(r[col]))
-            pivot = nonzero[0]
-            done = True
-            for r in nonzero[1:]:
-                q = r[col] // pivot[col]
-                for j in range(col, width):
-                    r[j] -= q * pivot[j]
-                if r[col] != 0:
-                    done = False
-            nonzero = [pivot] + [r for r in nonzero[1:] if r[col] != 0]
-            if done or len(nonzero) == 1:
-                break
+        pivot = live[0]
         if pivot[col] < 0:
-            for j in range(col, width):
-                pivot[j] = -pivot[j]
+            pivot[col:] = [-a for a in pivot[col:]]
+        for r in basis:
+            _sub_row(r, r[col] // pivot[col], pivot, col)
         basis.append(pivot)
         work = [r for r in work if r is not pivot and any(r)]
-        for r in work:
-            if r[col] != 0:
-                q = r[col] // pivot[col]
-                for j in range(col, width):
-                    r[j] -= q * pivot[j]
-        work = [r for r in work if any(r)]
-        col += 1
-    # reduce entries above each pivot for a canonical-ish echelon basis
-    for i in reversed(range(len(basis))):
-        pcol = next(j for j in range(width) if basis[i][j] != 0)
-        for k in range(i):
-            if basis[k][pcol] != 0:
-                q = basis[k][pcol] // basis[i][pcol]
-                for j in range(width):
-                    basis[k][j] -= q * basis[i][j]
     return [tuple(r) for r in basis]
 
 
@@ -129,11 +90,8 @@ def solve_in_rowspace(basis, target):
             continue
         if t[pcol] % row[pcol] != 0:
             return None
-        c = t[pcol] // row[pcol]
-        coeffs[i] = c
-        if c:
-            for j in range(width):
-                t[j] -= c * row[j]
+        coeffs[i] = t[pcol] // row[pcol]
+        _sub_row(t, coeffs[i], row, pcol)
     if any(t):
         return None
     return coeffs
@@ -154,7 +112,7 @@ class SmithNormalForm:
                 expected = self.diag[i] if i == j and i < len(self.diag) else 0
                 if got[i][j] != expected:
                     return False
-        if abs(int_det(self.U)) != 1 or abs(int_det(self.V)) != 1:
+        if not (_is_unimodular(self.U) and _is_unimodular(self.V)):
             return False
         for a, b in zip(self.diag, self.diag[1:]):
             if b % a != 0:

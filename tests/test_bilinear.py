@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from wittlab import (
     stable_diagonalize,
     steinberg_witness,
 )
+from wittlab import bilinear
 from wittlab.bilinear import BilinearError, NotInMaximalIdealError, vec_combo
 from wittlab import matrices as mx
 
@@ -129,10 +131,13 @@ def test_diagonalize_reassembly_and_random(rng):
                 assert ok, msg
 
 
-def _random_space(ring, n, rng, tries=50):
+def _random_space(ring, n, rng, tries=50, diagonal=None):
+    """A random space; with `diagonal`, its diagonal entries are drawn from it."""
     for _ in range(tries):
         entries = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
         for i in range(n):
+            if diagonal:
+                entries[i][i] = rng.choice(diagonal)
             for j in range(i):
                 entries[i][j] = entries[j][i]
         try:
@@ -140,6 +145,70 @@ def _random_space(ring, n, rng, tries=50):
         except Exception:
             continue
     return None
+
+
+def _scan_find_anisotropic(space, basis):
+    """Reference for bilinear._find_anisotropic: a vector of `basis` with
+    unit q-value, else the first such combination in a scan of every
+    coefficient tuple over the carrier (none in residue characteristic 2)."""
+    for v in basis:
+        if space.eval_q(v).is_unit():
+            return v
+    if space.ring.residue_field().size % 2 == 0:
+        return None
+    elems = tuple(space.ring.elements())
+    for coeffs in itertools.product(elems, repeat=len(basis)):
+        v = vec_combo(basis, coeffs)
+        if space.eval_q(v).is_unit():
+            return v
+    return None
+
+
+def test_find_anisotropic_matches_carrier_scan(monkeypatch):
+    """The pair that _find_anisotropic returns is the first hit of the
+    carrier scan, on every call that diagonalize and stable_diagonalize
+    make over rings with odd and even residue characteristic."""
+    find = bilinear._find_anisotropic
+    past_basis = []
+
+    def checked(space, basis):
+        got = find(space, basis)
+        assert got == _scan_find_anisotropic(space, basis)
+        if not any(space.eval_q(v).is_unit() for v in basis):
+            past_basis.append(got)
+        return got
+
+    monkeypatch.setattr(bilinear, "_find_anisotropic", checked)
+    rng = seeded(13)
+    for spec in ["GF(3)", "GF(5)", "GF(9)", "Z/9", "Z/25", "GF(3)[x]/(x^2)", "Z/4",
+                 "GF(4)[y]/(y^2)"]:
+        ring = parse_ring(spec)
+        # diagonal entries in the maximal ideal make every standard vector
+        # fail, so diagonalize looks past the basis vectors
+        ideal = [x for x in ring.elements() if not x.is_unit()]
+        for n in (2, 3, 4):
+            for diagonal in (ideal, None):
+                for _ in range(6 if n < 4 or ring.size < 10 else 2):
+                    S = _random_space(ring, n, rng, diagonal=diagonal)
+                    if S is not None:
+                        diagonalize(S)
+                        stable_diagonalize(S)
+    assert sum(v is not None for v in past_basis) >= 200
+
+
+def test_diagonalize_hyperbolic_rank_8_is_fast():
+    """H+H+H+H as [[0, I], [I, 0]] over Z/27: every standard vector is
+    isotropic, so a carrier scan passes 27^4 coefficient tuples before it
+    reaches e_4 + e_8, the first vector that diagonalize splits off."""
+    ring = parse_ring("Z/27")
+    n = 8
+    gram = tuple(tuple(ring.one if abs(i - j) == n // 2 else ring.zero for j in range(n))
+                 for i in range(n))
+    start = time.monotonic()
+    report, witness = diagonalize(BilinearSpace(ring, gram))
+    assert time.monotonic() - start < 1.0
+    assert report.l == n and report.r == 0
+    assert witness.check()[0]
 
 
 def test_zero_dimensional_space():

@@ -29,7 +29,7 @@ from wittlab import (
     verify_chain,
 )
 from wittlab import chains
-from wittlab.bilinear import NotInMaximalIdealError, vec_add, vec_scale
+from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement, vec_add, vec_scale
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
 
 from conftest import MATRIX_SPECS, seeded
@@ -602,6 +602,83 @@ def test_bfs_space_cap():
     S = ident_space(F9, 6)
     with pytest.raises(BudgetExceededError):
         bfs_chain_oracle(standard_basis(S), standard_basis(S), space_cap=1 << 10)
+
+
+def _ref_bfs_neighbors(space, node):
+    """The former neighbour generator: chains._bfs_neighbors plus its guards
+    for an empty kept set, a repeated z1, z2 == z1 and a replacement that
+    collides with a kept vector."""
+    ring = space.ring
+    vectors = chains._canonical_tuple(node)
+    n = len(vectors)
+    units = ring.units()
+    out = []
+    for i in range(n):
+        kept = vectors[:i] + vectors[i + 1:]
+        g = orthogonal_complement(space, kept)[0]
+        if not space.eval_q(g).is_unit():
+            continue
+        for u in units:
+            nxt = frozenset(kept) | {vec_scale(u, g)}
+            if nxt != node:
+                out.append(nxt)
+    elems = tuple(ring.elements())
+    for i, j in itertools.combinations(range(n), 2):
+        kept = tuple(v for k, v in enumerate(vectors) if k not in (i, j))
+        comp = orthogonal_complement(space, kept) if kept else space.standard_basis()
+        g1, g2 = comp[0], comp[1]
+        seen_z1 = set()
+        for c1 in elems:
+            for c2 in elems:
+                z1 = vec_add(vec_scale(c1, g1), vec_scale(c2, g2))
+                if z1 in seen_z1:
+                    continue
+                seen_z1.add(z1)
+                if not space.eval_q(z1).is_unit():
+                    continue
+                gp = chains._complement_in_plane(space, z1, g1, g2)
+                if not space.eval_q(gp).is_unit():
+                    continue
+                for u in units:
+                    z2 = vec_scale(u, gp)
+                    if z2 == z1:
+                        continue
+                    nxt = frozenset(kept) | {z1, z2}
+                    if len(nxt) == n and nxt != node:
+                        out.append(nxt)
+    return sorted(set(out), key=chains._node_key)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "Z/4", "GF(2)[x]/(x^2)", "GF(3)", "Z/8"])
+def test_bfs_neighbors_match_guarded_generator(spec):
+    """Neighbour lists of the first nodes a BFS reaches from a random basis
+    of a random diagonal space, n = 3 (n = 2 over Z/8)."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    S = random_diagonal_space(ring, 2 if ring.size > 4 else 3, rng)
+    frontier = [random_orthogonal_basis(S, rng).vector_set()]
+    seen = set(frontier)
+    checked = 0
+    while frontier and checked < 12:
+        node = frontier.pop(0)
+        got = chains._bfs_neighbors(S, node)
+        assert got == _ref_bfs_neighbors(S, node)
+        checked += 1
+        for nxt in got:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(16)"])
+def test_hat_core_coefficients_are_the_first_two_units(spec):
+    """_hat_core takes b_1, b_n = units()[:2]: the first pair of units
+    with a nonzero sum, as its former double loop chose them."""
+    field = parse_ring(spec)
+    units = field.units()
+    first = next((a, b) for a in units for b in units if not (a + b).is_zero())
+    assert first == units[:2]
 
 
 # ---------------------------------------------------------------------------

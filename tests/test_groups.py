@@ -279,6 +279,18 @@ def test_square_class_lattices_match_unit_level_closure(spec):
     assert ktilde_presentation(ring).rows == _unit_level_rows(ring, "ktilde")
 
 
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS + ["Z/25"])
+def test_square_class_and_unit_level_rows_share_one_hermite_basis(spec):
+    """hnf_rows depends on the lattice alone: the square-class rows and the
+    unit-level rows of kmw, gw and witt give the same reduced basis."""
+    ring = parse_ring(spec)
+    g = len(ring.units())
+    for kind, present in (("kmw", kmw_presentation), ("gw", gw_presentation),
+                          ("witt", witt_presentation)):
+        assert snf.hnf_rows([list(r) for r in present(ring).rows], g) == \
+            snf.hnf_rows([list(r) for r in _unit_level_rows(ring, kind)], g), kind
+
+
 @pytest.mark.parametrize("spec", ["Z/25", "Z/81"])
 def test_cold_group_commands_skip_the_unit_product_table(spec, monkeypatch, capsys):
     """kmw, gw, witt and compare build no |R*|^2 unit product table, and

@@ -2,14 +2,23 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from wittlab import snf
+
+
+def laplace_det(M):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * laplace_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j in range(len(M)) if M[0][j])
 
 
 def minors_gcd_invariants(A, m, n):
     """Independent oracle: d_k = gcd(k-minors) / gcd((k-1)-minors)."""
     def det(rows, cols):
-        sub = [[A[i][j] for j in cols] for i in rows]
-        return snf.int_det(sub)
+        return laplace_det([[A[i][j] for j in cols] for i in rows])
 
     prev = 1
     out = []
@@ -84,17 +93,82 @@ def test_solve_in_rowspace_negative():
     assert snf.solve_in_rowspace(basis, [2, -4]) is not None
 
 
+def random_unimodular(rng, n, ops=12):
+    """A random unimodular matrix: row additions, swaps and negations of I."""
+    M = snf.int_identity(n)
+    for _ in range(ops):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randrange(-3, 4)
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        if rng.random() < 0.2:
+            M[i], M[j] = M[j], M[i]
+        if rng.random() < 0.2:
+            M[i] = [-a for a in M[i]]
+    return M
+
+
 def test_unimodular_inverse():
     rng = random.Random(2)
     n = 4
     for _ in range(20):
-        # build a random unimodular matrix from elementary operations
-        M = snf.int_identity(n)
-        for _ in range(12):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i == j:
-                continue
-            q = rng.randrange(-3, 4)
-            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        M = random_unimodular(rng, n)
         Minv = snf.int_inverse_unimodular(M)
         assert snf.int_mat_mul(M, Minv) == snf.int_identity(n)
+        assert snf.int_mat_mul(Minv, M) == snf.int_identity(n)
+    assert snf.int_inverse_unimodular([]) == []
+
+
+@pytest.mark.parametrize("A", [
+    [[2]],
+    [[1, 2], [2, 4]],          # singular
+    [[2, 1], [1, 1], [0, 0]],  # not square
+    [[3, 1], [1, 1]],          # determinant 2
+])
+def test_unimodular_inverse_rejects(A):
+    with pytest.raises(ValueError):
+        snf.int_inverse_unimodular(A)
+
+
+def assert_reduced_hermite(basis, width):
+    """Echelon rows with strictly increasing pivot columns, positive pivots,
+    and every entry above a pivot in [0, pivot)."""
+    pivots = [next(j for j in range(width) if row[j]) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(basis, pivots)):
+        assert row[p] > 0
+        for above in basis[:i]:
+            assert 0 <= above[p] < row[p]
+
+
+def test_hnf_is_the_reduced_form_of_the_lattice():
+    """hnf_rows(A) == hnf_rows(W A) for unimodular W, with extra zero rows
+    and rows that are combinations of the others."""
+    rng = random.Random(23)
+    for _ in range(120):
+        m = rng.randrange(1, 7)
+        n = rng.randrange(1, 6)
+        A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+        basis = snf.hnf_rows(A, n)
+        assert_reduced_hermite(basis, n)
+        assert len(basis) == len(snf.smith_normal_form(A, n).diag)
+        assert snf.hnf_rows(snf.int_mat_mul(random_unimodular(rng, m), A), n) == basis
+        c = [rng.randrange(-2, 3) for _ in A]
+        extra = [[sum(ci * a for ci, a in zip(c, col)) for col in zip(*A)]]
+        assert snf.hnf_rows(A + extra + [[0] * n], n) == basis
+
+
+def test_hnf_known_example():
+    """Reducing the 2 above the second pivot brings a -1 above the third;
+    it is reduced too, since the third pivot is appended after the second."""
+    assert snf.hnf_rows([[1, 2, 0], [0, 2, 1], [0, 0, 2]], 3) == \
+        [(1, 0, 1), (0, 2, 1), (0, 0, 2)]
+
+
+def test_smith_verify_rejects_a_non_unimodular_transform():
+    A = [[2, 0], [0, 3]]
+    res = snf.smith_normal_form(A, 2)
+    assert res.verify(A)
+    res.U = [[2 * a for a in row] for row in res.U]
+    res.diag = [2 * d for d in res.diag]
+    assert not res.verify(A)
