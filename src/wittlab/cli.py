@@ -4,6 +4,14 @@ Subcommands: ring-info, diagonalize, chain, verify, gw, kmw, witt, compare,
 steinberg-check, oracle.  Every run echoes its resolved configuration, and
 all output is deterministic for fixed flags.  Exit codes: 0 success or
 verified, 1 verification failure / unreachable endpoints, 2 usage errors.
+
+Parsing: a canonical call (the command, then full flag names from the
+command table, each with one value that does not start with '-' or, for a
+switch, none; no flag twice; every required flag present) is parsed from
+the table alone, into the Namespace argparse would return.  Anything else
+(-h, abbreviations, --flag=value, values starting with '-', unknown,
+missing or repeated flags, bad integers) goes to argparse, which gives the
+help texts and usage errors.  Both paths share the least-value checks.
 """
 
 from __future__ import annotations
@@ -35,12 +43,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# (flag, add_argument keywords) of the flags every command takes, first in its help
+_COMMON_FLAGS = (
+    ("--ring", {"help": "ring spec, e.g. 'GF(2)[x]/(x^4)'"}),
+    ("--size-cap", {"type": int, "default": DEFAULT_SIZE_CAP}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--output", {"help": "also write the JSON result to this path"}),
+)
+
+
 @dataclass(frozen=True)
 class _Command:
     help: str
     arguments: tuple = ()        # (flag, add_argument keywords) after the common flags
     minimums: tuple = ()         # (flag, least value) for integer flags
     ring_required: bool = True
+
+    def flags(self) -> dict:
+        """flag -> add_argument keywords, for every flag in help order."""
+        flags = dict(_COMMON_FLAGS + self.arguments)
+        flags["--ring"] = dict(flags["--ring"], required=self.ring_required)
+        return flags
 
 
 def _group_command(help_text):
@@ -92,28 +115,60 @@ COMMANDS = {
 
 def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     """The witt-lab parser with a sub-parser for each named command."""
-    parser = _Parser(prog="witt-lab", description=__doc__)
+    # the help describes the commands, not how parsing is implemented
+    parser = _Parser(prog="witt-lab", description=__doc__.partition("\n\nParsing:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         cmd = COMMANDS[name]
         p = sub.add_parser(name, help=cmd.help)
-        p.add_argument("--ring", required=cmd.ring_required,
-                       help="ring spec, e.g. 'GF(2)[x]/(x^4)'")
-        p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="also write the JSON result to this path")
-        for flag, keywords in cmd.arguments:
+        for flag, keywords in cmd.flags().items():
             p.add_argument(flag, **keywords)
     return parser
 
 
+def _parse_from_table(argv):
+    """The Namespace argparse returns for a canonical call (see the module
+    docstring), read from the command table; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = COMMANDS[argv[0]].flags()
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flag in given:
+            return None
+        keywords = flags[flag]
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines like a flag
+        if value.startswith("-"):
+            return None
+        if keywords.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in flags.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        setattr(args, keywords.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def parse_args(argv) -> argparse.Namespace:
-    """Parse with the sub-parser of the named command alone; an unknown or
-    missing command gets the full parser and its error.  Raises UsageError,
-    also for an integer flag below its least value."""
+    """Parse a canonical call from the command table; otherwise parse with
+    the sub-parser of the named command alone, and an unknown or missing
+    command gets the full parser and its error.  Raises UsageError, also
+    for an integer flag below its least value."""
     argv = list(argv)
-    named = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
-    args = build_parser(named).parse_args(argv)
+    args = _parse_from_table(argv)
+    if args is None:
+        named = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+        args = build_parser(named).parse_args(argv)
     for flag, least in COMMANDS[args.command].minimums:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < least:
@@ -209,17 +264,25 @@ def run(argv) -> int:
     out = {"schema": SCHEMA, "command": args.command, "config": _config_of(args)}
     try:
         code = _dispatch(args, out)
+        text = json.dumps(out, indent=2, sort_keys=True)
+        if args.output:
+            _write_output(args.output, text + "\n")
     except tuple(_ERROR_EXIT_CODES) as exc:
         print(json.dumps({"error": str(exc), "schema": SCHEMA}, sort_keys=True))
         print(f"witt-lab: {exc}", file=sys.stderr)
         return next(c for cls, c in _ERROR_EXIT_CODES.items() if isinstance(exc, cls))
 
-    text = json.dumps(out, indent=2, sort_keys=True)
     print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     return code
+
+
+def _write_output(path: str, text: str):
+    """Write the --output file; UsageError if the path cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path!r}: {exc.strerror}") from None
 
 
 def _dispatch(args, out) -> int:

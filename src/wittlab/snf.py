@@ -20,11 +20,20 @@ def int_identity(n):
 
 
 def int_mat_mul(A, B):
+    """A * B, summing over the nonzero entries of each row of A and of B;
+    the unimodular transforms this checks are mostly zeros."""
     if not A or not B:
         return []
-    n, k, m = len(A), len(B), len(B[0])
-    Bt = list(zip(*B))
-    return [[sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m)] for i in range(n)]
+    sparse_B = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    product = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, b_row in zip(row, sparse_B):
+            if a:
+                for j, b in b_row:
+                    acc[j] += a * b
+        product.append(acc)
+    return product
 
 
 def _is_unimodular(M):

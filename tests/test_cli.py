@@ -1,4 +1,7 @@
+import contextlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +294,100 @@ def test_usage_error_texts(capsys, argv, error):
     assert code == 2
     assert json.loads(out.out) == {"error": error}
     assert out.err == f"witt-lab: {error}\n"
+
+
+@pytest.mark.parametrize("target", ["missing/result.json", "."])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    code = run(["kmw", "--ring", "Z/3", "--output", str(tmp_path / target)])
+    out = capsys.readouterr()
+    assert code == 2
+    error = json.loads(out.out)["error"]
+    assert "cannot write --output" in error
+    assert out.err == f"witt-lab: {error}\n"
+
+
+# values that argparse reads in ways a hand parse can get wrong
+_AWKWARD_VALUES = ["", "a b", "+5", " 7", "007", "3", "GF(3)", "[[1,0],[0,1]]", "[[1]]"]
+
+
+def _table_corpus():
+    """argvs built from the command table: every command, flag subsets in
+    several orders, each with a value drawn from _AWKWARD_VALUES."""
+    rng = random.Random(14)
+    corpus = []
+    for name, cmd in cli.COMMANDS.items():
+        flags = cmd.flags()
+        required = [f for f, kw in flags.items() if kw.get("required")]
+        optional = [f for f in flags if f not in required]
+        draws = [list(flags), list(flags)[::-1]]
+        for i in range(80):
+            chosen = rng.sample(list(flags), rng.randrange(len(flags) + 1))
+            if i % 2:  # half the draws carry every required flag
+                chosen = required + rng.sample(optional, rng.randrange(len(optional) + 1))
+            rng.shuffle(chosen)
+            draws.append(chosen)
+        for chosen in draws:
+            argv = [name]
+            for flag in chosen:
+                argv.append(flag)
+                if flags[flag].get("action") != "store_true":
+                    argv.append(rng.choice(_AWKWARD_VALUES))
+            corpus.append(argv)
+    return corpus
+
+
+def test_table_parse_agrees_with_argparse_or_declines():
+    parser = cli.build_parser()
+    accepted, declined = set(), set()
+    for argv in _table_corpus():
+        try:
+            expected = vars(parser.parse_args(argv))
+        except cli.UsageError:
+            expected = None
+        got = cli._parse_from_table(argv)
+        if got is None:
+            declined.add(argv[0])
+        else:
+            assert vars(got) == expected, argv
+            accepted.add(argv[0])
+    assert accepted == declined == set(cli.COMMANDS)
+
+
+def _groups_cold_argvs(monkeypatch):
+    """The 56 commands of the benchmark's groups_cold workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import GroupsCold
+
+    argvs = [[c, "--ring", s] for s in GroupsCold.specs for c in GroupsCold.COMMANDS]
+    assert len(argvs) == 56
+    return argvs
+
+
+def test_canonical_calls_build_no_parser(monkeypatch):
+    argvs = _groups_cold_argvs(monkeypatch) + [[c] + a for c, a in _FULL_ARGV.items()]
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+
+    def no_parser(*names):
+        raise AssertionError("a canonical call built an argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert [vars(cli.parse_args(argv)) for argv in argvs] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "-h"],
+    ["gw", "--ri", "GF(3)"],
+    ["gw", "--ring=GF(3)"],
+    ["oracle", "--ring", "GF(3)", "--stab-cap", "-1"],
+    ["gw", "--ring", "GF(3)", "--ring", "GF(5)"],
+    ["chain", "--ring", "GF(3)", "--gram", "[[1]]", "--from", "[[1]]", "--to"],
+])
+def test_non_canonical_calls_reach_argparse(monkeypatch, capsys, argv):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *names: built.append(names) or build_parser(*names))
+    assert cli._parse_from_table(argv) is None
+    with contextlib.suppress(SystemExit, cli.UsageError):
+        cli.parse_args(argv)
+    capsys.readouterr()
+    assert built

@@ -15,6 +15,14 @@ def laplace_det(M):
                for j in range(len(M)) if M[0][j])
 
 
+def dense_mul(A, B):
+    """Reference product: the full triple loop."""
+    if not A or not B:
+        return []
+    return [[sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
 def minors_gcd_invariants(A, m, n):
     """Independent oracle: d_k = gcd(k-minors) / gcd((k-1)-minors)."""
     def det(rows, cols):
@@ -172,3 +180,25 @@ def test_smith_verify_rejects_a_non_unimodular_transform():
     res.U = [[2 * a for a in row] for row in res.U]
     res.diag = [2 * d for d in res.diag]
     assert not res.verify(A)
+
+
+def test_sparse_product_matches_dense_reference():
+    rng = random.Random(14)
+    for _ in range(300):
+        n, k, m = rng.randrange(0, 6), rng.randrange(1, 6), rng.randrange(0, 6)
+        density = rng.choice([0.0, 0.2, 0.6, 1.0])
+
+        def entry():
+            return rng.randrange(-9, 10) if rng.random() < density else 0
+
+        A = [[entry() for _ in range(k)] for _ in range(n)]
+        B = [[entry() for _ in range(m)] for _ in range(k)]
+        for M, size in ((A, k), (B, m)):  # a zero row and a zero column
+            if M and size:
+                M[rng.randrange(len(M))] = [0] * size
+                j = rng.randrange(size)
+                for row in M:
+                    row[j] = 0
+        assert snf.int_mat_mul(A, B) == dense_mul(A, B), (A, B)
+    for A, B in (([], []), ([], [[1, 2]]), ([[1, 2]], []), ([[]], []), ([[1], [2]], [[]])):
+        assert snf.int_mat_mul(A, B) == dense_mul(A, B)
