@@ -48,6 +48,7 @@ class BilinearSpace:
         for row in self.gram:
             if len(row) != self.n:
                 raise DimensionMismatchError("Gram matrix must be square")
+        ring.check_elements(e for row in self.gram for e in row)
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -56,6 +57,12 @@ class BilinearSpace:
         if self.n and not self.det.is_unit():
             raise DegenerateError(f"det = {self.det!r} is not a unit of {ring.spec}")
         self._q_buckets = None
+        # the nonzero Gram entries of each row, as (column, data) pairs
+        zero = ring._zero_data()
+        self._sparse_rows = tuple(
+            tuple((j, g.data) for j, g in enumerate(row) if g.data != zero)
+            for row in self.gram
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -91,18 +98,20 @@ class BilinearSpace:
     def eval_b(self, x, y) -> RingElement:
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatchError(f"vectors must have length {self.n}")
-        acc = self.ring.zero
-        for i, xi in enumerate(x):
-            if xi.is_zero():
+        ring = self.ring
+        radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
+        acc = zero
+        for xi, row in zip(x, self._sparse_rows):
+            xd = xi.data
+            if xd == zero:
                 continue
-            row = self.gram[i]
-            inner = self.ring.zero
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                inner = inner + row[j] * yj
-            acc = acc + xi * inner
-        return acc
+            inner = zero
+            for j, g in row:
+                yd = y[j].data
+                if yd != zero:
+                    inner = radd(inner, rmul(g, yd))
+            acc = radd(acc, rmul(xd, inner))
+        return RingElement(ring, acc)
 
     def eval_q(self, x) -> RingElement:
         return self.eval_b(x, x)
@@ -180,11 +189,16 @@ def vec_scale(c: RingElement, x):
 def vec_combo(vectors, coeffs):
     it = iter(zip(coeffs, vectors))
     c, v = next(it)
-    acc = list(vec_scale(c, v))
+    ring = c.ring
+    radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
+    acc = [rmul(c.data, a.data) for a in v]
     for c, v in it:
+        cd = c.data
+        if cd == zero:
+            continue
         for i, a in enumerate(v):
-            acc[i] = acc[i] + c * a
-    return tuple(acc)
+            acc[i] = radd(acc[i], rmul(cd, a.data))
+    return tuple(RingElement(ring, d) for d in acc)
 
 
 class CongruenceWitness:
@@ -204,6 +218,7 @@ class CongruenceWitness:
         for grid in (self.source, self.target, self.matrix):
             if len(grid) != n or any(len(row) != n for row in grid):
                 return False, "source, target and matrix must be square matrices of one size"
+            self.ring.check_elements(e for row in grid for e in row)
         got = mx.congruent(self.matrix, self.source)
         if got != self.target:
             return False, "M^T A M differs from the target"

@@ -133,6 +133,7 @@ def _check_orthobasis(space, vectors):
     for v in vectors:
         if len(v) != n:
             return False, "vector length does not match the space dimension"
+        space.ring.check_elements(v)
     for i in range(n):
         if not space.eval_q(vectors[i]).is_unit():
             return False, f"vector {i} is not anisotropic"
@@ -165,10 +166,39 @@ class Chain:
         return self
 
     def to_json(self):
+        """The certificate as a JSON value: ring spec, Gram matrix, and each
+        basis as a list of vectors.
+
+        Consecutive bases share most of their vectors, so within one document
+        every distinct vector and every distinct element is built once and
+        the same list is reused wherever it appears: sub-lists may be shared
+        within one document (mutating a vector's list changes it in every
+        basis that holds it).  ``json.dumps`` gives the same text as for
+        unshared lists, and two calls share nothing with each other.
+        """
+        ring = self.space.ring
+        elements: dict = {}
+        vectors: dict = {}
+
+        def element(e):
+            try:
+                return elements[e.data]
+            except KeyError:
+                out = elements[e.data] = ring._rjson(e.data)
+                return out
+
+        def vector(v):
+            key = tuple(e.data for e in v)
+            try:
+                return vectors[key]
+            except KeyError:
+                out = vectors[key] = [element(e) for e in v]
+                return out
+
         return {
-            "ring": self.space.ring.spec,
-            "gram": self.space.to_json(),
-            "bases": [b.to_json() for b in self.bases],
+            "ring": ring.spec,
+            "gram": [[element(e) for e in row] for row in self.space.gram],
+            "bases": [[vector(v) for v in b.vectors] for b in self.bases],
         }
 
     @classmethod

@@ -183,8 +183,11 @@ def _load_payload(text: str):
     except json.JSONDecodeError:
         pass
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {text!r} as a UTF-8 JSON file: {exc}") from None
     raise UsageError(f"cannot parse {text!r} as JSON and no such file exists")
 
 

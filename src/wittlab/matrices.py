@@ -36,10 +36,12 @@ def mat_mul(A, B):
 def _dot(xs, ys):
     it = iter(zip(xs, ys))
     x, y = next(it)
-    acc = x * y
+    ring = x.ring
+    radd, rmul = ring._radd, ring._rmul
+    acc = rmul(x.data, y.data)
     for x, y in it:
-        acc = acc + x * y
-    return acc
+        acc = radd(acc, rmul(x.data, y.data))
+    return RingElement(ring, acc)
 
 
 def mat_det(ring: LocalRing, A) -> RingElement:
@@ -47,32 +49,33 @@ def mat_det(ring: LocalRing, A) -> RingElement:
     n = len(A)
     if n == 0:
         return ring.one
-    # dp over (row index, frozenset of used columns) via bitmask layers
-    prev = {0: ring.one}
-    for i in range(n):
-        cur: dict[int, RingElement] = {}
+    radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
+    # dp over (row index, frozenset of used columns) via bitmask layers, on
+    # element data
+    prev = {0: ring._one_data()}
+    for row in A:
+        cur: dict = {}
         for mask, val in prev.items():
             sign_base = 0
-            for j in range(n):
+            for j, a in enumerate(row):
                 bit = 1 << j
                 if mask & bit:
                     sign_base += 1
                     continue
-                a = A[i][j]
-                if a.is_zero():
+                if a.data == zero:
                     continue
-                term = val * a
+                term = rmul(val, a.data)
                 if sign_base % 2:
-                    term = -term
+                    term = rneg(term)
                 key = mask | bit
                 if key in cur:
-                    cur[key] = cur[key] + term
+                    cur[key] = radd(cur[key], term)
                 else:
                     cur[key] = term
         prev = cur
         if not prev:
             return ring.zero
-    return prev.get((1 << n) - 1, ring.zero)
+    return RingElement(ring, prev.get((1 << n) - 1, zero))
 
 
 def mat_inverse(ring: LocalRing, A):
@@ -92,7 +95,8 @@ def congruent(M, A):
 
 def _rref(rows, ncols):
     """Reduce the row lists in place to reduced row echelon form on their
-    first ncols columns and return the pivot columns.
+    first ncols columns and return the pivot columns.  The elimination runs
+    on element data; the rows get new elements at the end.
 
     Each column takes the first row at or below the current rank whose entry
     is a unit as its pivot; columns without one are skipped.  Over a field a
@@ -100,24 +104,29 @@ def _rref(rows, ncols):
     """
     m = len(rows)
     pivots: list[int] = []
+    if not m or not ncols:
+        return pivots
+    ring = rows[0][0].ring
+    radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
+    data = [[c.data for c in row] for row in rows]
     for col in range(ncols):
         rank = len(pivots)
         for pivot in range(rank, m):
-            if rows[pivot][col].is_unit():
+            if ring._runit(data[pivot][col]):
                 break
         else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [inv * c for c in rows[rank]]
+        data[rank], data[pivot] = data[pivot], data[rank]
+        inv = ring._rinv(data[rank][col])
+        prow = data[rank] = [rmul(inv, c) for c in data[rank]]
         for r in range(m):
-            if r == rank:
+            f = data[r][col]
+            if r == rank or f == zero:
                 continue
-            f = rows[r][col]
-            if f.is_zero():
-                continue
-            rows[r] = [c - f * p for c, p in zip(rows[r], rows[rank])]
+            nf = rneg(f)
+            data[r] = [radd(c, rmul(nf, p)) for c, p in zip(data[r], prow)]
         pivots.append(col)
+    rows[:] = [[RingElement(ring, d) for d in row] for row in data]
     return pivots
 
 

@@ -9,22 +9,38 @@ coefficients, or ``a`` for a fixed generator of GF(q).  Whitespace is
 ignored.  A parsed ring knows its unit group, its maximal ideal, its
 residue field with lift/reduce maps, and its square-class structure.
 Everything a ring builds lazily about itself (units, product tables, square
-classes, vector enumerations, group presentations) is kept in the ring's
-own state through ``LocalRing.cached``; ``parse_ring`` keeps one ring per
-spec, so a fresh registry gives fresh rings with empty state.
+classes, vector enumerations, group presentations, arithmetic tables) is
+kept in the ring's own state through ``LocalRing.cached``; ``parse_ring``
+keeps one ring per spec, so a fresh registry gives fresh rings with empty
+state.
 
 Elements are kept in a unique canonical form (least nonnegative residue,
 or a trailing-zero-trimmed coefficient tuple over the base field), so
 equality of representations is equality in the ring.
+
+Arithmetic on element data: ``Z/N`` works on native ints.  A polynomial
+quotient with at most ``TABLE_SIZE_BOUND`` (256) elements answers sums,
+products and negatives from arithmetic tables in its state: each pair is
+computed once, on its first use, and looked up after that, so a table holds
+at most 65,536 entries.  Larger quotients compute every result.  Hot loops
+elsewhere (``eval_b``, ``mat_mul``, ``mat_det``, the elimination ``_rref``,
+``vec_combo``) bind the raw operations once and wrap a ``RingElement`` only
+around their results.  They do not check which ring an element belongs to,
+so spaces, bases and congruence witnesses check their entries once, through
+``LocalRing.check_elements``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from typing import Iterator
 
 
 DEFAULT_SIZE_CAP = 4096
+# polynomial quotients with at most this many elements answer +, * and - from
+# tables of at most TABLE_SIZE_BOUND^2 = 65,536 entries each
+TABLE_SIZE_BOUND = 256
 
 
 class RingError(Exception):
@@ -115,7 +131,7 @@ class RingElement:
         return self.ring._runit(self.data)
 
     def is_zero(self) -> bool:
-        return self.data == self.ring.zero.data
+        return self.data == self.ring._zero_data()
 
     def reduce(self) -> "RingElement":
         """Image in the residue field."""
@@ -155,13 +171,27 @@ class LocalRing:
 
     def cached(self, key, build):
         """The value of ``build()`` for ``key``: built on the first use of
-        ``key`` and kept for as long as this ring lives."""
+        ``key`` and kept for as long as this ring lives.
+
+        This is the one owner of per-ring state, the arithmetic tables of a
+        small polynomial quotient included (``add_table``, ``mul_table``,
+        ``neg_table``: empty dicts at construction, filled pair by pair on
+        first use, only when |R| <= TABLE_SIZE_BOUND).  A ring from a fresh
+        ``parse_ring`` registry starts with all of it empty."""
         try:
             return self._state[key]
         except KeyError:
             pass
         value = self._state[key] = build()
         return value
+
+    def check_elements(self, elements):
+        """RingError unless every one of ``elements`` belongs to this ring.
+        The data-level loops (``eval_b``, ``mat_mul``, ``mat_det``, ...) do
+        not check, so spaces, bases and witnesses check their entries here."""
+        for e in elements:
+            if e.ring is not self and e.ring != self:
+                raise RingError(f"elements of {self} and {e.ring} cannot be mixed")
 
     # -- element factories -------------------------------------------------
 
@@ -543,6 +573,11 @@ class PolyQuotient(LocalRing):
             raise TooLargeError(
                 f"|R| = {self.size} exceeds the size cap {size_cap}"
             )
+        # a -> b -> a+b, a -> b -> a*b and a -> -a, filled on first use
+        tabled = self.size <= TABLE_SIZE_BOUND
+        self._add_table = self.cached("add_table", lambda: defaultdict(dict)) if tabled else None
+        self._mul_table = self.cached("mul_table", lambda: defaultdict(dict)) if tabled else None
+        self._neg_table = self.cached("neg_table", dict) if tabled else None
 
         g = _min_degree_factor(base, modulus)
         m, rem = 1, None
@@ -572,15 +607,37 @@ class PolyQuotient(LocalRing):
         else:
             self._residue = PolyQuotient(base, g, var, size_cap=size_cap)
 
-    # raw ops on trimmed coefficient tuples
+    # raw ops on trimmed coefficient tuples: from the arithmetic tables when
+    # |R| <= TABLE_SIZE_BOUND, else computed directly
     def _radd(self, a, b):
-        return _padd(self.base, a, b)
+        rows = self._add_table
+        if rows is None:
+            return _padd(self.base, a, b)
+        try:
+            return rows[a][b]
+        except KeyError:
+            value = rows[a][b] = _padd(self.base, a, b)
+            return value
 
     def _rmul(self, a, b):
-        return _pmod(self.base, _pmul(self.base, a, b), self.modulus)
+        rows = self._mul_table
+        if rows is None:
+            return _pmod(self.base, _pmul(self.base, a, b), self.modulus)
+        try:
+            return rows[a][b]
+        except KeyError:
+            value = rows[a][b] = _pmod(self.base, _pmul(self.base, a, b), self.modulus)
+            return value
 
     def _rneg(self, a):
-        return _pneg(self.base, a)
+        table = self._neg_table
+        if table is None:
+            return _pneg(self.base, a)
+        try:
+            return table[a]
+        except KeyError:
+            value = table[a] = _pneg(self.base, a)
+            return value
 
     def _rinv(self, a):
         """Inverse by the extended gcd with the modulus, memoized per unit."""

@@ -8,6 +8,8 @@ from wittlab import (
     CongruenceWitness,
     DegenerateSubspaceError,
     DimensionMismatchError,
+    OrthogonalBasis,
+    RingError,
     check_representation_identity,
     diagonalize,
     gw_class,
@@ -481,3 +483,17 @@ def test_gram_json_round_trip():
     R = parse_ring("GF(4)[y]/(y^2)")
     S = BilinearSpace.diagonal(R, (R.one, R.units()[5]))
     assert BilinearSpace.from_json(R, S.to_json()) == S
+
+
+def test_entries_from_another_ring_are_rejected():
+    # GF(9) = GF(3)[x]/(x^2+1) and GF(3)[x]/(x^2) code elements alike, as
+    # coefficient pairs mod 3, so arithmetic on element data would not notice
+    F9, Q = parse_ring("GF(9)"), parse_ring("GF(3)[x]/(x^2)")
+    S = BilinearSpace.diagonal(F9, (F9.one, F9.one))
+    foreign = tuple(tuple(Q.element(c.data) for c in v) for v in S.standard_basis())
+    with pytest.raises(RingError, match="cannot be mixed"):
+        OrthogonalBasis(S, foreign)
+    with pytest.raises(RingError, match="cannot be mixed"):
+        BilinearSpace(F9, ((F9.one, F9.zero), (F9.zero, Q.one)))
+    with pytest.raises(RingError, match="cannot be mixed"):
+        CongruenceWitness(F9, S.gram, S.gram, foreign)

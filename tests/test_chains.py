@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import zlib
 
@@ -755,6 +756,51 @@ def test_chain_certificate_json_round_trip():
     ok, msg = verify_chain(back, back.bases[0], back.bases[-1])
     assert ok, msg
     assert back.bases[0].vector_set() == A.vector_set()
+
+
+def _per_basis_json(chain):
+    """The certificate assembled basis by basis, with fresh lists everywhere."""
+    return {
+        "ring": chain.space.ring.spec,
+        "gram": chain.space.to_json(),
+        "bases": [b.to_json() for b in chain.bases],
+    }
+
+
+def _clear_lists(obj):
+    """Empty every list in a JSON value, innermost first."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            _clear_lists(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            _clear_lists(value)
+        obj.clear()
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS)
+def test_certificate_json_shares_vectors_and_keeps_its_text(spec):
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 1)
+    for n in (3, 4):
+        S = random_diagonal_space(ring, n, rng)
+        chain = chain_local(random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng))
+        text = json.dumps(_per_basis_json(chain))
+        doc, other = chain.to_json(), chain.to_json()
+        assert json.dumps(doc) == text
+
+        # one list per distinct vector, reused by every basis that holds it
+        distinct = {v for b in chain.bases for v in b.vectors}
+        assert len({id(v) for b in doc["bases"] for v in b}) == len(distinct)
+
+        back = Chain.from_json(doc)
+        assert back.space == chain.space
+        assert [b.vectors for b in back.bases] == [b.vectors for b in chain.bases]
+
+        # documents from separate calls share nothing
+        _clear_lists(doc)
+        assert json.dumps(other) == text
+        assert json.dumps(chain.to_json()) == text
 
 
 # ---------------------------------------------------------------------------

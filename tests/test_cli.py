@@ -129,6 +129,25 @@ def test_matrix_flags_must_be_grids(capsys, argv):
     assert "Traceback" not in out.err
 
 
+def _non_utf8_file(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    return path
+
+
+@pytest.mark.parametrize("make_path", [lambda tmp: tmp, _non_utf8_file])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cert"],
+    ["diagonalize", "--ring", "GF(3)", "--gram"],
+])
+def test_unreadable_payload_files_are_usage_errors(tmp_path, capsys, argv, make_path):
+    code = run(argv + [str(make_path(tmp_path))])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "cannot read" in json.loads(out.out)["error"]
+    assert "Traceback" not in out.err
+
+
 def test_verify_congruence_witness(capsys):
     witness = {
         "source": [[2, 0], [0, 4]],

@@ -1,7 +1,10 @@
 import itertools
+import os
+import sys
 
 import pytest
 
+from wittlab import rings
 from wittlab import (
     BilinearSpace,
     NonUnitError,
@@ -12,6 +15,10 @@ from wittlab import (
 )
 
 from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS
+
+# the benchmark's independent ring arithmetic
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import ringcheck  # noqa: E402
 
 
 def test_parse_counterexample_ring():
@@ -251,3 +258,78 @@ def test_element_ordering_and_repr():
     assert repr(elems[0]) == "0"
     assert repr(elems[1]) == "1"
     assert repr(R.element((0, 0, 1))) == "x^2"
+
+
+# ---------------------------------------------------------------------------
+# arithmetic tables
+# ---------------------------------------------------------------------------
+
+# the benchmark's own arithmetic names GF(p) as Z/p and GF(p^k) by the
+# polynomial that default_irreducible picks for it
+_RINGCHECK_SPECS = {
+    "GF(2)": "Z/2", "GF(3)": "Z/3", "GF(5)": "Z/5", "GF(7)": "Z/7",
+    "GF(4)": "GF(2)[x]/(x^2+x+1)",
+    "GF(8)": "GF(2)[x]/(x^3+x+1)",
+    "GF(9)": "GF(3)[x]/(x^2+1)",
+}
+TABLE_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["GF(2)[x]/(x^3)"]
+
+
+def _direct_ops(ring):
+    """Sum, product and negative of element data without any table."""
+    if isinstance(ring, rings.Zmod):
+        N = ring.size
+        return (lambda a, b: (a + b) % N), (lambda a, b: (a * b) % N), (lambda a: -a % N)
+    base, modulus = ring.base, ring.modulus
+    return (
+        lambda a, b: rings._padd(base, a, b),
+        lambda a, b: rings._pmod(base, rings._pmul(base, a, b), modulus),
+        lambda a: rings._pneg(base, a),
+    )
+
+
+def _table_entries(ring):
+    state = ring._state
+    return (
+        sum(len(row) for row in state.get("add_table", {}).values()),
+        sum(len(row) for row in state.get("mul_table", {}).values()),
+        len(state.get("neg_table", {})),
+    )
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_arithmetic_tables_match_direct_and_independent_arithmetic(spec, monkeypatch):
+    monkeypatch.setattr(rings, "_parse_cache", {})   # a fresh ring: empty tables
+    ring = parse_ring(spec)
+    tabled = isinstance(ring, rings.PolyQuotient)
+    assert tabled == ("add_table" in ring._state)    # Z/N keeps native ints
+    assert _table_entries(ring) == (0, 0, 0)
+    add, mul, neg = _direct_ops(ring)
+    data = ring._carrier()
+    for _ in range(2):   # the first pass fills the tables, the second reads them
+        for a in data:
+            assert ring._rneg(a) == neg(a)
+            for b in data:
+                assert ring._radd(a, b) == add(a, b)
+                assert ring._rmul(a, b) == mul(a, b)
+        if tabled:
+            assert _table_entries(ring) == (ring.size ** 2, ring.size ** 2, ring.size)
+
+    check = ringcheck.Ring(_RINGCHECK_SPECS.get(spec, spec))
+    assert check.size == ring.size
+    index = {a: check.from_json(ring._rjson(a)) for a in data}
+    for a in data:
+        assert index[ring._rneg(a)] == check.neg_t[index[a]]
+        for b in data:
+            assert index[ring._radd(a, b)] == check.add_t[index[a]][index[b]]
+            assert index[ring._rmul(a, b)] == check.mul_t[index[a]][index[b]]
+
+
+def test_rings_above_the_table_bound_hold_no_table():
+    ring = parse_ring("GF(2)[x]/(x^9)")
+    assert ring.size == 512 > rings.TABLE_SIZE_BOUND
+    x = ring.element((0, 1))
+    y = x ** 8 + x + ring.one
+    assert y * y + (-y) == x ** 16 + x ** 2 + ring.one + y
+    assert ring.zero - y * x == -(x ** 9 + x ** 2 + x)
+    assert not {"add_table", "mul_table", "neg_table"} & set(ring._state)
