@@ -291,10 +291,19 @@ def orthogonal_complement(space: BilinearSpace, W):
             raise DimensionMismatchError("vectors must match the space dimension")
     if not W:
         return space.standard_basis()
-    rows = tuple(
-        tuple(space.eval_b(w, e) for e in space.standard_basis())
-        for w in W
-    )
+    # row w^T A in one pass over the nonzero Gram entries of each row
+    ring = space.ring
+    radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
+    rows = []
+    for w in W:
+        acc = [zero] * space.n
+        for wi, row in zip(w, space._sparse_rows):
+            wd = wi.data
+            if wd == zero:
+                continue
+            for j, g in row:
+                acc[j] = radd(acc[j], rmul(wd, g))
+        rows.append(tuple(RingElement(ring, d) for d in acc))
     try:
         _, kernel = mx.kernel_basis(space.ring, rows)
     except mx.SingularMatrixError as exc:

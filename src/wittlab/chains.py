@@ -17,6 +17,12 @@ Builders assemble their chains as plain vector tuples through private cores
 and wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
 chain certificates: every public builder runs it exactly once, on the chain
 it returns, and nothing inside a builder re-checks intermediate pieces.
+Within one certificate it checks each distinct vector (length, ring, unit
+q-value) and each distinct pair (orthogonality) once, since consecutive
+bases share all but at most two vectors.  It computes no determinant:
+pairwise orthogonal vectors v_1..v_n with unit q-values satisfy
+det(M)^2 det(A) = q(v_1)...q(v_n) for M = (v_1 .. v_n), and det(A) is a
+unit, so they always form a basis.
 
 Chain entries are stored as ordered tuples; the overlap condition and
 endpoint identity are evaluated on vector *sets*, matching the set
@@ -126,24 +132,71 @@ class OrthogonalBasis:
         return f"OrthogonalBasis({list(self.vectors)!r})"
 
 
-def _check_orthobasis(space, vectors):
+class _CertificateChecks:
+    """What the bases of one certificate have established so far: an id for
+    each distinct vector, given the first time the vector is seen and keyed
+    by element equality; the ids whose length, ring and q-value are checked;
+    and the unordered id pairs checked orthogonal."""
+
+    __slots__ = ("ids", "checked", "pairs")
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.checked: set = set()
+        self.pairs: set = set()
+
+    def id_of(self, v):
+        ids = self.ids
+        k = ids.get(v)
+        if k is None:
+            k = ids[v] = len(ids)
+        return k
+
+    def id_set(self, vectors):
+        return frozenset(self.id_of(v) for v in vectors)
+
+
+def _check_orthobasis(space, vectors, checks=None):
+    """(ok, message) for one ordered basis: n vectors of length n over the
+    space's ring, each with unit q, pairwise orthogonal.
+
+    ``checks``, shared by the bases of one certificate, skips every vector
+    and every pair an earlier basis already passed.  The remaining checks
+    run in the order of a full check, and what is skipped has passed, so the
+    first failure and its message are the same with or without ``checks``.
+
+    There is no determinant check, because it is implied.  Let M be the
+    matrix with columns v_1..v_n.  As b(v_i, v_j) = 0 for i < j, M^T A M is
+    triangular with diagonal q(v_1)..q(v_n), so det(M)^2 det(A) is the unit
+    q(v_1)...q(v_n).  ``BilinearSpace`` requires det(A) to be a unit, so
+    det(M) is a unit and the vectors form a basis.
+    """
     n = space.n
     if len(vectors) != n:
         return False, f"expected {n} vectors, got {len(vectors)}"
-    for v in vectors:
-        if len(v) != n:
-            return False, "vector length does not match the space dimension"
-        space.ring.check_elements(v)
+    if checks is None:
+        checks = _CertificateChecks()
+    ids = [checks.id_of(v) for v in vectors]
+    checked, pairs = checks.checked, checks.pairs
+    for v, a in zip(vectors, ids):
+        if a not in checked:
+            if len(v) != n:
+                return False, "vector length does not match the space dimension"
+            space.ring.check_elements(v)
     for i in range(n):
-        if not space.eval_q(vectors[i]).is_unit():
-            return False, f"vector {i} is not anisotropic"
+        a = ids[i]
+        if a not in checked:
+            if not space.eval_q(vectors[i]).is_unit():
+                return False, f"vector {i} is not anisotropic"
+            checked.add(a)
         for j in range(i + 1, n):
-            if not space.eval_b(vectors[i], vectors[j]).is_zero():
-                return False, f"vectors {i} and {j} are not orthogonal"
-    if n:
-        M = mx.mat_transpose(vectors)
-        if not mx.mat_det(space.ring, M).is_unit():
-            return False, "vectors do not form a basis (determinant not a unit)"
+            b = ids[j]
+            pair = (a, b) if a <= b else (b, a)
+            if pair not in pairs:
+                # a repeated vector makes the pair (a, a): b(v, v) = q(v) is a unit
+                if not space.eval_b(vectors[i], vectors[j]).is_zero():
+                    return False, f"vectors {i} and {j} are not orthogonal"
+                pairs.add(pair)
     return True, "ok"
 
 
@@ -223,24 +276,37 @@ class Chain:
 
 
 def verify_chain(chain: Chain, start: OrthogonalBasis, end: OrthogonalBasis):
-    """Full certificate check; returns (ok, diagnostic)."""
+    """Full certificate check; returns (ok, diagnostic).
+
+    Every basis must be an orthogonal basis of the chain's space (see
+    ``_check_orthobasis``), consecutive bases must share at least n-2
+    vectors, and the first and last bases must hold the vectors of start and
+    end.  Consecutive bases share most of their vectors, so each distinct
+    vector's length, ring and q-value, and each distinct pair's
+    orthogonality, are checked once per certificate; the overlap and
+    endpoint tests compare sets of vector ids.  No determinant is computed:
+    pairwise orthogonal vectors with unit q-values over a space of unit
+    determinant always form a basis.
+    """
     n = chain.space.n
+    checks = _CertificateChecks()
     for idx, basis in enumerate(chain.bases):
         if basis.space != chain.space:
             return False, f"basis {idx} lives on a different space"
-        ok, msg = _check_orthobasis(chain.space, basis.vectors)
+        ok, msg = _check_orthobasis(chain.space, basis.vectors, checks)
         if not ok:
             return False, f"basis {idx}: {msg}"
-    for idx in range(len(chain.bases) - 1):
-        overlap = chain.bases[idx].vector_set() & chain.bases[idx + 1].vector_set()
-        if len(overlap) < n - 2:
+    id_sets = [checks.id_set(basis.vectors) for basis in chain.bases]
+    for idx in range(len(id_sets) - 1):
+        overlap = len(id_sets[idx] & id_sets[idx + 1])
+        if overlap < n - 2:
             return False, (
                 f"step {idx} -> {idx + 1} replaces more than two vectors "
-                f"(overlap {len(overlap)} < {n - 2})"
+                f"(overlap {overlap} < {n - 2})"
             )
-    if chain.bases[0].vector_set() != start.vector_set():
+    if id_sets[0] != checks.id_set(start.vectors):
         return False, "chain does not start at the requested basis"
-    if chain.bases[-1].vector_set() != end.vector_set():
+    if id_sets[-1] != checks.id_set(end.vectors):
         return False, "chain does not end at the requested basis"
     return True, "ok"
 
@@ -281,11 +347,12 @@ def elementary_move(basis: OrthogonalBasis, eps: RingElement, i: int, j: int) ->
     return OrthogonalBasis(space, u)
 
 
-def _coords_in(space, basis_vectors, z):
-    """Coordinates of z in an orthogonal tuple: c_i = b(z, u_i) / q(u_i)."""
-    return tuple(
-        space.eval_b(z, u) * space.eval_q(u).inv() for u in basis_vectors
-    )
+def _coords_in(space, basis_vectors, z, q_inverses=None):
+    """Coordinates of z in an orthogonal tuple: c_i = b(z, u_i) / q(u_i).
+    ``q_inverses``, when given, are the 1 / q(u_i) already computed."""
+    if q_inverses is None:
+        q_inverses = [space.eval_q(u).inv() for u in basis_vectors]
+    return tuple(space.eval_b(z, u) * qinv for u, qinv in zip(basis_vectors, q_inverses))
 
 
 def chain_equal_mod_m(b1: OrthogonalBasis, b2: OrthogonalBasis) -> Chain:
@@ -307,7 +374,8 @@ def _equal_mod_m_core(space, cur, target):
         return [cur]
     if k <= 2:
         return [cur, target]
-    coords = _coords_in(space, cur, target[0])
+    qs = [space.eval_q(u) for u in cur]
+    coords = _coords_in(space, cur, target[0], [q.inv() for q in qs])
     eps1 = coords[0] - space.ring.one
     steps = [cur]
     work = list(cur)
@@ -321,7 +389,7 @@ def _equal_mod_m_core(space, cur, target):
         if eps.is_unit():
             raise NotEqualModMError("coordinate outside the maximal ideal")
         q0 = space.eval_q(work[0])
-        qi = space.eval_q(work[i])
+        qi = qs[i]  # work[i] is still cur[i]
         new0 = vec_add(work[0], vec_scale(eps, work[i]))
         newi = vec_sub(work[i], vec_scale(eps * qi * q0.inv(), work[0]))
         work[0], work[i] = new0, newi
@@ -335,10 +403,17 @@ def _equal_mod_m_core(space, cur, target):
 
 
 def _dedupe(steps):
+    """Drop each step whose vector set equals the last kept one."""
     out = [steps[0]]
+    last = frozenset(steps[0])
+    prev = steps[0]
     for t in steps[1:]:
-        if frozenset(t) != frozenset(out[-1]):
-            out.append(t)
+        if t != prev:
+            s = frozenset(t)
+            if s != last:
+                out.append(t)
+                last = s
+        prev = t
     return out
 
 
@@ -730,13 +805,15 @@ def _field_chain_dim3_char2(space, tup_a, tup_b):
     field = space.ring
 
     def partial_forms(tup):
+        qs = [space.eval_q(u) for u in tup]
+        q_inverses = [q.inv() for q in qs]
         fns = []
         for r in (2, 3):
-            def fn(z, tup=tup, r=r):
-                coords = _coords_in(space, tup, z)
+            def fn(z, r=r):
+                coords = _coords_in(space, tup, z, q_inverses)
                 acc = field.zero
                 for i in range(r):
-                    acc = acc + coords[i] * coords[i] * space.eval_q(tup[i])
+                    acc = acc + coords[i] * coords[i] * qs[i]
                 return acc
             fns.append(fn)
         return fns
@@ -1000,15 +1077,14 @@ def _bfs_neighbors(space, node):
 
 def all_orthogonal_bases(space: BilinearSpace):
     """Every orthogonal basis vector-set of a small space (backtracking)."""
-    ring = space.ring
     aniso = [v for v in space.all_vectors() if space.eval_q(v).is_unit()]
     results: list = []
 
     def extend(chosen, start_pool):
         if len(chosen) == space.n:
-            M = mx.mat_transpose(tuple(chosen))
-            if mx.mat_det(ring, M).is_unit():
-                results.append(frozenset(chosen))
+            # pairwise orthogonal with unit q-values, hence a basis: the
+            # determinant argument in _check_orthobasis
+            results.append(frozenset(chosen))
             return
         for idx, v in enumerate(start_pool):
             if all(space.eval_b(v, w).is_zero() for w in chosen):

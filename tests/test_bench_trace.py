@@ -18,10 +18,19 @@ tracer.install(lib)
 tracer.enabled = True
 assert lib.cli.run(["oracle", "--ring", "GF(3)", "--rank-cap", "2"]) == 0
 assert lib.cli.run(["gw", "--ring", "GF(3)"]) == 0
+R = lib.parse_ring("Z/9")
+S = lib.BilinearSpace.diagonal(R, (R.one, R.from_int(2), R.one))
+def basis(rows):
+    return lib.OrthogonalBasis(S, [[R.from_int(c) for c in v] for v in rows])
+chain = lib.chain_local(basis([[5, 7, 1], [4, 0, 7], [2, 8, 4]]),
+                        basis([[8, 3, 3], [6, 6, 2], [3, 2, 6]]))
+assert len(chain) > 1
 spans = tracer.summary()
 for name in ("cli.run", "groups.stable_isometry_oracle", "groups.gw_presentation",
-             "groups.group_structure", "groups.coords_of_group_ring"):
+             "groups.group_structure", "groups.coords_of_group_ring",
+             "chains.chain_local", "chains.verify_chain", "bilinear.eval_b"):
     assert name in spans, name
+assert tracer.counts["chains.basis_checks"] >= 2, tracer.counts
 """
 
 

@@ -30,8 +30,11 @@ from wittlab import (
     verify_chain,
 )
 from wittlab import chains
+from wittlab import matrices as mx
+from wittlab import matrices as mx
 from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement, vec_add, vec_scale
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
+from wittlab.rings import RingError
 
 from conftest import MATRIX_SPECS, seeded
 from paper_data import f4_chain_certificate
@@ -97,6 +100,240 @@ def test_paper_f4_chain_verifies():
     S = chain.space
     ok, msg = verify_chain(chain, standard_basis(S), hat_basis(S))
     assert ok, msg
+
+
+def _reference_basis_error(space, vectors):
+    """Every check on one basis in full, determinant included; None if it passes."""
+    n = space.n
+    if len(vectors) != n:
+        return f"expected {n} vectors, got {len(vectors)}"
+    for v in vectors:
+        if len(v) != n:
+            return "vector length does not match the space dimension"
+        space.ring.check_elements(v)
+    for i in range(n):
+        if not space.eval_q(vectors[i]).is_unit():
+            return f"vector {i} is not anisotropic"
+        for j in range(i + 1, n):
+            if not space.eval_b(vectors[i], vectors[j]).is_zero():
+                return f"vectors {i} and {j} are not orthogonal"
+    if n and not mx.mat_det(space.ring, mx.mat_transpose(vectors)).is_unit():
+        return "vectors do not form a basis (determinant not a unit)"
+    return None
+
+
+def reference_verify(chain, start, end):
+    """verify_chain checking every basis in full and comparing vector sets."""
+    n = chain.space.n
+    for idx, basis in enumerate(chain.bases):
+        if basis.space != chain.space:
+            return False, f"basis {idx} lives on a different space"
+        msg = _reference_basis_error(chain.space, basis.vectors)
+        if msg is not None:
+            return False, f"basis {idx}: {msg}"
+    for idx in range(len(chain.bases) - 1):
+        overlap = chain.bases[idx].vector_set() & chain.bases[idx + 1].vector_set()
+        if len(overlap) < n - 2:
+            return False, (
+                f"step {idx} -> {idx + 1} replaces more than two vectors "
+                f"(overlap {len(overlap)} < {n - 2})"
+            )
+    if chain.bases[0].vector_set() != start.vector_set():
+        return False, "chain does not start at the requested basis"
+    if chain.bases[-1].vector_set() != end.vector_set():
+        return False, "chain does not end at the requested basis"
+    return True, "ok"
+
+
+def _outcome(check, chain, start, end):
+    try:
+        return check(chain, start, end)
+    except RingError as exc:  # the ring check raises instead of returning
+        return RingError, str(exc)
+
+
+def assert_same_verdict(chain, start, end):
+    got = _outcome(verify_chain, chain, start, end)
+    assert got == _outcome(reference_verify, chain, start, end)
+    return got
+
+
+def _with_basis(chain, idx, vectors):
+    bases = list(chain.bases)
+    bases[idx] = OrthogonalBasis(chain.space, vectors, validate=False)
+    return Chain(chain.space, bases)
+
+
+def _sample_chain(spec, n, seed):
+    """A built chain of at least four bases, with its endpoints."""
+    ring = parse_ring(spec)
+    rng = seeded(seed)
+    S = random_diagonal_space(ring, n, rng)
+    while True:
+        A, B = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+        chain = chain_local(A, B)
+        if len(chain) >= 4:
+            return chain, A, B
+
+
+def test_incremental_check_rejects_a_vector_changed_in_one_middle_basis():
+    chain, A, B = _sample_chain("Z/9", 3, 3)
+    one = chain.space.ring.one
+    rejected = []
+    for idx in range(1, len(chain) - 1):
+        for pos in range(3):
+            vecs = list(chain.bases[idx].vectors)
+            vecs[pos] = (vecs[pos][0] + one,) + vecs[pos][1:]
+            ok, msg = assert_same_verdict(_with_basis(chain, idx, vecs), A, B)
+            if not ok:
+                assert msg.startswith(f"basis {idx}: "), msg
+                rejected.append(msg)
+    # a changed vector may stay valid: v + e_1 is a multiple of v when v is one of e_1
+    assert len(rejected) > 2 * (len(chain) - 2)
+
+
+def test_incremental_check_rejects_a_pair_first_met_in_a_later_basis():
+    F5 = parse_ring("GF(5)")
+    S = ident_space(F5, 3)
+    e1, e2, e3 = S.standard_basis()
+    y, y2 = (F5.one, F5.one, F5.zero), (F5.one, F5.from_int(4), F5.zero)
+    bases = [(e1, e2, e3), (y, y2, e3), (e1, y, e3)]
+    chain = Chain(S, [OrthogonalBasis(S, b, validate=False) for b in bases])
+    start, end = OrthogonalBasis(S, bases[0]), OrthogonalBasis(S, bases[1])
+    # e1 and y each passed in an earlier basis; only their pair is new
+    assert assert_same_verdict(chain, start, end) == (
+        False, "basis 2: vectors 0 and 1 are not orthogonal"
+    )
+    # the same on a built chain: a later basis takes in a vector of an
+    # earlier one that is not orthogonal to all of its other vectors
+    chain, A, B = _sample_chain("GF(5)", 4, 11)
+    seen, cases = [], 0
+    for idx, basis in enumerate(chain.bases):
+        for old in seen:
+            if old in basis.vectors:
+                continue
+            for pos in range(4):
+                others = [v for k, v in enumerate(basis.vectors) if k != pos]
+                if all(chain.space.eval_b(old, v).is_zero() for v in others):
+                    continue
+                vecs = list(basis.vectors)
+                vecs[pos] = old
+                ok, msg = assert_same_verdict(_with_basis(chain, idx, vecs), A, B)
+                assert not ok and "not orthogonal" in msg, msg
+                cases += 1
+        seen.extend(v for v in basis.vectors if v not in seen)
+    assert cases > 20
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "GF(4)", "Z/9"])
+def test_incremental_check_rejects_a_vector_repeated_within_a_basis(spec):
+    chain, A, B = _sample_chain(spec, 3, 5)
+    for idx in range(len(chain)):
+        for i, j in itertools.combinations(range(3), 2):
+            vecs = list(chain.bases[idx].vectors)
+            vecs[j] = vecs[i]
+            assert assert_same_verdict(_with_basis(chain, idx, vecs), A, B) == (
+                False, f"basis {idx}: vectors {i} and {j} are not orthogonal"
+            )
+
+
+def test_incremental_check_rejects_a_wrong_length_in_the_last_basis():
+    chain, A, B = _sample_chain("GF(3)[x]/(x^2)", 3, 7)
+    last = len(chain) - 1
+    zero = chain.space.ring.zero
+    for pos in range(3):
+        for change in (lambda v: v[:-1], lambda v: v + (zero,)):
+            vecs = list(chain.bases[last].vectors)
+            vecs[pos] = change(vecs[pos])
+            assert assert_same_verdict(_with_basis(chain, last, vecs), A, B) == (
+                False, f"basis {last}: vector length does not match the space dimension"
+            )
+
+
+def test_incremental_check_accepts_permuted_endpoints():
+    chain, A, B = _sample_chain("GF(9)", 4, 13)
+    for perm in itertools.permutations(range(4)):
+        start = OrthogonalBasis(chain.space, [A.vectors[k] for k in perm], validate=False)
+        end = OrthogonalBasis(chain.space, [B.vectors[k] for k in perm[::-1]], validate=False)
+        assert assert_same_verdict(chain, start, end) == (True, "ok")
+    assert assert_same_verdict(chain, B, B) == (
+        False, "chain does not start at the requested basis"
+    )
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(5)", "Z/9", "Z/27", "GF(4)[y]/(y^2)"])
+def test_incremental_check_agrees_with_the_full_check_on_random_mutants(spec):
+    chain, A, B = _sample_chain(spec, 4, zlib.crc32(spec.encode()))
+    ring, space = chain.space.ring, chain.space
+    other_ring = parse_ring("GF(7)")
+    pool = [v for b in chain.bases for v in b.vectors]
+    rng = seeded(17)
+    verdicts = set()
+    for _ in range(150):
+        bases = [list(b.vectors) for b in chain.bases]
+        start, end = A.vectors, B.vectors
+        for _ in range(rng.randrange(1, 3)):
+            idx, pos = rng.randrange(len(bases)), rng.randrange(4)
+            kind = rng.randrange(7)
+            if kind == 0:    # a random vector
+                bases[idx][pos] = tuple(ring.random_element(rng) for _ in range(4))
+            elif kind == 1:  # a vector of another basis
+                bases[idx][pos] = rng.choice(pool)
+            elif kind == 2:  # a vector of the same basis
+                bases[idx][pos] = bases[idx][rng.randrange(4)]
+            elif kind == 3:  # one vector too few or too many
+                bases[idx] = bases[idx][:3] if rng.random() < 0.5 else bases[idx] + [pool[0]]
+            elif kind == 4:  # a basis left out
+                if len(bases) > 1:
+                    del bases[idx]
+            elif kind == 5:  # an entry from another ring
+                v = list(bases[idx][pos])
+                v[rng.randrange(4)] = other_ring.one
+                bases[idx][pos] = tuple(v)
+            else:            # endpoints swapped
+                start, end = end, start
+        mutant = Chain(space, [OrthogonalBasis(space, b, validate=False) for b in bases])
+        got = assert_same_verdict(
+            mutant,
+            OrthogonalBasis(space, start, validate=False),
+            OrthogonalBasis(space, end, validate=False),
+        )
+        verdicts.add(got[1].split(": ")[-1].split(" (")[0])
+    assert len(verdicts) >= 5, verdicts
+
+
+def _implication_grams(ring, n):
+    """Gram matrices <1, u>, the hyperbolic plane and [[1, 1], [1, 0]], each
+    padded to size n by <u>."""
+    z, one, u = ring.zero, ring.one, ring.units()[-1]
+    for block in (((one, z), (z, u)), ((z, one), (one, z)), ((one, one), (one, z))):
+        gram = [list(row) + [z] * (n - 2) for row in block]
+        gram += [[z] * i + [u] + [z] * (n - 1 - i) for i in range(2, n)]
+        yield gram
+
+
+@pytest.mark.parametrize("spec, n", [
+    (spec, 2) for spec in ("GF(3)", "GF(4)", "GF(5)", "Z/4", "Z/8", "Z/9", "GF(2)[x]/(x^2)")
+] + [(spec, 3) for spec in ("GF(3)", "GF(4)", "GF(5)", "Z/4")])
+def test_orthogonal_unit_tuples_have_unit_determinant(spec, n):
+    """Why the basis check computes no determinant: det(M)^2 det(A) is the
+    product of the q-values, so every n-tuple of pairwise orthogonal
+    vectors with unit q-values has a unit determinant."""
+    ring = parse_ring(spec)
+    found = 0
+    for gram in _implication_grams(ring, n):
+        space = BilinearSpace(ring, gram)
+        aniso = [v for v in space.all_vectors() if space.eval_q(v).is_unit()]
+        stack = [((), aniso)]
+        while stack:
+            chosen, pool = stack.pop()
+            if len(chosen) == n:
+                assert mx.mat_det(ring, mx.mat_transpose(chosen)).is_unit(), chosen
+                found += 1
+                continue
+            for v in pool:
+                stack.append((chosen + (v,), [w for w in pool if space.eval_b(v, w).is_zero()]))
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import contextlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -410,3 +413,28 @@ def test_non_canonical_calls_reach_argparse(monkeypatch, capsys, argv):
         cli.parse_args(argv)
     capsys.readouterr()
     assert built
+
+
+_F4_IDENTITY = json.dumps([[[1] if i == j else [] for j in range(4)] for i in range(4)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--ring", "Z/9", "--gram", "[[1,0,0],[0,2,0],[0,0,1]]",
+     "--from", "[[5,7,1],[4,0,7],[2,8,4]]", "--to", "[[8,3,3],[6,6,2],[3,2,6]]"],
+    ["chain", "--ring", "GF(4)", "--gram", _F4_IDENTITY, "--from", _F4_IDENTITY,
+     "--to", json.dumps([[[] if i == j else [1] for j in range(4)] for i in range(4)])],
+    ["gw", "--ring", "GF(3)[x]/(x^2)"],
+    ["gw", "--ring", "Z/9"],
+])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittlab.cli", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

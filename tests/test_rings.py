@@ -122,6 +122,19 @@ def test_ring_state_is_built_once():
     assert len(a.all_vectors()) == R.size ** 2
 
 
+@pytest.mark.parametrize("spec", ["Z/9", "GF(4)", "GF(3)[x]/(x^2)"])
+def test_equal_elements_of_separately_parsed_rings_hash_equal(spec, monkeypatch):
+    R = parse_ring(spec)
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    S = parse_ring(spec)
+    assert S is not R
+    for a, b in zip(R.elements(), S.elements()):
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    vectors = {tuple(R.elements())}
+    assert tuple(S.elements()) in vectors
+
+
 def test_square_roots_are_first_in_unit_order():
     for spec in ["Z/9", "GF(2)[x]/(x^4)", "GF(4)[y]/(y^2)", "GF(5)"]:
         ring = parse_ring(spec)
