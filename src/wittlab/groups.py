@@ -1,21 +1,21 @@
 """GW(R), K0^MW(R), and W(R) as finitely presented abelian groups.
 
-Presentations use all units of R as generators.  The Milnor-Witt relations
-(square triviality, hyperbolic annihilation, Steinberg) make <u> equal to
-<us^2>, so their ideal is the preimage of its image in Z[R*/R*^2]: the
-hyperbolic and Steinberg generators are closed over the square classes,
-lifted to the class representatives, and joined by <u> - <rep(u)> for every
-other unit.  Relation rows are therefore a generating set of the relation
-lattice, not the full product closure over all units.  GW adds rows for
-isometries of small diagonal forms, and every such row is backed by a proof
-that the relation lattice does not over-collapse.  Rank-2 rows come from a
-closed-form criterion: <a,b> and <c,d> are isometric iff ab = cd mod squares
-and <a,b> represents c.  The represented values are read off exact value
-tables, and every identification carries an explicit 2x2 congruence witness
-that is checked exactly.  One classifier of diagonal unit tuples serves both
-the GW rows and the stable isometry oracle: tuples of rank >= 3 are joined
-by verified two-entry rewrites or by an exhaustive isometry search, and
-pairs that no method decides are reported as undecided.
+The Milnor-Witt relations (square triviality, hyperbolic annihilation,
+Steinberg) make <u> equal to <us^2>, so the presentations of K0^MW, GW and W
+have one generator per square class of R*, and each unit maps to the column
+of its class.  The hyperbolic and Steinberg generators are closed over the
+square classes: a generating set of the relation lattice, not its full
+product closure.  The Steinberg-only quotient is not square-invariant and
+keeps one generator per unit.  GW adds rows for isometries of small diagonal
+forms, and every such row is backed by a proof that the relation lattice
+does not over-collapse.  Rank-2 rows come from a closed-form criterion:
+<a,b> and <c,d> are isometric iff ab = cd mod squares and <a,b> represents
+c.  The represented values are read off exact value tables, and every
+identification carries an explicit 2x2 congruence witness that is checked
+exactly.  One classifier of diagonal unit tuples serves both the GW rows and
+the stable isometry oracle: tuples of rank >= 3 are joined by verified
+two-entry rewrites or by an exhaustive isometry search, and pairs that no
+method decides are reported as undecided.
 
 Group structure is computed by integer Smith normal form with retained
 transforms, which makes generator images, representative lifting, products,
@@ -117,8 +117,8 @@ class GroupRingElement:
     def is_zero(self):
         return not self.coeffs
 
-    def to_row(self, index: dict) -> tuple:
-        row = [0] * len(index)
+    def to_row(self, index: dict, width: int) -> tuple:
+        row = [0] * width
         for k, v in self.coeffs.items():
             row[index[k]] += v
         return tuple(row)
@@ -140,16 +140,23 @@ class GroupRingElement:
 @dataclass
 class Presentation:
     ring: LocalRing
-    generators: tuple            # tuple of unit RingElements, canonical order
-    rows: tuple                  # tuple of int tuples, deduped
+    generators: tuple            # one unit RingElement per column, canonical order
+    rows: tuple                  # relation rows on those columns, deduped
     kind: str
     notes: dict = dc_field(default_factory=dict)
+    # unit data -> column: its square class for kmw, gw and witt, its own
+    # position for ktilde, each generator's own column when not given
+    column_of: dict | None = dc_field(default=None, repr=False)
     structure: "AbelianGroupStructure | None" = dc_field(
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        if self.column_of is None:
+            self.column_of = {g.data: i for i, g in enumerate(self.generators)}
+
     def generator_index(self):
-        return {g.data: i for i, g in enumerate(self.generators)}
+        return self.column_of
 
     def check_rank_zero_rows(self):
         for row in self.rows:
@@ -209,43 +216,30 @@ def _ideal_generators(ring, class_of, hyperbolic) -> list:
     return gens
 
 
-def _closure_rows(ring, partition, generators):
-    """Rows spanning the preimage in Z[R*] of the ideal of Z[G] generated
-    by generators, G the classes of partition (see _partition).
-
-    For each class g, then each generator, the row of g * generator on the
-    representatives' columns; then <u> - <rep(u)> for each unit u that is
-    not its class's representative.  Those differences span the kernel of
-    Z[R*] -> Z[G], and an element of the preimage is the lift of its image
-    plus an element of that kernel.
-    """
-    class_of, reps, table = partition
-    index = ring.unit_index()
-    cols = [index[r.data] for r in reps]
+def _closure_rows(table, generators):
+    """Rows spanning the ideal of Z[G] generated by generators, G the
+    classes of a partition with product table table (see _partition), one
+    column per class: for each class g, then each generator, the row of
+    g * generator."""
     rows = []
     for products in table:
         for gen in generators:
-            row = [0] * len(index)
+            row = [0] * len(table)
             for c, v in gen.items():
-                row[cols[products[c]]] += v
-            rows.append(tuple(row))
-    for u, i in index.items():
-        rep = cols[class_of[u]]
-        if rep != i:
-            row = [0] * len(index)
-            row[i], row[rep] = 1, -1
+                row[products[c]] += v
             rows.append(tuple(row))
     return rows
 
 
 def _ideal_presentation(ring, kind) -> Presentation:
-    """Z[R*] modulo the ideal of the Steinberg generators (ktilde, closed
-    over all units) or of the Milnor-Witt ones (kmw, closed over the square
-    classes), built once per ring and kind and kept on the ring."""
+    """Z[R*] modulo the ideal of the Steinberg generators (ktilde) or
+    Z[R*/R*^2] modulo that of the Milnor-Witt ones (kmw), built once per
+    ring and kind and kept on the ring."""
     def build():
-        part = _partition(ring, kind == "kmw")
-        gens = _ideal_generators(ring, part[0], kind == "kmw")
-        p = Presentation(ring, ring.units(), _dedupe_rows(_closure_rows(ring, part, gens)), kind)
+        class_of, reps, table = _partition(ring, kind == "kmw")
+        gens = _ideal_generators(ring, class_of, kind == "kmw")
+        rows = _dedupe_rows(_closure_rows(table, gens))
+        p = Presentation(ring, reps, rows, kind, column_of=class_of)
         p.check_rank_zero_rows()
         return p
 
@@ -255,11 +249,10 @@ def _ideal_presentation(ring, kind) -> Presentation:
 def kmw_presentation(ring: LocalRing) -> Presentation:
     """Z[R*] modulo the square, hyperbolic, and Steinberg relations.
 
-    The <<a^2>> generators identify <u> with <us^2>, so the rows are the
-    <<a>>h and Steinberg generators closed over the square classes and
-    lifted to the representatives, plus <u> - <rep(u)> for every other
-    unit: a generating set of the relation lattice, not the full product
-    closure over all units.
+    The <<a^2>> generators identify <u> with <us^2>, so the generators are
+    the square class representatives and the rows are the <<a>>h and
+    Steinberg generators closed over the square classes: a generating set
+    of the relation lattice, not the full product closure over all units.
     """
     return _ideal_presentation(ring, "kmw")
 
@@ -270,7 +263,7 @@ def ktilde_presentation(ring: LocalRing) -> Presentation:
 
 
 def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
-    """Rows generating the kernel of Z[R*] -> GW(R): the Milnor-Witt rows
+    """Rows generating the kernel of Z[R*/R*^2] -> GW(R): the Milnor-Witt rows
     (those of kmw_presentation, which dedupe to the same list) plus rows
     from verified isometries among diagonal forms of rank <= rank_cap.
 
@@ -284,10 +277,10 @@ def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentatio
         rank_cap = 2 if F.size != 2 else 3
 
     def build():
-        rows = list(kmw_presentation(ring).rows)
+        kmw = kmw_presentation(ring)
         iso_rows, notes = _isometry_rows(ring, rank_cap)
-        rows.extend(iso_rows)
-        p = Presentation(ring, ring.units(), _dedupe_rows(rows), "gw", notes)
+        rows = _dedupe_rows(list(kmw.rows) + iso_rows)
+        p = Presentation(ring, kmw.generators, rows, "gw", notes, kmw.column_of)
         p.check_rank_zero_rows()
         return p
 
@@ -296,16 +289,15 @@ def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentatio
 
 def witt_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
     """GW presentation extended by the ideal generated by h: one row
-    <g>h per square class g (the GW rows already identify <u> with
-    <rep(u)>), kept on the ring under the resolved rank cap."""
+    <g>h per square class g, kept on the ring under the resolved rank cap."""
     base = gw_presentation(ring, rank_cap)
 
     def build():
-        part = _partition(ring, True)
+        class_of, _, table = _partition(ring, True)
         one = ring._one_data()
-        h = _class_terms(part[0], ((one, 1), (ring._rneg(one), 1)))
-        rows = list(base.rows) + _closure_rows(ring, part, [h])
-        return Presentation(ring, base.generators, _dedupe_rows(rows), "witt", dict(base.notes))
+        h = _class_terms(class_of, ((one, 1), (ring._rneg(one), 1)))
+        rows = _dedupe_rows(list(base.rows) + _closure_rows(table, [h]))
+        return Presentation(ring, base.generators, rows, "witt", dict(base.notes), base.column_of)
 
     return ring.cached(("witt", base.notes["rank_cap"]), build)
 
@@ -540,9 +532,8 @@ def _tuple_classes(ring, m, stab):
 def _isometry_rows(ring, rank_cap):
     """Rows <a_1>+..+<a_m> - <b_1>-..-<b_m>, 2 <= m <= rank_cap: each pair
     joined by a search, then the first member of each isometry class of
-    rank-m tuples minus each other member."""
+    rank-m tuples minus each other member, on the square class columns."""
     cd = _class_data(ring)
-    index = ring.unit_index()
     rows = []
     undecided = []
     for m in range(2, rank_cap + 1):
@@ -550,11 +541,11 @@ def _isometry_rows(ring, rank_cap):
         undecided.extend(open_pairs)
         pairs = joined + [(base, other) for base, *others in classes for other in others]
         for ta, tb in pairs:
-            r = [0] * len(index)
+            r = [0] * cd.k
             for c in ta:
-                r[index[cd.reps[c].data]] += 1
+                r[c] += 1
             for c in tb:
-                r[index[cd.reps[c].data]] -= 1
+                r[c] -= 1
             rows.append(tuple(r))
     notes: dict = {"rank_cap": rank_cap}
     if undecided:
@@ -613,15 +604,18 @@ class AbelianGroupStructure:
         return self._normalize(tuple(y))
 
     def coords_of_group_ring(self, elt: GroupRingElement):
-        return self.coords_of_row(elt.to_row(self._index))
+        if elt.ring is not self.ring and elt.ring != self.ring:
+            raise GroupsError(f"an element over {elt.ring} in a structure over {self.ring}")
+        return self.coords_of_row(elt.to_row(self._index, self._g))
 
     def coords_of_generator(self, u: RingElement):
         return self.coords_of_group_ring(GroupRingElement.generator(u))
 
     def generator_images(self):
+        """The coordinates of <u> for each unit u with a column."""
         return {
-            self.ring.format_element(gen.data): list(self.coords_of_generator(gen))
-            for gen in self.generators
+            self.ring.format_element(u.data): list(self.coords_of_generator(u))
+            for u in self.ring.units() if u.data in self._index
         }
 
     @property
@@ -725,9 +719,9 @@ def augmentation_ideal(presentation: Presentation) -> AbelianGroupStructure:
     """
     presentation.check_rank_zero_rows()
     ring = presentation.ring
-    one_data = ring.one.data
-    gens = tuple(g for g in presentation.generators if g.data != one_data)
-    keep = [i for i, g in enumerate(presentation.generators) if g.data != one_data]
+    one = presentation.generator_index()[ring.one.data]
+    keep = [i for i in range(len(presentation.generators)) if i != one]
+    gens = tuple(presentation.generators[i] for i in keep)
     rows = tuple(tuple(r[i] for i in keep) for r in presentation.rows)
     sub = Presentation(ring, gens, _dedupe_rows(rows), presentation.kind + "-augmentation")
     return AbelianGroupStructure(sub)
@@ -776,7 +770,7 @@ def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonRe
     """The surjection K0^MW(R) -> GW(R), <u> -> <u>, in structure coordinates.
 
     Its kernel is the quotient of the GW relation lattice by the Milnor-Witt
-    relation lattice (the map is induced by the identity of Z[R*]).
+    relation lattice (the map is induced by the identity of Z[R*/R*^2]).
     """
     pk = kmw_presentation(ring)
     sk = group_structure(pk)
@@ -820,10 +814,11 @@ def gw_class(space: BilinearSpace, structure: AbelianGroupStructure | None = Non
 
 
 def product_table(structure: AbelianGroupStructure):
-    """Products of generator pairs in structure coordinates."""
+    """Products of the pairs of units with a column, in structure coordinates."""
     out = {}
-    for a in structure.generators:
-        for b in structure.generators:
+    units = [u for u in structure.ring.units() if u.data in structure._index]
+    for a in units:
+        for b in units:
             key = (
                 structure.ring.format_element(a.data),
                 structure.ring.format_element(b.data),

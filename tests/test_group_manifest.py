@@ -8,6 +8,8 @@ A change to the group layer that changes any output shows up as a diff of
 that file.  After an intended change, rewrite it with
 
     PYTHONPATH=src python tests/test_group_manifest.py --write
+
+which prints the key of each command whose entry changed.
 """
 
 import contextlib
@@ -66,4 +68,9 @@ def test_group_outputs_match_manifest():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_group_manifest.py --write")
-    MANIFEST.write_text(json.dumps(group_outputs(), indent=1) + "\n", encoding="utf-8")
+    previous = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    outputs = group_outputs()
+    for key, entry in outputs.items():
+        if previous.get(key) != entry:
+            print(key)
+    MANIFEST.write_text(json.dumps(outputs, indent=1) + "\n", encoding="utf-8")

@@ -50,12 +50,18 @@ def test_kmw_presentation_gf2():
 
 
 def test_kmw_presentation_f5_contains_square_row():
+    """The square row <1> - <4> is zero on the square class columns, and
+    the hyperbolic row <<2>>h = <1> + <4> - <2> - <3> is 2<1> - 2<2>."""
     F5 = parse_ring("GF(5)")
     p = kmw_presentation(F5)
     idx = p.generator_index()
-    row = [0] * 4
+    row = [0] * len(p.generators)
     row[idx[F5.one.data]] += 1
     row[idx[F5.from_int(4).data]] -= 1
+    assert not any(row)
+    row = [0] * len(p.generators)
+    for u, v in ((1, 1), (4, 1), (2, -1), (3, -1)):
+        row[idx[F5.from_int(u).data]] += v
     assert tuple(row) in p.rows or tuple(-x for x in row) in p.rows
 
 
@@ -94,7 +100,7 @@ def test_gw_presentation_contains_paper_row():
 
 def test_gw_presentation_square_rows_any_ring():
     """<u> - <ut^2> lies in the GW lattice for all units u, t, and each unit
-    other than its square class's representative has the row <u> - <rep(u)>."""
+    has the column of its square class's representative."""
     Z9 = parse_ring("Z/9")
     p = gw_presentation(Z9)
     idx = p.generator_index()
@@ -106,12 +112,9 @@ def test_gw_presentation_square_rows_any_ring():
             row[idx[(u * t * t).data]] -= 1
             assert snf.solve_in_rowspace(basis, row) is not None
     sc = Z9.square_classes()
+    assert p.generators == sc.reps
     for u in Z9.units():
-        rep = sc.class_of(u)
-        if rep != u:
-            row = [0] * len(p.generators)
-            row[idx[u.data]], row[idx[rep.data]] = 1, -1
-            assert tuple(row) in p.rows or tuple(-v for v in row) in p.rows
+        assert p.generators[idx[u.data]] == sc.class_of(u)
 
 
 def test_gw_presentation_f3_isometry_row():
@@ -206,9 +209,24 @@ def _product_formula_rows(ring, ideal_generators):
     return rows
 
 
+def _lift_to_units(ring, rows):
+    """Rows on the square class columns, moved to the columns of the class
+    representatives among all units."""
+    index = ring.unit_index()
+    cols = [index[r.data] for r in ring.square_classes().reps]
+    lifted = []
+    for row in rows:
+        out = [0] * len(index)
+        for c, v in zip(cols, row):
+            out[c] = v
+        lifted.append(tuple(out))
+    return lifted
+
+
 def _unit_level_rows(ring, kind):
     """The relation rows of the unit-level closure: every <u> times every
-    ideal generator, deduped, then the GW isometry rows and the Witt <u>h."""
+    ideal generator, deduped, then the GW isometry rows on the
+    representatives' columns and the Witt <u>h."""
     dedupe = groups._dedupe_rows
     if kind == "ktilde":
         return dedupe(_product_formula_rows(ring, _unit_generators(ring, "ktilde")))
@@ -216,7 +234,7 @@ def _unit_level_rows(ring, kind):
     if kind == "kmw":
         return rows
     rank_cap = 2 if ring.residue_field().size != 2 else 3
-    rows = dedupe(list(rows) + groups._isometry_rows(ring, rank_cap)[0])
+    rows = dedupe(list(rows) + _lift_to_units(ring, groups._isometry_rows(ring, rank_cap)[0]))
     if kind == "gw":
         return rows
     h = {ring.one.data: 1}
@@ -227,8 +245,8 @@ def _unit_level_rows(ring, kind):
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_ideal_rows_match_product_formula(spec):
     """The closure routine against products taken by ring._rmul: over the
-    square classes, class-level rows on the representatives' columns and
-    then <u> - <rep(u)>; over the trivial partition, the unit-level rows."""
+    square classes, one column per class; over the trivial partition, the
+    unit-level rows."""
     ring = parse_ring(spec)
     sc = ring.square_classes()
     index = ring.unit_index()
@@ -239,63 +257,72 @@ def test_ideal_rows_match_product_formula(spec):
     expected = []
     for g in sc.reps:
         for gen in gens:
-            row = [0] * len(index)
+            row = [0] * len(sc.reps)
             for c, v in gen.items():
-                product = sc.class_of(ring.element(ring._rmul(g.data, sc.reps[c].data)))
-                row[index[product.data]] += v
+                row[sc.class_index[ring._rmul(g.data, sc.reps[c].data)]] += v
             expected.append(tuple(row))
-    for u in ring.units():
-        if sc.class_of(u) != u:
-            row = [0] * len(index)
-            row[index[u.data]], row[index[sc.class_of(u).data]] = 1, -1
-            expected.append(tuple(row))
-    assert groups._closure_rows(ring, groups._partition(ring, True), gens) == expected
+    assert groups._closure_rows(groups._partition(ring, True)[2], gens) == expected
     unit_gens = groups._ideal_generators(ring, index, False)
-    assert groups._closure_rows(ring, groups._partition(ring, False), unit_gens) == \
+    assert groups._closure_rows(groups._partition(ring, False)[2], unit_gens) == \
         _product_formula_rows(ring, [{ring.units()[i].data: v for i, v in g.items()}
                                      for g in unit_gens])
 
 
-DIFFERENTIAL_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["Z/8", "Z/16", "Z/81"]
+DIFFERENTIAL_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["Z/8", "Z/16", "Z/81", "Z/25"]
+CLASS_KINDS = (("kmw", kmw_presentation), ("gw", gw_presentation),
+               ("witt", witt_presentation))
 
 
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
 def test_square_class_lattices_match_unit_level_closure(spec):
-    """kmw, gw and witt rows span the lattice of the unit-level closure and
-    give the same structure JSON; ktilde keeps the unit-level rows."""
+    """Every row of the unit-level closure of kmw, gw and witt has zero
+    coordinates in the square class structure, and both structures have
+    the same free rank and invariant factors; ktilde keeps the unit-level
+    rows."""
     ring = parse_ring(spec)
-    g = len(ring.units())
-    for kind, present in (("kmw", kmw_presentation), ("gw", gw_presentation),
-                          ("witt", witt_presentation)):
-        new = present(ring)
+    units = ring.units()
+    for kind, present in CLASS_KINDS:
+        s = groups.group_structure(present(ring))
         old = _unit_level_rows(ring, kind)
-        for rows, other in ((new.rows, old), (old, new.rows)):
-            basis = snf.hnf_rows([list(r) for r in rows], g)
-            for row in other:
-                assert snf.solve_in_rowspace(basis, row) is not None, (kind, row)
-        reference = Presentation(ring, ring.units(), old, kind, dict(new.notes))
-        assert AbelianGroupStructure(reference).to_json() == \
-            groups.group_structure(new).to_json(), kind
+        for row in old:
+            elt = GroupRingElement(ring, {u.data: v for u, v in zip(units, row)})
+            assert s.is_zero(s.coords_of_group_ring(elt)), (kind, row)
+        reference = AbelianGroupStructure(Presentation(ring, units, old, kind))
+        assert (reference.free_rank, reference.invariant_factors) == \
+            (s.free_rank, s.invariant_factors), kind
     assert ktilde_presentation(ring).rows == _unit_level_rows(ring, "ktilde")
 
 
-@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS + ["Z/25"])
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
 def test_square_class_and_unit_level_rows_share_one_hermite_basis(spec):
-    """hnf_rows depends on the lattice alone: the square-class rows and the
-    unit-level rows of kmw, gw and witt give the same reduced basis."""
+    """The square class rows of kmw, gw and witt, lifted to the
+    representatives' unit columns and joined by <u> - <rep(u)> for every
+    other unit, span the lattice of the unit-level closure: both give the
+    same reduced Hermite basis, which depends on the lattice alone."""
     ring = parse_ring(spec)
-    g = len(ring.units())
-    for kind, present in (("kmw", kmw_presentation), ("gw", gw_presentation),
-                          ("witt", witt_presentation)):
-        assert snf.hnf_rows([list(r) for r in present(ring).rows], g) == \
+    index = ring.unit_index()
+    sc = ring.square_classes()
+    g = len(index)
+    kernel = []
+    for u in ring.units():
+        if sc.class_of(u) != u:
+            row = [0] * g
+            row[index[u.data]], row[index[sc.class_of(u).data]] = 1, -1
+            kernel.append(row)
+    for kind, present in CLASS_KINDS:
+        p = present(ring)
+        assert p.generators == sc.reps, kind
+        lifted = [list(r) for r in _lift_to_units(ring, p.rows)]
+        assert snf.hnf_rows(lifted + kernel, g) == \
             snf.hnf_rows([list(r) for r in _unit_level_rows(ring, kind)], g), kind
 
 
 @pytest.mark.parametrize("spec", ["Z/25", "Z/81"])
 def test_cold_group_commands_skip_the_unit_product_table(spec, monkeypatch, capsys):
-    """kmw, gw, witt and compare build no |R*|^2 unit product table, and
-    each presentation has at most |R*| - k + k * (class generators) +
-    (isometry rows) rows, k the number of square classes."""
+    """kmw, gw, witt and compare build no |R*|^2 unit product table; each
+    presentation has k generators, k the number of square classes, and
+    kmw has at most k * (class generators) rows, gw adds the isometry rows
+    and witt k more."""
     from wittlab import rings
     from wittlab.cli import run
 
@@ -305,12 +332,32 @@ def test_cold_group_commands_skip_the_unit_product_table(spec, monkeypatch, caps
     capsys.readouterr()
     ring = parse_ring(spec)
     assert "unit_product_table" not in ring._state
-    units, k = len(ring.units()), len(ring.square_classes())
+    k = len(ring.square_classes())
+    for _, present in CLASS_KINDS:
+        assert len(present(ring).generators) == k
     gens = len(groups._ideal_generators(ring, ring.square_classes().class_index, True))
     iso = len(groups._isometry_rows(ring, gw_presentation(ring).notes["rank_cap"])[0])
-    assert len(kmw_presentation(ring).rows) <= units - k + k * gens
-    assert len(gw_presentation(ring).rows) <= units - k + k * gens + iso
-    assert len(witt_presentation(ring).rows) <= units - k + k * (gens + 1) + iso
+    assert len(kmw_presentation(ring).rows) <= k * gens
+    assert len(gw_presentation(ring).rows) <= k * gens + iso
+    assert len(witt_presentation(ring).rows) <= k * (gens + 1) + iso
+
+
+@pytest.mark.parametrize("spec", ["Z/729", "Z/2187"])
+def test_compare_on_large_rings(spec, monkeypatch, capsys):
+    """Cold compare on rings with hundreds of units: K0^MW = GW = Z + Z/2,
+    the comparison map is an isomorphism, and every unit has an image."""
+    import json
+    from wittlab import rings
+    from wittlab.cli import run
+
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    assert run(["compare", "--ring", spec]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["is_isomorphism"]
+    units = len(parse_ring(spec).units())
+    for kind in ("kmw", "gw"):
+        assert (out[kind]["free_rank"], out[kind]["invariant_factors"]) == (1, [2])
+        assert len(out[kind]["generator_images"]) == units
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
@@ -532,6 +579,23 @@ def test_gw_class_generator():
     s = gw_structure(Z9)
     S = BilinearSpace.diagonal(Z9, (Z9.one,))
     assert gw_class(S, s) == s.coords_of_generator(Z9.one)
+
+
+def test_gw_class_rejects_a_structure_over_another_ring(monkeypatch):
+    """Z/9 and GF(3) key their elements by the same ints, so a structure
+    over one must not give classes to spaces over the other; a structure
+    over a separately parsed copy of the same ring is accepted."""
+    from wittlab import rings
+
+    Z9 = parse_ring("Z/9")
+    S = BilinearSpace.diagonal(Z9, (Z9.one, Z9.from_int(2)))
+    with pytest.raises(GroupsError):
+        gw_class(S, gw_structure(parse_ring("GF(3)")))
+    expected = gw_class(S, gw_structure(Z9))
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    fresh = parse_ring("Z/9")
+    assert fresh is not Z9
+    assert gw_class(S, gw_structure(fresh)) == expected
 
 
 def test_gw_class_hyperbolic_is_h():
