@@ -277,6 +277,21 @@ def _block_diagonal_gram(ring, units, blocks):
     return tuple(tuple(r) for r in rows)
 
 
+def _gram_row(space: BilinearSpace, w):
+    """The row w^T A as a list of element data, in one pass over the
+    nonzero Gram entries of each row of A."""
+    ring = space.ring
+    radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
+    acc = [zero] * space.n
+    for wi, row in zip(w, space._sparse_rows):
+        wd = wi.data
+        if wd == zero:
+            continue
+        for j, g in row:
+            acc[j] = radd(acc[j], rmul(wd, g))
+    return acc
+
+
 def orthogonal_complement(space: BilinearSpace, W):
     """Basis of {x : b(x, w) = 0 for all w in W}.
 
@@ -291,19 +306,8 @@ def orthogonal_complement(space: BilinearSpace, W):
             raise DimensionMismatchError("vectors must match the space dimension")
     if not W:
         return space.standard_basis()
-    # row w^T A in one pass over the nonzero Gram entries of each row
     ring = space.ring
-    radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
-    rows = []
-    for w in W:
-        acc = [zero] * space.n
-        for wi, row in zip(w, space._sparse_rows):
-            wd = wi.data
-            if wd == zero:
-                continue
-            for j, g in row:
-                acc[j] = radd(acc[j], rmul(wd, g))
-        rows.append(tuple(RingElement(ring, d) for d in acc))
+    rows = [tuple(RingElement(ring, d) for d in _gram_row(space, w)) for w in W]
     try:
         _, kernel = mx.kernel_basis(space.ring, rows)
     except mx.SingularMatrixError as exc:

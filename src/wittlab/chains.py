@@ -13,6 +13,10 @@ tuple pair by pair, then recurses on its complement.  Characteristic 2
 adds a rescaling to q = 1 and the hat-basis escape; dimension 3 in
 characteristic 2 has its own construction.
 
+Residue bases are lifted one vector at a time into the orthogonal complement
+of the lifts before it, through one reduced echelon form of their rows
+w^T A that grows by a row per lift instead of being eliminated afresh.
+
 Builders assemble their chains as plain vector tuples through private cores
 and wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
 chain certificates: every public builder runs it exactly once, on the chain
@@ -42,6 +46,7 @@ from .bilinear import (
     BilinearError,
     NotInMaximalIdealError,
     _complement_within,
+    _gram_row,
     diagonalize,
     orthogonal_complement,
     vec_add,
@@ -49,7 +54,6 @@ from .bilinear import (
     vec_scale,
     vec_sub,
 )
-from . import matrices as mx
 
 
 class ChainError(Exception):
@@ -428,23 +432,87 @@ def lift_basis(space: BilinearSpace, residue_vectors) -> OrthogonalBasis:
     return basis
 
 
-def _lift_one(space, chosen, vbar):
-    """Lift vbar into the orthogonal complement of the chosen lifts."""
-    ring = space.ring
-    F = ring.residue_field()
-    if not chosen:
-        return tuple(ring.lift(c) for c in vbar)
-    comp = orthogonal_complement(space, chosen)
-    comp_red = tuple(space.reduce_vector(w) for w in comp)
-    # solve vbar = sum c_j * comp_red_j over the residue field
-    A = mx.mat_transpose(comp_red)
-    sol = mx.solve_field(F, A, vbar)
-    if sol is None:
-        raise NotOrthogonalOverResidueError(
-            "residue vector is not orthogonal to the previous ones"
-        )
-    coeffs = tuple(ring.lift(c) for c in sol)
-    return vec_combo(comp, coeffs)
+class _Complement:
+    """The orthogonal complement of a growing list of lifts w_1..w_k.
+
+    It keeps the rows w_i^T A, in element data, in reduced echelon form over
+    the ring: each row has a unit pivot column, where it holds 1 and every
+    other row holds 0.  ``add`` puts one more lift in; ``lift`` lifts a
+    residue vector into the complement.  Both run in O(n k) ring operations.
+    """
+
+    __slots__ = ("space", "rows", "pivots")
+
+    def __init__(self, space, lifts=()):
+        self.space = space
+        self.rows: list = []
+        self.pivots: list = []
+        for w in lifts:
+            self.add(w)
+
+    def add(self, w):
+        """Reduce the row w^T A on the pivots so far, take its first unit
+        column as a new pivot, scale it to 1 there and clear that column
+        from the older rows.  A row left without a unit adds nothing: the
+        lifts reduce to pairwise orthogonal residue vectors, so such a w
+        reduces to the zero vector and is the zero vector."""
+        ring = self.space.ring
+        radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
+        row = _gram_row(self.space, w)
+        for prow, p in zip(self.rows, self.pivots):
+            f = row[p]
+            if f != zero:
+                nf = rneg(f)
+                row = [radd(c, rmul(nf, a)) for c, a in zip(row, prow)]
+        for col, c in enumerate(row):
+            if ring._runit(c):
+                break
+        else:
+            return
+        inv = ring._rinv(row[col])
+        row = [rmul(inv, c) for c in row]
+        for i, prow in enumerate(self.rows):
+            f = prow[col]
+            if f != zero:
+                nf = rneg(f)
+                self.rows[i] = [radd(c, rmul(nf, a)) for c, a in zip(prow, row)]
+        self.rows.append(row)
+        self.pivots.append(col)
+
+    def lift(self, vbar):
+        """The vector v orthogonal to the lifts so far with v[f] the
+        canonical lift of vbar[f] on every free column f; each pivot entry
+        is then -sum_f row[f] v[f].  NotOrthogonalOverResidueError when a
+        pivot entry does not reduce to vbar[p]."""
+        ring = self.space.ring
+        radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
+        v = [ring._lift_raw(c.data) for c in vbar]
+        taken = set(self.pivots)
+        free = [f for f in range(len(v)) if f not in taken]
+        for row, p in zip(self.rows, self.pivots):
+            acc = zero
+            for f in free:
+                a, x = row[f], v[f]
+                if a != zero and x != zero:
+                    acc = radd(acc, rmul(a, x))
+            acc = rneg(acc)
+            if ring._reduce_raw(acc) != vbar[p].data:
+                raise NotOrthogonalOverResidueError(
+                    "residue vector is not orthogonal to the previous ones"
+                )
+            v[p] = acc
+        return tuple(RingElement(ring, d) for d in v)
+
+
+def _lift_in_turn(comp, residue_vectors):
+    """Lift each residue vector into the complement of the ones lifted
+    before it, starting from ``comp``."""
+    lifts: list = []
+    for vbar in residue_vectors:
+        if lifts:
+            comp.add(lifts[-1])
+        lifts.append(comp.lift(vbar))
+    return lifts
 
 
 def lift_pair(space: BilinearSpace, bbar, cbar):
@@ -454,6 +522,8 @@ def lift_pair(space: BilinearSpace, bbar, cbar):
     cbar = tuple(tuple(v) for v in cbar)
     if len(bbar) != len(cbar):
         raise ChainError("residue bases must have equal length")
+    if any(len(v) != space.n for v in cbar):
+        raise ChainError("residue vector length does not match the space dimension")
     ok, msg = _check_orthobasis(space.reduce(), bbar)
     if not ok:
         raise NotOrthogonalOverResidueError(msg)
@@ -467,20 +537,34 @@ def lift_pair(space: BilinearSpace, bbar, cbar):
 
 def _lift_pair_core(space, bbar, cbar):
     """Lift tuples of the two residue bases; the lifts share every position
-    in which bbar and cbar agree."""
+    in which bbar and cbar agree.
+
+    Each vector of bbar is lifted into the orthogonal complement of the
+    lifts before it, and each vector of cbar in a differing position into
+    the complement of the kept lifts and the new ones before it, through
+    one growing ``_Complement`` each.  The lifts are those of solving over
+    the residue field in the complement that ``orthogonal_complement``
+    returns, for this reason.  Over a local ring a column is a unit pivot
+    iff it is a pivot of the residue rows, and residue pivot sets do not
+    depend on the order of the rows, so the incremental pivots are those
+    that ``_rref`` finds from scratch.  Given the row module and the pivot
+    set, the reduced echelon form is unique: a module element's coefficient
+    on row i is its entry in pivot column i.  So the rows are the same, and
+    so are the kernel vectors built from them, each with 1 on its free
+    column and 0 on the other free columns.  Solving over the residue field
+    in these vectors therefore takes vbar[f] as the coefficient of the
+    kernel vector of free column f, and the solution exists iff every pivot
+    entry of the lift reduces to vbar[p], which is what ``_Complement.lift``
+    computes and checks.
+    """
     diff = [i for i in range(len(bbar)) if bbar[i] != cbar[i]]
     if len(diff) > 2:
         raise ChainError("residue bases differ in more than two places")
-    lifts: list = []
-    for vbar in bbar:
-        lifts.append(_lift_one(space, lifts, vbar))
-    B = tuple(lifts)
+    B = tuple(_lift_in_turn(_Complement(space), bbar))
     if not diff:
         return B, B
     kept = [B[i] for i in range(len(bbar)) if i not in diff]
-    new: list = []
-    for d in diff:
-        new.append(_lift_one(space, kept + new, cbar[d]))
+    new = _lift_in_turn(_Complement(space, kept), [cbar[d] for d in diff])
     cvecs = list(B)
     for pos, vec in zip(diff, new):
         cvecs[pos] = vec

@@ -360,7 +360,8 @@ class _ClassData:
         each with one vector (x, y) attaining a value in that class.
 
         Exact: the sumset of the two coordinate value tables is the full
-        image of q.
+        image of q.  The scan stops once all k classes are found; each
+        class keeps its first vector, so the result is that of a full scan.
         """
         ring = self.ring
         out: dict = {}
@@ -370,6 +371,8 @@ class _ClassData:
                 v = ring._radd(va, vb)
                 if ring._runit(v):
                     out.setdefault(self.class_index[v], (x, y))
+                    if len(out) == self.k:
+                        return out
         return out
 
     def sqrt(self, u: RingElement) -> RingElement:

@@ -31,8 +31,13 @@ from wittlab import (
 )
 from wittlab import chains
 from wittlab import matrices as mx
-from wittlab import matrices as mx
-from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement, vec_add, vec_scale
+from wittlab.bilinear import (
+    NotInMaximalIdealError,
+    orthogonal_complement,
+    vec_add,
+    vec_combo,
+    vec_scale,
+)
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
 from wittlab.rings import RingError
 
@@ -481,6 +486,147 @@ def test_lift_pair_shares_positions():
         diff = sum(u != v for u, v in zip(B.vectors, C.vectors))
         assert diff <= 2
         assert B.reduce().vectors == bbar.vectors
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_lift_pair_rejects_a_residue_vector_of_another_length(length):
+    Z9 = parse_ring("Z/9")
+    S = ident_space(Z9, 3)
+    F3 = Z9.residue_field()
+    rb = S.reduce().standard_basis()
+    cbar = rb[:2] + ((F3.zero,) * (length - 1) + (F3.one,),)
+    with pytest.raises(chains.ChainError, match="length"):
+        lift_pair(S, rb, cbar)
+
+
+def _lift_one_from_scratch(space, chosen, vbar):
+    """Lift vbar into the orthogonal complement of the chosen lifts by
+    eliminating the complement and solving over the residue field afresh."""
+    ring = space.ring
+    if not chosen:
+        return tuple(ring.lift(c) for c in vbar)
+    comp = orthogonal_complement(space, chosen)
+    comp_red = tuple(space.reduce_vector(w) for w in comp)
+    sol = mx.solve_field(ring.residue_field(), mx.mat_transpose(comp_red), vbar)
+    if sol is None:
+        raise NotOrthogonalOverResidueError("not orthogonal")
+    return vec_combo(comp, tuple(ring.lift(c) for c in sol))
+
+
+def _lift_pair_from_scratch(space, bbar, cbar):
+    lifts: list = []
+    for vbar in bbar:
+        lifts.append(_lift_one_from_scratch(space, lifts, vbar))
+    diff = [i for i in range(len(bbar)) if bbar[i] != cbar[i]]
+    cvecs = list(lifts)
+    kept = [lifts[i] for i in range(len(bbar)) if i not in diff]
+    new: list = []
+    for d in diff:
+        new.append(_lift_one_from_scratch(space, kept + new, cbar[d]))
+        cvecs[d] = new[-1]
+    return tuple(lifts), tuple(cvecs)
+
+
+def _random_congruent_space(ring, n, rng):
+    """M^T D M for a random unit diagonal D and a random invertible M: a
+    space with an orthogonal basis whose Gram matrix is not diagonal."""
+    D = BilinearSpace.diagonal(ring, tuple(ring.random_unit(rng) for _ in range(n))).gram
+    while True:
+        M = tuple(tuple(ring.random_element(rng) for _ in range(n)) for _ in range(n))
+        if mx.mat_det(ring, M).is_unit():
+            return BilinearSpace(ring, mx.congruent(M, D))
+
+
+def _residue_neighbours(rspace, bbar, rng):
+    """Residue tuples differing from bbar in at most two positions: bbar
+    itself, one position rescaled, two positions turned in their plane, and
+    mutants with a random or zero vector in a differing position."""
+    F = rspace.ring
+    n = len(bbar)
+    out = [bbar]
+    i = rng.randrange(n)
+    c = F.random_unit(rng)
+    out.append(bbar[:i] + (vec_scale(c, bbar[i]),) + bbar[i + 1:])
+    if n >= 2:
+        i, j = sorted(rng.sample(range(n), 2))
+        bi, bj = bbar[i], bbar[j]
+        qi, qj = rspace.eval_q(bi), rspace.eval_q(bj)
+        for _ in range(20):
+            a, b = F.random_element(rng), F.random_element(rng)
+            u = vec_add(vec_scale(a, bi), vec_scale(b, bj))
+            if rspace.eval_q(u).is_unit():
+                w = vec_add(vec_scale(-b * qj, bi), vec_scale(a * qi, bj))
+                turned = list(bbar)
+                turned[i], turned[j] = u, w
+                out.append(tuple(turned))
+                break
+    for t in list(out[1:]):
+        diff = [k for k in range(n) if t[k] != bbar[k]]
+        if not diff:
+            continue
+        for mutant in (
+            tuple(F.random_element(rng) for _ in range(n)),
+            (F.zero,) * n,
+        ):
+            m = list(t)
+            m[rng.choice(diff)] = mutant
+            out.append(tuple(m))
+    return out
+
+
+LIFT_SPECS = [
+    "Z/9", "Z/27", "Z/25", "GF(3)[x]/(x^2)", "GF(4)[y]/(y^2)", "GF(5)[x]/(x^2)",
+    "GF(3)[x]/(x^3)", "Z/4", "GF(2)[x]/(x^3)", "Z/8",
+]
+
+
+@pytest.mark.parametrize("spec", LIFT_SPECS)
+def test_lift_pair_core_matches_lifting_from_scratch(spec):
+    """The incremental lifts are the lifts of solving over the residue
+    field in a freshly eliminated complement, and both reject the same
+    inputs, on non-diagonal Gram matrices with rescaled, turned and
+    non-orthogonal residue neighbours."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    outcomes = {"lifted": 0, "rejected": 0}
+    for n in (2, 3, 4):
+        for _ in range(25):
+            space = _random_congruent_space(ring, n, rng)
+            rspace = space.reduce()
+            bbar = random_orthogonal_basis(rspace, rng).vectors
+            for cbar in _residue_neighbours(rspace, bbar, rng):
+                try:
+                    expected = _lift_pair_from_scratch(space, bbar, cbar)
+                except NotOrthogonalOverResidueError as exc:
+                    expected = type(exc)
+                try:
+                    got = chains._lift_pair_core(space, bbar, cbar)
+                except NotOrthogonalOverResidueError as exc:
+                    got = type(exc)
+                assert got == expected, (n, bbar, cbar)
+                outcomes["rejected" if got is NotOrthogonalOverResidueError else "lifted"] += 1
+    assert outcomes["lifted"] >= 150 and outcomes["rejected"] >= 15, outcomes
+
+
+@pytest.mark.parametrize("spec", ["Z/27", "GF(4)[y]/(y^2)"])
+def test_chain_local_lifts_without_eliminating_afresh(spec, monkeypatch):
+    """chain_local over a residue field other than F_2 never eliminates a
+    complement from scratch or solves over the residue field."""
+    ring = parse_ring(spec)
+    rng = seeded(23)
+    space = random_diagonal_space(ring, 4, rng)
+    ends = [(random_orthogonal_basis(space, rng), random_orthogonal_basis(space, rng))
+            for _ in range(3)]
+
+    def banned(*args):
+        raise AssertionError("complement eliminated from scratch")
+
+    monkeypatch.setattr(chains, "orthogonal_complement", banned)
+    monkeypatch.setattr(mx, "kernel_basis", banned)
+    monkeypatch.setattr(mx, "solve_field", banned)
+    for b, c in ends:
+        chain = chain_local(b, c)
+        assert verify_chain(chain, b, c)[0]
 
 
 # ---------------------------------------------------------------------------

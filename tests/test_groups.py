@@ -158,6 +158,23 @@ def test_rank2_pairs_match_exhaustive_search(spec, monkeypatch):
     assert len(witnesses) == unions
 
 
+@pytest.mark.parametrize("spec", MATRIX_SPECS + F2_RESIDUE_SPECS + ["Z/25", "GF(3)[x]/(x^3)"])
+def test_represented_matches_a_full_scan(spec):
+    """The early-stopping scan gives each class pair the classes and first
+    witnesses, in the same order, of a scan over every coordinate pair."""
+    ring = parse_ring(spec)
+    cd = groups._class_data(ring)
+    for pair in itertools.product(range(cd.k), repeat=2):
+        full: dict = {}
+        rows, cols = (cd._coord_root[c] for c in pair)
+        for va, x in rows.items():
+            for vb, y in cols.items():
+                v = ring._radd(va, vb)
+                if ring._runit(v):
+                    full.setdefault(cd.class_index[v], (x, y))
+        assert list(cd.represented(pair).items()) == list(full.items()), pair
+
+
 TABLE_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["Z/8", "Z/16", "Z/81"]
 
 
@@ -342,7 +359,7 @@ def test_cold_group_commands_skip_the_unit_product_table(spec, monkeypatch, caps
     assert len(witt_presentation(ring).rows) <= k * (gens + 1) + iso
 
 
-@pytest.mark.parametrize("spec", ["Z/729", "Z/2187"])
+@pytest.mark.parametrize("spec", ["Z/729", "Z/2187", "GF(3)[x]/(x^7)"])
 def test_compare_on_large_rings(spec, monkeypatch, capsys):
     """Cold compare on rings with hundreds of units: K0^MW = GW = Z + Z/2,
     the comparison map is an isomorphism, and every unit has an image."""
