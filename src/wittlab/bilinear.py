@@ -304,15 +304,11 @@ def orthogonal_complement(space: BilinearSpace, W):
     for w in W:
         if len(w) != space.n:
             raise DimensionMismatchError("vectors must match the space dimension")
-    if not W:
-        return space.standard_basis()
-    ring = space.ring
-    rows = [tuple(RingElement(ring, d) for d in _gram_row(space, w)) for w in W]
+    ech = mx.Echelon(space.ring, space.n, (_gram_row(space, w) for w in W))
     try:
-        _, kernel = mx.kernel_basis(space.ring, rows)
+        return ech.kernel()
     except mx.SingularMatrixError as exc:
         raise DegenerateSubspaceError(str(exc))
-    return kernel
 
 
 def _complement_within(space, basis, chosen):
@@ -321,8 +317,8 @@ def _complement_within(space, basis, chosen):
     Both inputs are tuples of ambient vectors; the restriction of b to
     span(chosen) must be non-degenerate.
     """
-    rows = tuple(tuple(space.eval_b(c, v) for v in basis) for c in chosen)
-    _, kernel = mx.kernel_basis(space.ring, rows)
+    rows = ([space.eval_b(c, v).data for v in basis] for c in chosen)
+    kernel = mx.Echelon(space.ring, len(basis), rows).kernel()
     return tuple(vec_combo(basis, coeffs) for coeffs in kernel)
 
 

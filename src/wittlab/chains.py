@@ -14,7 +14,7 @@ adds a rescaling to q = 1 and the hat-basis escape; dimension 3 in
 characteristic 2 has its own construction.
 
 Residue bases are lifted one vector at a time into the orthogonal complement
-of the lifts before it, through one reduced echelon form of their rows
+of the lifts before it, through one ``matrices.Echelon`` of their rows
 w^T A that grows by a row per lift instead of being eliminated afresh.
 
 Builders assemble their chains as plain vector tuples through private cores
@@ -41,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .rings import LocalRing, RingElement
+from .matrices import Echelon
 from .bilinear import (
     BilinearSpace,
     BilinearError,
@@ -432,86 +433,39 @@ def lift_basis(space: BilinearSpace, residue_vectors) -> OrthogonalBasis:
     return basis
 
 
-class _Complement:
-    """The orthogonal complement of a growing list of lifts w_1..w_k.
-
-    It keeps the rows w_i^T A, in element data, in reduced echelon form over
-    the ring: each row has a unit pivot column, where it holds 1 and every
-    other row holds 0.  ``add`` puts one more lift in; ``lift`` lifts a
-    residue vector into the complement.  Both run in O(n k) ring operations.
-    """
-
-    __slots__ = ("space", "rows", "pivots")
-
-    def __init__(self, space, lifts=()):
-        self.space = space
-        self.rows: list = []
-        self.pivots: list = []
-        for w in lifts:
-            self.add(w)
-
-    def add(self, w):
-        """Reduce the row w^T A on the pivots so far, take its first unit
-        column as a new pivot, scale it to 1 there and clear that column
-        from the older rows.  A row left without a unit adds nothing: the
-        lifts reduce to pairwise orthogonal residue vectors, so such a w
-        reduces to the zero vector and is the zero vector."""
-        ring = self.space.ring
-        radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
-        row = _gram_row(self.space, w)
-        for prow, p in zip(self.rows, self.pivots):
-            f = row[p]
-            if f != zero:
-                nf = rneg(f)
-                row = [radd(c, rmul(nf, a)) for c, a in zip(row, prow)]
-        for col, c in enumerate(row):
-            if ring._runit(c):
-                break
-        else:
-            return
-        inv = ring._rinv(row[col])
-        row = [rmul(inv, c) for c in row]
-        for i, prow in enumerate(self.rows):
-            f = prow[col]
-            if f != zero:
-                nf = rneg(f)
-                self.rows[i] = [radd(c, rmul(nf, a)) for c, a in zip(prow, row)]
-        self.rows.append(row)
-        self.pivots.append(col)
-
-    def lift(self, vbar):
-        """The vector v orthogonal to the lifts so far with v[f] the
-        canonical lift of vbar[f] on every free column f; each pivot entry
-        is then -sum_f row[f] v[f].  NotOrthogonalOverResidueError when a
-        pivot entry does not reduce to vbar[p]."""
-        ring = self.space.ring
-        radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
-        v = [ring._lift_raw(c.data) for c in vbar]
-        taken = set(self.pivots)
-        free = [f for f in range(len(v)) if f not in taken]
-        for row, p in zip(self.rows, self.pivots):
-            acc = zero
-            for f in free:
-                a, x = row[f], v[f]
-                if a != zero and x != zero:
-                    acc = radd(acc, rmul(a, x))
-            acc = rneg(acc)
-            if ring._reduce_raw(acc) != vbar[p].data:
-                raise NotOrthogonalOverResidueError(
-                    "residue vector is not orthogonal to the previous ones"
-                )
-            v[p] = acc
-        return tuple(RingElement(ring, d) for d in v)
+def _lift_into(ech, vbar):
+    """The vector v orthogonal to the lifts whose rows w^T A ``ech`` holds,
+    with v[f] the canonical lift of vbar[f] on every free column f; each
+    pivot entry is then -sum_f row[f] v[f].  NotOrthogonalOverResidueError
+    when a pivot entry does not reduce to vbar[p]."""
+    ring = ech.ring
+    radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
+    v = [ring._lift_raw(c.data) for c in vbar]
+    taken = set(ech.pivots)
+    free = [f for f in range(len(v)) if f not in taken]
+    for row, p in zip(ech.rows, ech.pivots):
+        acc = zero
+        for f in free:
+            a, x = row[f], v[f]
+            if a != zero and x != zero:
+                acc = radd(acc, rmul(a, x))
+        acc = rneg(acc)
+        if ring._reduce_raw(acc) != vbar[p].data:
+            raise NotOrthogonalOverResidueError(
+                "residue vector is not orthogonal to the previous ones"
+            )
+        v[p] = acc
+    return tuple(RingElement(ring, d) for d in v)
 
 
-def _lift_in_turn(comp, residue_vectors):
+def _lift_in_turn(space, ech, residue_vectors):
     """Lift each residue vector into the complement of the ones lifted
-    before it, starting from ``comp``."""
+    before it, starting from the rows ``ech`` holds."""
     lifts: list = []
     for vbar in residue_vectors:
         if lifts:
-            comp.add(lifts[-1])
-        lifts.append(comp.lift(vbar))
+            ech.add(_gram_row(space, lifts[-1]))
+        lifts.append(_lift_into(ech, vbar))
     return lifts
 
 
@@ -542,29 +496,23 @@ def _lift_pair_core(space, bbar, cbar):
     Each vector of bbar is lifted into the orthogonal complement of the
     lifts before it, and each vector of cbar in a differing position into
     the complement of the kept lifts and the new ones before it, through
-    one growing ``_Complement`` each.  The lifts are those of solving over
-    the residue field in the complement that ``orthogonal_complement``
-    returns, for this reason.  Over a local ring a column is a unit pivot
-    iff it is a pivot of the residue rows, and residue pivot sets do not
-    depend on the order of the rows, so the incremental pivots are those
-    that ``_rref`` finds from scratch.  Given the row module and the pivot
-    set, the reduced echelon form is unique: a module element's coefficient
-    on row i is its entry in pivot column i.  So the rows are the same, and
-    so are the kernel vectors built from them, each with 1 on its free
-    column and 0 on the other free columns.  Solving over the residue field
-    in these vectors therefore takes vbar[f] as the coefficient of the
-    kernel vector of free column f, and the solution exists iff every pivot
-    entry of the lift reduces to vbar[p], which is what ``_Complement.lift``
-    computes and checks.
+    one growing ``Echelon`` of the rows w^T A each.  These are the lifts of
+    solving over the residue field in the complement that
+    ``orthogonal_complement`` returns: that complement is the kernel of the
+    same echelon form, whose vector for free column f has 1 there and 0 on
+    the other free columns, so the solution takes vbar[f] as its
+    coefficient and exists iff every pivot entry of the lift reduces to
+    vbar[p], which ``_lift_into`` computes and checks.
     """
     diff = [i for i in range(len(bbar)) if bbar[i] != cbar[i]]
     if len(diff) > 2:
         raise ChainError("residue bases differ in more than two places")
-    B = tuple(_lift_in_turn(_Complement(space), bbar))
+    B = tuple(_lift_in_turn(space, Echelon(space.ring, space.n), bbar))
     if not diff:
         return B, B
-    kept = [B[i] for i in range(len(bbar)) if i not in diff]
-    new = _lift_in_turn(_Complement(space, kept), [cbar[d] for d in diff])
+    kept = (B[i] for i in range(len(bbar)) if i not in diff)
+    ech = Echelon(space.ring, space.n, (_gram_row(space, w) for w in kept))
+    new = _lift_in_turn(space, ech, [cbar[d] for d in diff])
     cvecs = list(B)
     for pos, vec in zip(diff, new):
         cvecs[pos] = vec

@@ -3,8 +3,11 @@
 Matrices are tuples of row tuples of RingElement.  Everything here relies
 on the local property: an invertible matrix always admits a unit pivot in
 every elimination step (otherwise its determinant would sit in the maximal
-ideal).  mat_inverse, kernel_basis and solve_field are entry points over one
-unit-pivot reduced-row-echelon routine, _rref.
+ideal).  ``Echelon`` is the one elimination over the ring: a unit-pivot
+reduced echelon form on element data that grows a row at a time.
+mat_inverse, kernel_basis and solve_field are entry points over it, and the
+orthogonal complements of ``bilinear`` and the residue lifts of ``chains``
+use it directly.
 """
 
 from __future__ import annotations
@@ -78,92 +81,118 @@ def mat_det(ring: LocalRing, A) -> RingElement:
     return RingElement(ring, prev.get((1 << n) - 1, zero))
 
 
-def mat_inverse(ring: LocalRing, A):
-    """Inverse of an invertible matrix via Gauss-Jordan with unit pivots."""
-    n = len(A)
-    M = [list(row) + list(idrow) for row, idrow in zip(A, mat_identity(ring, n))]
-    if len(_rref(M, n)) < n:
-        raise SingularMatrixError("matrix is not invertible over the local ring")
-    return tuple(tuple(row[n:]) for row in M)
-
-
 def congruent(M, A):
     """M^T * A * M."""
     Mt = mat_transpose(M)
     return mat_mul(Mt, mat_mul(A, M))
 
 
-def _rref(rows, ncols):
-    """Reduce the row lists in place to reduced row echelon form on their
-    first ncols columns and return the pivot columns.  The elimination runs
-    on element data; the rows get new elements at the end.
+class Echelon:
+    """Rows of element data in reduced echelon form over a local ring, grown
+    one row at a time.
 
-    Each column takes the first row at or below the current rank whose entry
-    is a unit as its pivot; columns without one are skipped.  Over a field a
-    unit is any nonzero entry, so this is plain Gauss-Jordan there.
+    Each kept row has a unit pivot among the first ``ncols`` columns, where
+    it holds 1 and every other kept row holds 0; later columns (a right-hand
+    side, an identity block) never pivot.  ``add`` reduces a row on the
+    pivots so far and takes its first unit column as a new pivot, clearing
+    that column from the older rows; a row with no unit goes to ``rest``.
+
+    The result does not depend on the order of the rows.  An entry is a
+    unit iff its residue is nonzero, and reduction commutes with the residue
+    map, so the pivot set is the set of leading columns of the residue row
+    space, whatever the order.  Given the module the kept rows span and the
+    pivot set, the reduced form is unique: an element's coefficient on the
+    row of pivot p is its entry in column p.  That module is the whole row
+    module exactly when every rest row, reduced on the final pivots, is
+    zero, and then it does not depend on the order either.
     """
-    m = len(rows)
-    pivots: list[int] = []
-    if not m or not ncols:
-        return pivots
-    ring = rows[0][0].ring
-    radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
-    data = [[c.data for c in row] for row in rows]
-    for col in range(ncols):
-        rank = len(pivots)
-        for pivot in range(rank, m):
-            if ring._runit(data[pivot][col]):
-                break
-        else:
-            continue
-        data[rank], data[pivot] = data[pivot], data[rank]
-        inv = ring._rinv(data[rank][col])
-        prow = data[rank] = [rmul(inv, c) for c in data[rank]]
-        for r in range(m):
-            f = data[r][col]
-            if r == rank or f == zero:
-                continue
-            nf = rneg(f)
-            data[r] = [radd(c, rmul(nf, p)) for c, p in zip(data[r], prow)]
-        pivots.append(col)
-    rows[:] = [[RingElement(ring, d) for d in row] for row in data]
-    return pivots
+
+    __slots__ = ("ring", "ncols", "rows", "pivots", "rest")
+
+    def __init__(self, ring: LocalRing, ncols: int, rows=()):
+        self.ring, self.ncols = ring, ncols
+        self.rows: list = []
+        self.pivots: list = []
+        self.rest: list = []
+        for row in rows:
+            self.add(row)
+
+    def _minus(self, row, f, prow):
+        """row - f * prow, on element data."""
+        radd, rmul, nf = self.ring._radd, self.ring._rmul, self.ring._rneg(f)
+        return [radd(c, rmul(nf, a)) for c, a in zip(row, prow)]
+
+    def reduce(self, row):
+        """row minus its entry at each pivot times that pivot's row."""
+        zero = self.ring._zero_data()
+        for prow, p in zip(self.rows, self.pivots):
+            if row[p] != zero:
+                row = self._minus(row, row[p], prow)
+        return row
+
+    def add(self, row):
+        ring = self.ring
+        row = self.reduce(row)
+        col = next((j for j in range(self.ncols) if ring._runit(row[j])), None)
+        if col is None:
+            self.rest.append(row)
+            return
+        inv, zero = ring._rinv(row[col]), ring._zero_data()
+        row = [ring._rmul(inv, c) for c in row]
+        self.rows = [p if p[col] == zero else self._minus(p, p[col], row) for p in self.rows]
+        self.rows.append(row)
+        self.pivots.append(col)
+
+    def kernel(self):
+        """Basis of {x : row . x = 0 for every row added}: one vector per
+        free column f, in increasing order, with 1 at f, 0 on the other free
+        columns and -row[f] at each pivot.  SingularMatrixError when a rest
+        row reduced on the final pivots is not zero (the row span is not a
+        free summand, e.g. a degenerate restriction)."""
+        ring = self.ring
+        zero, one = ring._zero_data(), ring._one_data()
+        if any(c != zero for row in self.rest for c in self.reduce(row)):
+            raise SingularMatrixError("row space has no unit pivot for a nonzero row")
+        kernel = []
+        for f in range(self.ncols):
+            if f not in self.pivots:
+                v = [zero] * self.ncols
+                v[f] = one
+                for row, p in zip(self.rows, self.pivots):
+                    v[p] = ring._rneg(row[f])
+                kernel.append(tuple(RingElement(ring, d) for d in v))
+        return tuple(kernel)
+
+
+def mat_inverse(ring: LocalRing, A):
+    """Inverse of an invertible matrix via Gauss-Jordan with unit pivots."""
+    n = len(A)
+    zero, one = ring._zero_data(), ring._one_data()
+    ech = Echelon(ring, n, (
+        [c.data for c in row] + [one if j == i else zero for j in range(n)]
+        for i, row in enumerate(A)
+    ))
+    if len(ech.pivots) < n:
+        raise SingularMatrixError("matrix is not invertible over the local ring")
+    by_pivot = dict(zip(ech.pivots, ech.rows))
+    return tuple(tuple(RingElement(ring, d) for d in by_pivot[p][n:]) for p in range(n))
 
 
 def kernel_basis(ring: LocalRing, T):
-    """Basis of {x : T x = 0} for T with free row span admitting unit pivots.
-
-    Returns (pivot_columns, kernel_vectors).  Raises SingularMatrixError
-    when a leftover row has no unit entry (row span not a free summand of
-    full expected rank, e.g. a degenerate restriction).
-    """
-    rows = [list(r) for r in T]
-    n = len(rows[0]) if rows else 0
-    pivots = _rref(rows, n)
-    for row in rows[len(pivots):]:
-        if any(not c.is_zero() for c in row):
-            raise SingularMatrixError("row space has no unit pivot for a nonzero row")
-    zero, one = ring.zero, ring.one
-    free_cols = [j for j in range(n) if j not in pivots]
-    kernel = []
-    for j in free_cols:
-        v = [zero] * n
-        v[j] = one
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][j]
-        kernel.append(tuple(v))
-    return pivots, tuple(kernel)
+    """(sorted pivot columns, basis of {x : T x = 0}); see ``Echelon.kernel``."""
+    n = len(T[0]) if T else 0
+    ech = Echelon(ring, n, ([c.data for c in row] for row in T))
+    return sorted(ech.pivots), ech.kernel()
 
 
 def solve_field(field: LocalRing, A, b):
     """Solve A x = b over a field; returns one solution or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = [list(A[i]) + [b[i]] for i in range(m)]
-    pivots = _rref(rows, n)
-    if any(not row[n].is_zero() for row in rows[len(pivots):]):
+    n = len(A[0]) if A else 0
+    ech = Echelon(field, n, ([c.data for c in row] + [b[i].data] for i, row in enumerate(A)))
+    zero = field._zero_data()
+    if any(ech.reduce(row)[n] != zero for row in ech.rest):
         return None
-    x = [field.zero] * n
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][n]
-    return tuple(x)
+    x = [zero] * n
+    for row, p in zip(ech.rows, ech.pivots):
+        x[p] = row[n]
+    return tuple(RingElement(field, d) for d in x)

@@ -23,11 +23,11 @@ quotient with at most ``TABLE_SIZE_BOUND`` (256) elements answers sums,
 products and negatives from arithmetic tables in its state: each pair is
 computed once, on its first use, and looked up after that, so a table holds
 at most 65,536 entries.  Larger quotients compute every result.  Hot loops
-elsewhere (``eval_b``, ``mat_mul``, ``mat_det``, the elimination ``_rref``,
-``vec_combo``) bind the raw operations once and wrap a ``RingElement`` only
-around their results.  They do not check which ring an element belongs to,
-so spaces, bases and congruence witnesses check their entries once, through
-``LocalRing.check_elements``.
+elsewhere (``eval_b``, ``mat_mul``, ``mat_det``, the elimination
+``matrices.Echelon``, ``vec_combo``) bind the raw operations once and wrap a
+``RingElement`` only around their results.  They do not check which ring an
+element belongs to, so spaces, bases and congruence witnesses check their
+entries once, through ``LocalRing.check_elements``.
 """
 
 from __future__ import annotations
@@ -402,7 +402,7 @@ class Zmod(LocalRing):
         return abar
 
     def element_from_json(self, obj) -> RingElement:
-        if not isinstance(obj, int):
+        if not isinstance(obj, int) or isinstance(obj, bool):
             raise RingError(f"expected an integer for an element of {self.spec}, got {obj!r}")
         return self.element(obj % self.size)
 
@@ -572,7 +572,7 @@ class PolyQuotient(LocalRing):
         self.size = base.size ** self.degree
         if self.size > size_cap:
             raise TooLargeError(
-                f"|R| = {self.size} exceeds the size cap {size_cap}"
+                f"|R| = {base.size}^{self.degree} exceeds the size cap {size_cap}"
             )
         # a -> b -> a+b, a -> b -> a*b and a -> -a, filled on first use
         tabled = self.size <= TABLE_SIZE_BOUND
@@ -817,13 +817,22 @@ def _parse_field(token: str, size_cap: int) -> LocalRing:
 class _PolyParser:
     """Recursive-descent parser for the POLY piece of the grammar."""
 
-    def __init__(self, text: str, base: LocalRing, var: str):
+    def __init__(self, text: str, base: LocalRing, var: str, size_cap: int):
         self.toks = re.findall(r"\d+|[a-z]|\^|\*|\+|-|\(|\)", text)
         if "".join(self.toks) != text:
             raise RingSyntaxError(f"bad polynomial {text!r}")
         self.pos = 0
         self.base = base
         self.var = var
+        self.size_cap = size_cap
+
+    def _check_degree(self, degree):
+        # a modulus of degree d gives |base|^d elements, so a term of degree
+        # above the size cap is refused before it is built, cancelled or not
+        if degree > self.size_cap:
+            raise TooLargeError(
+                f"polynomial degree {degree} exceeds the size cap {self.size_cap}"
+            )
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -860,12 +869,13 @@ class _PolyParser:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                poly = _pmul(self.base, poly, self.factor())
-            elif nxt is not None and (nxt.isdigit() or nxt.isalpha()):
-                # implicit product like "2x" or "a x"
-                poly = _pmul(self.base, poly, self.factor())
-            else:
+            elif nxt is None or not (nxt.isdigit() or nxt.isalpha()):
                 return poly
+            # "*" or an implicit product like "2x" or "a x"
+            rhs = self.factor()
+            if poly and rhs:
+                self._check_degree(len(poly) + len(rhs) - 2)
+            poly = _pmul(self.base, poly, rhs)
 
     def factor(self):
         t = self.take()
@@ -886,10 +896,11 @@ class _PolyParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise RingSyntaxError("exponent must be an integer")
-            out = (self.base._one_data(),)
-            for _ in range(int(e)):
-                out = _pmul(self.base, out, poly)
-            return out
+            e = int(e)
+            if t == self.var:
+                self._check_degree(e)
+                return (self.base._zero_data(),) * e + (self.base._one_data(),)
+            return ((RingElement(self.base, poly[0]) ** e).data,)
         return poly
 
     def _generator(self):
@@ -928,7 +939,7 @@ def _parse_ring_uncached(stripped: str, size_cap: int) -> LocalRing:
         var = m.group(2)
         if var == "a":
             raise RingSyntaxError("'a' is reserved for the coefficient-field generator")
-        poly = _PolyParser(m.group(3), base, var).parse()
+        poly = _PolyParser(m.group(3), base, var, size_cap).parse()
         if not poly:
             raise RingSyntaxError("modulus must be nonzero")
         if not base._runit(poly[-1]):

@@ -41,6 +41,7 @@ from wittlab.bilinear import (
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
 from wittlab.rings import RingError
 
+import elimination_reference as reference
 from conftest import MATRIX_SPECS, seeded
 from paper_data import f4_chain_certificate
 
@@ -501,13 +502,14 @@ def test_lift_pair_rejects_a_residue_vector_of_another_length(length):
 
 def _lift_one_from_scratch(space, chosen, vbar):
     """Lift vbar into the orthogonal complement of the chosen lifts by
-    eliminating the complement and solving over the residue field afresh."""
+    eliminating the complement and solving over the residue field afresh,
+    with the reference elimination."""
     ring = space.ring
     if not chosen:
         return tuple(ring.lift(c) for c in vbar)
-    comp = orthogonal_complement(space, chosen)
+    comp = reference.orthogonal_complement(space, chosen)
     comp_red = tuple(space.reduce_vector(w) for w in comp)
-    sol = mx.solve_field(ring.residue_field(), mx.mat_transpose(comp_red), vbar)
+    sol = reference.solve_field(ring.residue_field(), mx.mat_transpose(comp_red), vbar)
     if sol is None:
         raise NotOrthogonalOverResidueError("not orthogonal")
     return vec_combo(comp, tuple(ring.lift(c) for c in sol))

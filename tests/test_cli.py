@@ -438,3 +438,28 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ring", "Z/9", "--cert", '{"source":[[1]],"target":[[1]],"matrix":[[true]]}'],
+    ["--cert", '{"ring":"Z/9","gram":[[true]],"bases":[[[1]]]}'],
+    ["--cert", '{"ring":"Z/9","gram":[[1]],"bases":[[[false]]]}'],
+    ["--cert", '{"ring":"GF(4)","gram":[[[1]]],"bases":[[[[true]]]]}'],
+])
+def test_verify_rejects_json_booleans_as_ring_elements(capsys, argv):
+    code = run(["verify"] + argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert "expected an integer" in json.loads(out.out)["error"]
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("GF(3)[x]/(x^99999999)", "polynomial degree 99999999 exceeds the size cap 4096"),
+    ("GF(3)[x]/(x^3000*x^3000)", "polynomial degree 6000 exceeds the size cap 4096"),
+    ("GF(3)[x]/(x^4000)", "|R| = 3^4000 exceeds the size cap 4096"),
+])
+def test_ring_specs_with_large_exponents_are_refused_at_once(capsys, spec, error):
+    code, data = run_cli(capsys, "ring-info", "--ring", spec)
+    assert code == 2
+    assert data["error"] == error

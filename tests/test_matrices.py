@@ -1,12 +1,14 @@
 import functools
 import itertools
 import operator
+import zlib
 
 import pytest
 
 from wittlab import parse_ring
 from wittlab import matrices as mx
 
+import elimination_reference as reference
 from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS, seeded
 
 ALL_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS
@@ -101,3 +103,86 @@ def test_solve_field_none_exactly_when_brute_force_finds_nothing(spec):
             assert (sol is not None) == solvable
             if sol is not None:
                 assert mat_vec(A, sol) == b
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except mx.SingularMatrixError:
+        return mx.SingularMatrixError
+
+
+def _random_rank_profile(ring, m, n, rng):
+    """L * D * R with L, R invertible and D diagonal: some units, then
+    perhaps a nonzero non-unit, so the row span may fail to be free."""
+    ideal = [c for c in ring.maximal_ideal() if not c.is_zero()]
+    r = rng.randrange(min(m, n) + 1)
+    diag = [ring.one] * r
+    if ideal and r < min(m, n) and rng.random() < 0.5:
+        diag.append(rng.choice(ideal))
+    D = tuple(
+        tuple(diag[i] if i == j and i < len(diag) else ring.zero for j in range(n))
+        for i in range(m)
+    )
+    L, R = random_invertible(ring, m, rng), random_invertible(ring, n, rng)
+    return mx.mat_mul(mx.mat_mul(L, D), R)
+
+
+def _row_orders(rows, rng):
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    return [tuple(rows), tuple(reversed(rows)), tuple(shuffled)]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_elimination_matches_the_reference(spec):
+    """kernel_basis, mat_inverse and solve_field give exactly the pivots,
+    kernels, inverses and solutions of the column-major reference, and fail
+    on the same inputs; kernels and solutions do not depend on the order of
+    the rows."""
+    ring = parse_ring(spec)
+    F = ring.residue_field()
+    rng = seeded(zlib.crc32(spec.encode()))
+    seen = {"kernel": 0, "singular": 0, "solved": 0, "unsolvable": 0}
+    for m, n in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (4, 3), (3, 5)):
+        for _ in range(4):
+            for T in (random_matrix(ring, m, n, rng), _random_rank_profile(ring, m, n, rng)):
+                expected = _outcome(reference.kernel_basis, ring, T)
+                for rows in _row_orders(T, rng):
+                    assert _outcome(mx.kernel_basis, ring, rows) == expected, (T, rows)
+                seen["singular" if expected is mx.SingularMatrixError else "kernel"] += 1
+            A = random_matrix(F, m, n, rng)
+            x = tuple(F.random_element(rng) for _ in range(n))
+            for b in (mat_vec(A, x), tuple(F.random_element(rng) for _ in range(m))):
+                expected = reference.solve_field(F, A, b)
+                for pairs in _row_orders(tuple(zip(A, b)), rng):
+                    PA, Pb = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+                    assert mx.solve_field(F, PA, Pb) == expected, (A, b, pairs)
+                seen["unsolvable" if expected is None else "solved"] += 1
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            for A in (random_matrix(ring, n, n, rng), random_invertible(ring, n, rng)):
+                assert _outcome(mx.mat_inverse, ring, A) == _outcome(reference.mat_inverse, ring, A)
+    assert seen["kernel"] >= 20 and seen["solved"] >= 28, seen
+    if not ring.is_field:
+        assert seen["singular"] >= 5, seen
+
+
+def test_elimination_edge_cases_over_z4():
+    Z4 = parse_ring("Z/4")
+
+    def rows(*entries):
+        return tuple(tuple(Z4.from_int(c) for c in row) for row in entries)
+
+    # a non-unit row that only the final pivots clear, in either order
+    for T in (rows((0, 2), (0, 1)), rows((0, 1), (0, 2))):
+        assert mx.kernel_basis(Z4, T) == reference.kernel_basis(Z4, T) == ([1], rows((1, 0)))
+    T = rows((2, 0), (0, 2))
+    for fn in (mx.kernel_basis, reference.kernel_basis, mx.mat_inverse, reference.mat_inverse):
+        with pytest.raises(mx.SingularMatrixError):
+            fn(Z4, T)
+    T = rows((2, 1), (1, 0))
+    assert mx.kernel_basis(Z4, T) == reference.kernel_basis(Z4, T) == ([0, 1], ())
+    inverse = mx.mat_inverse(Z4, T)
+    assert inverse == reference.mat_inverse(Z4, T)
+    assert mx.mat_mul(T, inverse) == mx.mat_identity(Z4, 2)

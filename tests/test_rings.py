@@ -53,6 +53,30 @@ def test_size_cap():
     assert R.size == 8192
 
 
+def test_large_exponents_are_refused_before_they_are_built():
+    with pytest.raises(TooLargeError, match="degree 99999999 exceeds the size cap 4096"):
+        parse_ring("GF(3)[x]/(x^99999999)")
+    with pytest.raises(TooLargeError, match="degree 5000 exceeds the size cap 4096"):
+        parse_ring("GF(3)[x]/(x^2500x^2500)")
+    # the size is printed as q^d, not expanded
+    with pytest.raises(TooLargeError, match=r"^\|R\| = 3\^4000 exceeds the size cap 4096$"):
+        parse_ring("GF(3)[x]/(x^4000)")
+    assert parse_ring("GF(2)[x]/(x^13)", size_cap=2 ** 13).size == 2 ** 13
+
+
+@pytest.mark.parametrize("spec, products", [
+    ("GF(3)[x]/(x^2)", "GF(3)[x]/(x*x)"),
+    ("GF(2)[x]/(x^4+x^0)", "GF(2)[x]/(xxxx+1)"),
+    ("GF(5)[t]/(t^1+t^0)", "GF(5)[t]/(t+1)"),
+    ("GF(4)[y]/(y^2+a^0)", "GF(4)[y]/(yy+1)"),
+    ("GF(4)[y]/(y^2+a^7)", "GF(4)[y]/(yy+a)"),
+    ("GF(4)[y]/(y^2+a^2000000)", "GF(4)[y]/(yy+aa)"),
+    ("GF(8)[y]/(y^2+a^9)", "GF(8)[y]/(yy+aa)"),
+])
+def test_exponents_parse_to_the_same_modulus_as_products(spec, products):
+    assert parse_ring(spec).modulus == parse_ring(products).modulus
+
+
 def test_grammar_rejections():
     for bad in ["GF(6)", "Q/4", "GF(2)[a]/(a^2)", "GF(2)[x]/(x^2+y)", "Z/0"]:
         with pytest.raises((RingSyntaxError, NotLocalError)):
