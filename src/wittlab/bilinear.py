@@ -6,7 +6,8 @@ witness matrix M with M^T A M = B, verified by exact recomputation.  Each
 witness is checked once, at the public entry point that returns it; the
 private cores behind `diagonalize` and `resolve_block` return unchecked
 columns and matrices, so `stable_diagonalize` composes them and checks only
-its final witness.
+its final witness.  `eval_b`, `_gram_row` and `vec_combo` work on element
+data, through the ring's tables and interned elements (see `rings`).
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class BilinearSpace:
         if self.n and not self.det.is_unit():
             raise DegenerateError(f"det = {self.det!r} is not a unit of {ring.spec}")
         self._q_buckets = None
-        # the nonzero Gram entries of each row, as (column, data) pairs
-        zero = ring._zero_data()
+        # the nonzero Gram entries of each row, as (column, product row)
+        # pairs: mul[g] of the entry g, so that mul[g][y] is g * y
+        mul = ring.mul
         self._sparse_rows = tuple(
-            tuple((j, g.data) for j, g in enumerate(row) if g.data != zero)
-            for row in self.gram
+            tuple((j, mul[g.data]) for j, g in enumerate(row) if g.data) for row in self.gram
         )
 
     # -- constructors -------------------------------------------------------
@@ -99,19 +100,19 @@ class BilinearSpace:
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatchError(f"vectors must have length {self.n}")
         ring = self.ring
-        radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
-        acc = zero
+        add, mul = ring.add, ring.mul
+        acc = 0
         for xi, row in zip(x, self._sparse_rows):
             xd = xi.data
-            if xd == zero:
+            if not xd:
                 continue
-            inner = zero
+            inner = 0
             for j, g in row:
                 yd = y[j].data
-                if yd != zero:
-                    inner = radd(inner, rmul(g, yd))
-            acc = radd(acc, rmul(xd, inner))
-        return RingElement(ring, acc)
+                if yd:
+                    inner = add[inner][g[yd]]
+            acc = add[acc][mul[xd][inner]]
+        return ring.elems[acc]
 
     def eval_q(self, x) -> RingElement:
         return self.eval_b(x, x)
@@ -190,15 +191,16 @@ def vec_combo(vectors, coeffs):
     it = iter(zip(coeffs, vectors))
     c, v = next(it)
     ring = c.ring
-    radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
-    acc = [rmul(c.data, a.data) for a in v]
+    add, mul = ring.add, ring.mul
+    scale = mul[c.data]
+    acc = [scale[a.data] for a in v]
     for c, v in it:
-        cd = c.data
-        if cd == zero:
+        if not c.data:
             continue
+        scale = mul[c.data]
         for i, a in enumerate(v):
-            acc[i] = radd(acc[i], rmul(cd, a.data))
-    return tuple(RingElement(ring, d) for d in acc)
+            acc[i] = add[acc[i]][scale[a.data]]
+    return tuple(ring.elems[d] for d in acc)
 
 
 class CongruenceWitness:
@@ -280,15 +282,14 @@ def _block_diagonal_gram(ring, units, blocks):
 def _gram_row(space: BilinearSpace, w):
     """The row w^T A as a list of element data, in one pass over the
     nonzero Gram entries of each row of A."""
-    ring = space.ring
-    radd, rmul, zero = ring._radd, ring._rmul, ring._zero_data()
-    acc = [zero] * space.n
+    add = space.ring.add
+    acc = [0] * space.n
     for wi, row in zip(w, space._sparse_rows):
         wd = wi.data
-        if wd == zero:
+        if not wd:
             continue
         for j, g in row:
-            acc[j] = radd(acc[j], rmul(wd, g))
+            acc[j] = add[acc[j]][g[wd]]
     return acc
 
 

@@ -439,23 +439,25 @@ def _lift_into(ech, vbar):
     pivot entry is then -sum_f row[f] v[f].  NotOrthogonalOverResidueError
     when a pivot entry does not reduce to vbar[p]."""
     ring = ech.ring
-    radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
-    v = [ring._lift_raw(c.data) for c in vbar]
+    add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
+    # the canonical lift of a residue has the residue's own index
+    v = [c.data for c in vbar]
     taken = set(ech.pivots)
     free = [f for f in range(len(v)) if f not in taken]
     for row, p in zip(ech.rows, ech.pivots):
-        acc = zero
+        acc = 0
         for f in free:
             a, x = row[f], v[f]
-            if a != zero and x != zero:
-                acc = radd(acc, rmul(a, x))
-        acc = rneg(acc)
-        if ring._reduce_raw(acc) != vbar[p].data:
+            if a and x:
+                acc = add[acc][mul[a][x]]
+        acc = neg[acc]
+        if residue[acc] != vbar[p].data:
             raise NotOrthogonalOverResidueError(
                 "residue vector is not orthogonal to the previous ones"
             )
         v[p] = acc
-    return tuple(RingElement(ring, d) for d in v)
+    elems = ring.elems
+    return tuple(elems[d] for d in v)
 
 
 def _lift_in_turn(space, ech, residue_vectors):

@@ -127,7 +127,7 @@ class GroupRingElement:
         if not self.coeffs:
             return "0"
         parts = []
-        for k in sorted(self.coeffs, key=self.ring._rkey):
+        for k in sorted(self.coeffs):
             parts.append(f"{self.coeffs[k]:+d}<{self.ring.format_element(k)}>")
         return "".join(parts)
 
@@ -182,7 +182,7 @@ def _partition(ring, by_squares):
         return ring.unit_index(), ring.units(), ring.unit_product_table()
     sc = ring.square_classes()
     table = ring.cached("class_product_table", lambda: tuple(
-        tuple(sc.class_index[ring._rmul(a.data, b.data)] for b in sc.reps) for a in sc.reps
+        tuple(sc.class_index[ring.mul[a.data][b.data]] for b in sc.reps) for a in sc.reps
     ))
     return sc.class_index, sc.reps, table
 
@@ -199,15 +199,15 @@ def _ideal_generators(ring, class_of, hyperbolic) -> list:
     """For each unit a in order, <<a>>h (when hyperbolic) and the Steinberg
     generator <<a>><<1-a>> (when 1-a is a unit), as class -> coefficient
     dicts; zero and repeated generators are dropped."""
-    one = ring._one_data()
+    neg = ring.neg
     gens, seen = [], set()
     for a in (u.data for u in ring.units()):
         terms = []
         if hyperbolic:
-            terms.append(((one, 1), (ring._rneg(one), 1), (a, -1), (ring._rneg(a), -1)))
-        b = ring._radd(one, ring._rneg(a))
-        if ring._runit(b):
-            terms.append(((one, 1), (a, -1), (b, -1), (ring._rmul(a, b), 1)))
+            terms.append(((1, 1), (neg[1], 1), (a, -1), (neg[a], -1)))
+        b = ring.add[1][neg[a]]
+        if ring.residue_of[b]:
+            terms.append(((1, 1), (a, -1), (b, -1), (ring.mul[a][b], 1)))
         for gen in (_class_terms(class_of, t) for t in terms):
             key = frozenset(gen.items())
             if gen and key not in seen:
@@ -294,8 +294,7 @@ def witt_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentat
 
     def build():
         class_of, _, table = _partition(ring, True)
-        one = ring._one_data()
-        h = _class_terms(class_of, ((one, 1), (ring._rneg(one), 1)))
+        h = _class_terms(class_of, ((1, 1), (ring.neg[1], 1)))
         rows = _dedupe_rows(list(base.rows) + _closure_rows(table, [h]))
         return Presentation(ring, base.generators, rows, "witt", dict(base.notes), base.column_of)
 
@@ -344,16 +343,17 @@ class _ClassData:
     def q_distribution(self, tup):
         """Exact distribution of q over all vectors for diag(reps[tup])."""
         ring = self.ring
-        acc = {ring.zero.data: 1}
+        acc = {0: 1}
         for c in tup:
             dist = self._coord_dist[c]
             nxt: dict = {}
             for va, ca in acc.items():
+                row = ring.add[va]
                 for vb, cb in dist.items():
-                    k = ring._radd(va, vb)
+                    k = row[vb]
                     nxt[k] = nxt.get(k, 0) + ca * cb
             acc = nxt
-        return tuple(sorted((ring._rkey(k), v) for k, v in acc.items()))
+        return tuple(sorted(acc.items()))
 
     def represented(self, pair):
         """Square classes of the unit values of diag(reps[pair]) on R^2,
@@ -363,13 +363,14 @@ class _ClassData:
         image of q.  The scan stops once all k classes are found; each
         class keeps its first vector, so the result is that of a full scan.
         """
-        ring = self.ring
+        add, residue = self.ring.add, self.ring.residue_of
         out: dict = {}
         rows, cols = (self._coord_root[c] for c in pair)
         for va, x in rows.items():
+            row = add[va]
             for vb, y in cols.items():
-                v = ring._radd(va, vb)
-                if ring._runit(v):
+                v = row[vb]
+                if residue[v]:
                     out.setdefault(self.class_index[v], (x, y))
                     if len(out) == self.k:
                         return out

@@ -7,7 +7,9 @@ ideal).  ``Echelon`` is the one elimination over the ring: a unit-pivot
 reduced echelon form on element data that grows a row at a time.
 mat_inverse, kernel_basis and solve_field are entry points over it, and the
 orthogonal complements of ``bilinear`` and the residue lifts of ``chains``
-use it directly.
+use it directly.  Like ``_dot`` and ``mat_det``, it works on element data
+(carrier indices): it indexes the ring's ``add``/``mul`` tables and ``neg``
+list directly and takes results from its interned elements (``rings``).
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ def mat_mul(A, B):
 
 
 def _dot(xs, ys):
-    it = iter(zip(xs, ys))
-    x, y = next(it)
-    ring = x.ring
-    radd, rmul = ring._radd, ring._rmul
-    acc = rmul(x.data, y.data)
-    for x, y in it:
-        acc = radd(acc, rmul(x.data, y.data))
-    return RingElement(ring, acc)
+    ring = xs[0].ring
+    add, mul = ring.add, ring.mul
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = add[acc][mul[x.data][y.data]]
+    return ring.elems[acc]
 
 
 def mat_det(ring: LocalRing, A) -> RingElement:
@@ -52,33 +52,34 @@ def mat_det(ring: LocalRing, A) -> RingElement:
     n = len(A)
     if n == 0:
         return ring.one
-    radd, rmul, rneg, zero = ring._radd, ring._rmul, ring._rneg, ring._zero_data()
+    add, mul, neg = ring.add, ring.mul, ring.neg
     # dp over (row index, frozenset of used columns) via bitmask layers, on
     # element data
-    prev = {0: ring._one_data()}
+    prev = {0: 1}
     for row in A:
         cur: dict = {}
         for mask, val in prev.items():
             sign_base = 0
+            prod = mul[val]
             for j, a in enumerate(row):
                 bit = 1 << j
                 if mask & bit:
                     sign_base += 1
                     continue
-                if a.data == zero:
+                if not a.data:
                     continue
-                term = rmul(val, a.data)
+                term = prod[a.data]
                 if sign_base % 2:
-                    term = rneg(term)
+                    term = neg[term]
                 key = mask | bit
                 if key in cur:
-                    cur[key] = radd(cur[key], term)
+                    cur[key] = add[cur[key]][term]
                 else:
                     cur[key] = term
         prev = cur
         if not prev:
             return ring.zero
-    return RingElement(ring, prev.get((1 << n) - 1, zero))
+    return ring.elems[prev.get((1 << n) - 1, 0)]
 
 
 def congruent(M, A):
@@ -119,27 +120,28 @@ class Echelon:
 
     def _minus(self, row, f, prow):
         """row - f * prow, on element data."""
-        radd, rmul, nf = self.ring._radd, self.ring._rmul, self.ring._rneg(f)
-        return [radd(c, rmul(nf, a)) for c, a in zip(row, prow)]
+        ring = self.ring
+        add, scale = ring.add, ring.mul[ring.neg[f]]
+        return [add[c][scale[a]] for c, a in zip(row, prow)]
 
     def reduce(self, row):
         """row minus its entry at each pivot times that pivot's row."""
-        zero = self.ring._zero_data()
         for prow, p in zip(self.rows, self.pivots):
-            if row[p] != zero:
+            if row[p]:
                 row = self._minus(row, row[p], prow)
         return row
 
     def add(self, row):
         ring = self.ring
         row = self.reduce(row)
-        col = next((j for j in range(self.ncols) if ring._runit(row[j])), None)
+        residue = ring.residue_of
+        col = next((j for j in range(self.ncols) if residue[row[j]]), None)
         if col is None:
             self.rest.append(row)
             return
-        inv, zero = ring._rinv(row[col]), ring._zero_data()
-        row = [ring._rmul(inv, c) for c in row]
-        self.rows = [p if p[col] == zero else self._minus(p, p[col], row) for p in self.rows]
+        scale = ring.mul[ring._rinv(row[col])]
+        row = [scale[c] for c in row]
+        self.rows = [p if not p[col] else self._minus(p, p[col], row) for p in self.rows]
         self.rows.append(row)
         self.pivots.append(col)
 
@@ -149,33 +151,30 @@ class Echelon:
         columns and -row[f] at each pivot.  SingularMatrixError when a rest
         row reduced on the final pivots is not zero (the row span is not a
         free summand, e.g. a degenerate restriction)."""
-        ring = self.ring
-        zero, one = ring._zero_data(), ring._one_data()
-        if any(c != zero for row in self.rest for c in self.reduce(row)):
+        elems, neg = self.ring.elems, self.ring.neg
+        if any(any(self.reduce(row)) for row in self.rest):
             raise SingularMatrixError("row space has no unit pivot for a nonzero row")
         kernel = []
         for f in range(self.ncols):
             if f not in self.pivots:
-                v = [zero] * self.ncols
-                v[f] = one
+                v = [0] * self.ncols
+                v[f] = 1
                 for row, p in zip(self.rows, self.pivots):
-                    v[p] = ring._rneg(row[f])
-                kernel.append(tuple(RingElement(ring, d) for d in v))
+                    v[p] = neg[row[f]]
+                kernel.append(tuple(elems[d] for d in v))
         return tuple(kernel)
 
 
 def mat_inverse(ring: LocalRing, A):
     """Inverse of an invertible matrix via Gauss-Jordan with unit pivots."""
     n = len(A)
-    zero, one = ring._zero_data(), ring._one_data()
     ech = Echelon(ring, n, (
-        [c.data for c in row] + [one if j == i else zero for j in range(n)]
-        for i, row in enumerate(A)
+        [c.data for c in row] + [int(j == i) for j in range(n)] for i, row in enumerate(A)
     ))
     if len(ech.pivots) < n:
         raise SingularMatrixError("matrix is not invertible over the local ring")
     by_pivot = dict(zip(ech.pivots, ech.rows))
-    return tuple(tuple(RingElement(ring, d) for d in by_pivot[p][n:]) for p in range(n))
+    return tuple(tuple(ring.elems[d] for d in by_pivot[p][n:]) for p in range(n))
 
 
 def kernel_basis(ring: LocalRing, T):
@@ -189,10 +188,9 @@ def solve_field(field: LocalRing, A, b):
     """Solve A x = b over a field; returns one solution or None."""
     n = len(A[0]) if A else 0
     ech = Echelon(field, n, ([c.data for c in row] + [b[i].data] for i, row in enumerate(A)))
-    zero = field._zero_data()
-    if any(ech.reduce(row)[n] != zero for row in ech.rest):
+    if any(ech.reduce(row)[n] for row in ech.rest):
         return None
-    x = [zero] * n
+    x = [0] * n
     for row, p in zip(ech.rows, ech.pivots):
         x[p] = row[n]
-    return tuple(RingElement(field, d) for d in x)
+    return tuple(field.elems[d] for d in x)

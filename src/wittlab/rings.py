@@ -8,38 +8,36 @@ where POLY is a polynomial in the bracketed variable with integer
 coefficients, or ``a`` for a fixed generator of GF(q).  Whitespace is
 ignored.  A parsed ring knows its unit group, its maximal ideal, its
 residue field with lift/reduce maps, and its square-class structure.
-Everything a ring builds lazily about itself (units, product tables, square
-classes, vector enumerations, group presentations, arithmetic tables) is
-kept in the ring's own state through ``LocalRing.cached``; ``parse_ring``
+Everything a ring builds about itself (its arithmetic kernel, units,
+product tables, square classes, vector enumerations, group presentations)
+is kept in the ring's own state through ``LocalRing.cached``; ``parse_ring``
 keeps one ring per spec, so a fresh registry gives fresh rings with empty
 state.
 
-Elements are kept in a unique canonical form (least nonnegative residue,
-or a trailing-zero-trimmed coefficient tuple over the base field), so
-equality of representations is equality in the ring.
-
-Arithmetic on element data: ``Z/N`` works on native ints.  A polynomial
-quotient with at most ``TABLE_SIZE_BOUND`` (256) elements answers sums,
-products and negatives from arithmetic tables in its state: each pair is
-computed once, on its first use, and looked up after that, so a table holds
-at most 65,536 entries.  Larger quotients compute every result.  Hot loops
-elsewhere (``eval_b``, ``mat_mul``, ``mat_det``, the elimination
-``matrices.Echelon``, ``vec_combo``) bind the raw operations once and wrap a
-``RingElement`` only around their results.  They do not check which ring an
-element belongs to, so spaces, bases and congruence witnesses check their
-entries once, through ``LocalRing.check_elements``.
+An element's data is its index in the carrier, an int in [0, |R|): the
+residue itself for ``Z/N``, and sum c_i q^i for the element sum c_i x^i of
+``GF(q)[x]/(f)``, each c_i the index of a coefficient.  Index order is the
+order of the coefficients read from the highest degree down, zero is 0 and
+one is 1 in every ring, and equal data means equal elements.  Sums,
+products and negatives come from the kernel described at
+``LocalRing.cached``.  Hot loops elsewhere (``eval_b``, ``_gram_row``,
+``vec_combo``, ``_lift_into``, the elimination ``matrices.Echelon``, ``_dot``
+and ``mat_det``) index its tables directly and take their results from the
+interned elements.  They do not check which ring an element belongs to, so
+spaces, bases and congruence witnesses check their entries once, through
+``LocalRing.check_elements``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from functools import partial
 from typing import Iterator
 
 
 DEFAULT_SIZE_CAP = 4096
-# polynomial quotients with at most this many elements answer +, * and - from
-# tables of at most TABLE_SIZE_BOUND^2 = 65,536 entries each
+# rings with at most this many elements hold list tables of sums and
+# products, of at most TABLE_SIZE_BOUND^2 = 65,536 entries each
 TABLE_SIZE_BOUND = 256
 
 
@@ -64,13 +62,15 @@ class NonUnitError(RingError):
 
 
 class RingElement:
-    """One element of a :class:`LocalRing`, in canonical form."""
+    """One element of a :class:`LocalRing`: ``data`` is its carrier index.
+
+    A ring holds one element per index, so ``RingElement(ring, d)`` and
+    ``ring.element(d)`` return that element."""
 
     __slots__ = ("ring", "data")
 
-    def __init__(self, ring: "LocalRing", data):
-        self.ring = ring
-        self.data = data
+    def __new__(cls, ring: "LocalRing", data: int):
+        return ring.elems[data]
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
@@ -85,7 +85,8 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._radd(self.data, other.data))
+        ring = self.ring
+        return ring.elems[ring.add[self.data][other.data]]
 
     __radd__ = __add__
 
@@ -93,7 +94,8 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._radd(self.data, self.ring._rneg(other.data)))
+        ring = self.ring
+        return ring.elems[ring.add[self.data][ring.neg[other.data]]]
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -105,12 +107,13 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring._rmul(self.data, other.data))
+        ring = self.ring
+        return ring.elems[ring.mul[self.data][other.data]]
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElement(self.ring, self.ring._rneg(self.data))
+        return self.ring.elems[self.ring.neg[self.data]]
 
     def __pow__(self, k: int):
         if k < 0:
@@ -125,20 +128,20 @@ class RingElement:
         return result
 
     def inv(self) -> "RingElement":
-        return RingElement(self.ring, self.ring._rinv(self.data))
+        return self.ring.elems[self.ring._rinv(self.data)]
 
     def is_unit(self) -> bool:
-        return self.ring._runit(self.data)
+        return self.ring.residue_of[self.data] != 0
 
     def is_zero(self) -> bool:
-        return self.data == self.ring._zero_data()
+        return self.data == 0
 
     def reduce(self) -> "RingElement":
         """Image in the residue field."""
         return self.ring.reduce(self)
 
     def sort_key(self):
-        return self.ring._rkey(self.data)
+        return self.data
 
     def to_json(self):
         return self.ring._rjson(self.data)
@@ -156,11 +159,39 @@ class RingElement:
         return self.ring.format_element(self.data)
 
 
+class _Rows(dict):
+    """``rows[a]`` is ``build(a)``, made on the first lookup of ``a``."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, a):
+        row = self[a] = self.build(a)
+        return row
+
+
+class _Computed(dict):
+    """A row of a ring above ``TABLE_SIZE_BOUND``, indexed like a table row:
+    ``row[b]`` is ``op(a, b)``, computed at every lookup and never kept."""
+
+    __slots__ = ("a", "op")
+
+    def __init__(self, a, op):
+        self.a, self.op = a, op
+
+    def __missing__(self, b):
+        return self.op(self.a, b)
+
+
 class LocalRing:
     """Common behaviour of the concrete finite local rings below.
 
-    Subclasses provide the raw data-level arithmetic ``_radd``, ``_rmul``,
-    ``_rneg``, ``_rinv``, ``_runit`` plus enumeration and formatting.
+    Subclasses provide the arithmetic kernel's builders (``_add_row``,
+    ``_mul_row``, ``_add_op``, ``_mul_op``, ``_neg_list``,
+    ``_residue_list``, ``_inverse``), formatting and JSON, and call
+    ``_build_kernel`` once their size is known.
     """
 
     spec: str
@@ -174,10 +205,18 @@ class LocalRing:
         """The value of ``build()`` for ``key``: built on the first use of
         ``key`` and kept for as long as this ring lives.
 
-        This is the one owner of per-ring state, the arithmetic tables of a
-        small polynomial quotient included (``add_table``, ``mul_table``,
-        ``neg_table``: empty dicts at construction, filled pair by pair on
-        first use, only when |R| <= TABLE_SIZE_BOUND).  A ring from a fresh
+        This is the one owner of per-ring state, the arithmetic kernel
+        included, which ``_build_kernel`` makes with the ring:
+        ``elements``, one interned ``RingElement`` per index (``elems``);
+        the lists ``neg`` and ``residue_of`` (the index of each element's
+        image in the residue field, 0 exactly on the maximal ideal); and the
+        row tables ``add`` and ``mul``, indexed as ``add[a][b]``, whose rows
+        are made on first use.  When |R| <= TABLE_SIZE_BOUND a row is a list
+        of |R| indices, built by table lookups alone (native ints for
+        ``Z/N``; for a polynomial quotient, sums digit by digit and products
+        by the shift-and-add recurrence at ``PolyQuotient._mul_row``).  Above
+        the bound a row computes each entry when it is looked up, so every
+        ring is indexed through the same code.  A ring from a fresh
         ``parse_ring`` registry starts with all of it empty."""
         try:
             return self._state[key]
@@ -185,6 +224,32 @@ class LocalRing:
             pass
         value = self._state[key] = build()
         return value
+
+    def _build_kernel(self):
+        def interned(i):
+            e = object.__new__(RingElement)
+            e.ring, e.data = self, i
+            return e
+
+        self.elems = self.cached("elements", lambda: tuple(map(interned, range(self.size))))
+        self.zero, self.one = self.elems[0], self.elems[1]
+        self.neg = self.cached("neg", self._neg_list)
+        self.residue_of = self.cached("residue_of", self._residue_list)
+        if self.size <= TABLE_SIZE_BOUND:
+            add_row, mul_row = self._add_row, self._mul_row
+        else:
+            add_row, mul_row = (partial(_Computed, op=op) for op in (self._add_op, self._mul_op))
+        self.add = self.cached("add", lambda: _Rows(add_row))
+        self.mul = self.cached("mul", lambda: _Rows(mul_row))
+
+    def _rinv(self, a):
+        """Index of the inverse of the unit with index a, memoized."""
+        if not self.residue_of[a]:
+            raise NonUnitError(f"{self.format_element(a)} is not a unit of {self.spec}")
+        inverses = self.cached("inverses", dict)
+        if a not in inverses:
+            inverses[a] = self._inverse(a)
+        return inverses[a]
 
     def check_elements(self, elements):
         """RingError unless every one of ``elements`` belongs to this ring.
@@ -196,32 +261,20 @@ class LocalRing:
 
     # -- element factories -------------------------------------------------
 
-    def element(self, data) -> RingElement:
-        return RingElement(self, data)
-
-    @property
-    def zero(self) -> RingElement:
-        return self.element(self._zero_data())
-
-    @property
-    def one(self) -> RingElement:
-        return self.element(self._one_data())
+    def element(self, data: int) -> RingElement:
+        return self.elems[data]
 
     @property
     def minus_one(self) -> RingElement:
-        return self.element(self._rneg(self._one_data()))
-
-    def from_int(self, n: int) -> RingElement:
-        return self.element(self._from_int_data(n))
+        return self.elems[self.neg[1]]
 
     # -- enumeration -------------------------------------------------------
 
     def elements(self) -> Iterator[RingElement]:
-        for data in self._carrier():
-            yield self.element(data)
+        return iter(self.elems)
 
     def units(self) -> tuple[RingElement, ...]:
-        return self.cached("units", lambda: tuple(x for x in self.elements() if x.is_unit()))
+        return self.cached("units", lambda: tuple(x for x in self.elems if x.is_unit()))
 
     def unit_index(self) -> dict:
         """Position in ``units()`` of each unit, keyed by its data."""
@@ -229,22 +282,22 @@ class LocalRing:
 
     def unit_product_table(self) -> tuple:
         """``table[i][j]`` is the position in ``units()`` of the product of
-        units i and j, built from |R*|^2 raw products on first use."""
+        units i and j, built from |R*|^2 table products on first use."""
         def build():
             data = [u.data for u in self.units()]
             index = self.unit_index()
-            rmul = self._rmul
-            return tuple(tuple(index[rmul(a, b)] for b in data) for a in data)
+            mul = self.mul
+            return tuple(tuple(index[mul[a][b]] for b in data) for a in data)
 
         return self.cached("unit_product_table", build)
 
     def maximal_ideal(self) -> tuple[RingElement, ...]:
         return self.cached(
-            "maximal_ideal", lambda: tuple(x for x in self.elements() if not x.is_unit())
+            "maximal_ideal", lambda: tuple(x for x in self.elems if not x.is_unit())
         )
 
     def random_element(self, rng) -> RingElement:
-        return self.element(self._carrier()[rng.randrange(self.size)])
+        return self.elems[rng.randrange(self.size)]
 
     def random_unit(self, rng) -> RingElement:
         units = self.units()
@@ -253,17 +306,19 @@ class LocalRing:
     # -- residue field -----------------------------------------------------
 
     def residue_field(self) -> "LocalRing":
-        raise NotImplementedError
+        return self._residue
 
     def reduce(self, x: RingElement) -> RingElement:
         if x.ring != self:
             raise RingError("element does not belong to this ring")
-        return self.residue_field().element(self._reduce_raw(x.data))
+        return self._residue.elems[self.residue_of[x.data]]
 
     def lift(self, xbar: RingElement) -> RingElement:
-        if xbar.ring != self.residue_field():
+        """The lift with the same index: for Z/N the least residue, for a
+        quotient the polynomial of degree below that of the irreducible."""
+        if xbar.ring != self._residue:
             raise RingError("element does not belong to the residue field")
-        return self.element(self._lift_raw(xbar.data))
+        return self.elems[xbar.data]
 
     # -- squares -----------------------------------------------------------
 
@@ -279,9 +334,8 @@ class LocalRing:
     # -- plumbing ----------------------------------------------------------
 
     def _verify_lift_section(self):
-        F = self.residue_field()
-        for xbar in F.elements():
-            if self._reduce_raw(self._lift_raw(xbar.data)) != xbar.data:
+        for xbar in self._residue.elems:
+            if self.residue_of[xbar.data] != xbar.data:
                 raise RingError(f"lift/reduce section broken for {xbar!r} in {self.spec}")
 
     def __eq__(self, other):
@@ -316,9 +370,10 @@ class SquareClasses:
 
 def _build_square_classes(ring: LocalRing) -> SquareClasses:
     units = ring.units()
+    mul = ring.mul
     roots: dict = {}
     for u in units:
-        roots.setdefault(ring._rmul(u.data, u.data), u)
+        roots.setdefault(mul[u.data][u.data], u)
     class_index: dict = {}
     reps = []
     for u in units:
@@ -326,14 +381,15 @@ def _build_square_classes(ring: LocalRing) -> SquareClasses:
             continue
         idx = len(reps)
         reps.append(u)
+        row = mul[u.data]
         for s in roots:
-            class_index[ring._rmul(u.data, s)] = idx
+            class_index[row[s]] = idx
     if len(reps) * len(roots) != len(units):
         raise RingError(f"square class accounting broken in {ring.spec}")
     F = ring.residue_field()
     if F.size % 2 == 0:
         # Frobenius is injective on a finite field of characteristic 2.
-        imgs = {F._rmul(x.data, x.data) for x in F.elements()}
+        imgs = {F.mul[x][x] for x in range(F.size)}
         if len(imgs) != F.size:
             raise RingError(f"squaring not injective on residue field of {ring.spec}")
     return SquareClasses(ring, tuple(reps), roots, class_index)
@@ -355,70 +411,55 @@ class Zmod(LocalRing):
         self.is_field = k == 1
         self.spec = display if display is not None else f"Z/{self.size}"
         self._residue = self if k == 1 else Zmod(p, 1, display=f"GF({p})")
+        self._build_kernel()
 
-    # raw ops on ints in [0, size)
-    def _radd(self, a, b):
+    def _add_row(self, a):
+        return list(range(a, self.size)) + list(range(a))
+
+    def _mul_row(self, a):
+        N = self.size
+        return [a * b % N for b in range(N)]
+
+    def _add_op(self, a, b):
         return (a + b) % self.size
 
-    def _rmul(self, a, b):
-        return (a * b) % self.size
+    def _mul_op(self, a, b):
+        return a * b % self.size
 
-    def _rneg(self, a):
-        return (-a) % self.size
+    def _neg_list(self):
+        N = self.size
+        return [-a % N for a in range(N)]
 
-    def _rinv(self, a):
-        if a % self.p == 0:
-            raise NonUnitError(f"{a} is not a unit of {self.spec}")
+    def _residue_list(self):
+        return range(self.size) if self.is_field else [a % self.p for a in range(self.size)]
+
+    def _inverse(self, a):
         return pow(a, -1, self.size)
-
-    def _runit(self, a):
-        return a % self.p != 0
-
-    def _rkey(self, a):
-        return a
 
     def _rjson(self, a):
         return a
 
-    def _zero_data(self):
-        return 0
-
-    def _one_data(self):
-        return 1
-
-    def _from_int_data(self, n):
-        return n % self.size
-
-    def _carrier(self):
-        return self.cached("carrier", lambda: tuple(range(self.size)))
-
-    def residue_field(self):
-        return self._residue
-
-    def _reduce_raw(self, a):
-        return a % self.p
-
-    def _lift_raw(self, abar):
-        return abar
+    def from_int(self, n: int) -> RingElement:
+        return self.elems[n % self.size]
 
     def element_from_json(self, obj) -> RingElement:
         if not isinstance(obj, int) or isinstance(obj, bool):
             raise RingError(f"expected an integer for an element of {self.spec}, got {obj!r}")
-        return self.element(obj % self.size)
+        return self.elems[obj % self.size]
 
     def format_element(self, a):
         return str(a)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over a finite field (data-level, trailing zeros trimmed)
+# polynomial helpers over a finite field: trailing-zero-trimmed tuples of
+# coefficient indices, computed with the field's tables
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(base, t):
+def _ptrim(t):
     n = len(t)
-    z = base._zero_data()
-    while n and t[n - 1] == z:
+    while n and not t[n - 1]:
         n -= 1
     return tuple(t[:n])
 
@@ -426,44 +467,48 @@ def _ptrim(base, t):
 def _padd(base, a, b):
     if len(a) < len(b):
         a, b = b, a
+    add = base.add
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = base._radd(out[i], c)
-    return _ptrim(base, out)
+        out[i] = add[out[i]][c]
+    return _ptrim(out)
 
 
 def _pneg(base, a):
-    return tuple(base._rneg(c) for c in a)
+    neg = base.neg
+    return tuple(neg[c] for c in a)
 
 
 def _pmul(base, a, b):
     if not a or not b:
         return ()
-    z = base._zero_data()
-    out = [z] * (len(a) + len(b) - 1)
+    add, mul = base.add, base.mul
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == z:
+        if not ca:
             continue
+        row = mul[ca]
         for j, cb in enumerate(b):
-            out[i + j] = base._radd(out[i + j], base._rmul(ca, cb))
-    return _ptrim(base, out)
+            out[i + j] = add[out[i + j]][row[cb]]
+    return _ptrim(out)
 
 
 def _pdivmod(base, a, m):
     """Divide by a monic polynomial m over the base field."""
+    add, mul, neg = base.add, base.mul, base.neg
     a = list(a)
     dm = len(m) - 1
-    z = base._zero_data()
-    quo = [z] * max(0, len(a) - dm)
+    quo = [0] * max(0, len(a) - dm)
     while len(a) > dm:
         lead = a[-1]
         shift = len(a) - 1 - dm
-        if lead != z:
+        if lead:
             quo[shift] = lead
+            row = mul[neg[lead]]
             for i in range(dm + 1):
-                a[shift + i] = base._radd(a[shift + i], base._rneg(base._rmul(lead, m[i])))
+                a[shift + i] = add[a[shift + i]][row[m[i]]]
         a.pop()
-    return _ptrim(base, quo), _ptrim(base, a)
+    return _ptrim(quo), _ptrim(a)
 
 
 def _pmod(base, a, m):
@@ -472,44 +517,34 @@ def _pmod(base, a, m):
 
 def _pmonic(base, a):
     lead = a[-1]
-    if lead == base._one_data():
+    if lead == 1:
         return a
-    inv = base._rinv(lead)
-    return tuple(base._rmul(c, inv) for c in a)
+    row = base.mul[base._rinv(lead)]
+    return tuple(row[c] for c in a)
 
 
 def _pxgcd(base, a, b):
     """Extended gcd over base[x]; returns (g, s, t) with s*a + t*b = g."""
     r0, r1 = a, b
-    s0, s1 = (base._one_data(),), ()
-    t0, t1 = (), (base._one_data(),)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
     while r1:
         m = _pmonic(base, r1)
-        lead_inv = base._rinv(r1[-1])
+        lead_inv = base.mul[base._rinv(r1[-1])]
         q, r = _pdivmod(base, r0, m)
-        q = tuple(base._rmul(c, lead_inv) for c in q)
+        q = tuple(lead_inv[c] for c in q)
         r0, r1 = r1, r
         s0, s1 = s1, _padd(base, s0, _pneg(base, _pmul(base, q, s1)))
         t0, t1 = t1, _padd(base, t0, _pneg(base, _pmul(base, q, t1)))
     return r0, s0, t0
 
 
-def _peval(base, a, c):
-    """Evaluate polynomial a at base element c (Horner)."""
-    acc = base._zero_data()
-    for coeff in reversed(a):
-        acc = base._radd(base._rmul(acc, c), coeff)
-    return acc
-
-
 def _min_degree_factor(base, f):
-    """Smallest-degree monic divisor of f over the base field.
-
-    The minimal-degree monic divisor of degree >= 1 is automatically
-    irreducible.  Enumeration is fine at the configured size caps.
+    """Smallest-degree monic divisor of f of degree >= 1 over the base field,
+    hence irreducible: f itself when none has degree <= deg(f) / 2.
+    Enumeration is fine at the configured size caps.
     """
-    df = len(f) - 1
-    for d in range(1, df + 1):
+    for d in range(1, (len(f) - 1) // 2 + 1):
         for g in _monic_polys(base, d):
             if not _pmod(base, f, g):
                 return g
@@ -518,35 +553,23 @@ def _min_degree_factor(base, f):
 
 def _monic_polys(base, d):
     """All monic degree-d polynomials over the base field, canonical order."""
-    carrier = base._carrier()
-    size = len(carrier)
-    one = base._one_data()
+    size = base.size
     for idx in range(size ** d):
         coeffs = []
         n = idx
         for _ in range(d):
-            coeffs.append(carrier[n % size])
+            coeffs.append(n % size)
             n //= size
-        yield tuple(coeffs) + (one,)
-
-
-def _is_irreducible(base, f):
-    df = len(f) - 1
-    if df <= 1:
-        return df == 1
-    for d in range(1, df // 2 + 1):
-        for g in _monic_polys(base, d):
-            if not _pmod(base, f, g):
-                return False
-    return True
+        yield tuple(coeffs) + (1,)
 
 
 def default_irreducible(base: Zmod, k: int) -> tuple:
     """Canonical monic irreducible of degree k over GF(p): least in
     constant-coefficient-first enumeration order."""
-    for g in _monic_polys(base, k):
-        if _is_irreducible(base, g):
-            return g
+    if k >= 1:
+        for g in _monic_polys(base, k):
+            if _min_degree_factor(base, g) == g:
+                return g
     raise RingError(f"no irreducible polynomial of degree {k} over {base.spec}")
 
 
@@ -564,7 +587,7 @@ class PolyQuotient(LocalRing):
             raise NotLocalError("polynomial quotients require a field of coefficients")
         super().__init__()
         self.base = base
-        self.modulus = modulus  # monic, data-level coefficient tuple
+        self.modulus = modulus  # monic tuple of coefficient indices
         self.var = var
         self.degree = len(modulus) - 1
         if self.degree < 1:
@@ -574,14 +597,9 @@ class PolyQuotient(LocalRing):
             raise TooLargeError(
                 f"|R| = {base.size}^{self.degree} exceeds the size cap {size_cap}"
             )
-        # a -> b -> a+b, a -> b -> a*b and a -> -a, filled on first use
-        tabled = self.size <= TABLE_SIZE_BOUND
-        self._add_table = self.cached("add_table", lambda: defaultdict(dict)) if tabled else None
-        self._mul_table = self.cached("mul_table", lambda: defaultdict(dict)) if tabled else None
-        self._neg_table = self.cached("neg_table", dict) if tabled else None
 
         g = _min_degree_factor(base, modulus)
-        m, rem = 1, None
+        m = 1
         power = g
         while len(power) < len(modulus):
             power = _pmul(base, power, g)
@@ -601,128 +619,115 @@ class PolyQuotient(LocalRing):
         if self.is_field:
             self._residue = self
         elif len(g) == 2:
-            # linear irreducible: residue field is the coefficient field,
-            # reduction is evaluation at the root of g
+            # linear irreducible: the residue field is the coefficient field,
+            # and reduction is evaluation at the root of g
             self._residue = base
-            self._root = base._rneg(g[0])
+            self._root = base.neg[g[0]]
         else:
             self._residue = PolyQuotient(base, g, var, size_cap=size_cap)
+        self._coeffs = self.cached("coeffs", self._coeff_list)
+        self._build_kernel()
 
-    # raw ops on trimmed coefficient tuples: from the arithmetic tables when
-    # |R| <= TABLE_SIZE_BOUND, else computed directly
-    def _radd(self, a, b):
-        rows = self._add_table
-        if rows is None:
-            return _padd(self.base, a, b)
-        try:
-            return rows[a][b]
-        except KeyError:
-            value = rows[a][b] = _padd(self.base, a, b)
-            return value
+    def _coeff_list(self):
+        """The trimmed coefficient tuple of every index."""
+        q = self.base.size
+        out = [()] + [(a,) for a in range(1, q)]
+        for a in range(q, self.size):
+            out.append((a % q,) + out[a // q])
+        return out
 
-    def _rmul(self, a, b):
-        rows = self._mul_table
-        if rows is None:
-            return _pmod(self.base, _pmul(self.base, a, b), self.modulus)
-        try:
-            return rows[a][b]
-        except KeyError:
-            value = rows[a][b] = _pmod(self.base, _pmul(self.base, a, b), self.modulus)
-            return value
+    def _index(self, coeffs):
+        q, n = self.base.size, 0
+        for c in reversed(coeffs):
+            n = n * q + c
+        return n
 
-    def _rneg(self, a):
-        table = self._neg_table
-        if table is None:
-            return _pneg(self.base, a)
-        try:
-            return table[a]
-        except KeyError:
-            value = table[a] = _pneg(self.base, a)
-            return value
+    # kernel builders; a = a_0 + x a' has index a_0 + q a', so a // q is the
+    # index of a' and a % q that of a_0
+    def _add_row(self, a):
+        if not a:
+            return list(range(self.size))
+        q = self.base.size
+        low, high = self.base.add[a % q], self.add[a // q]
+        return [low[b % q] + q * high[b // q] for b in range(self.size)]
 
-    def _rinv(self, a):
-        """Inverse by the extended gcd with the modulus, memoized per unit."""
-        inverses = self.cached("inverses", dict)
-        try:
-            return inverses[a]
-        except KeyError:
-            pass
-        g, s, _ = _pxgcd(self.base, a, self.modulus)
-        if len(g) != 1:
-            raise NonUnitError(f"{self.format_element(a)} is not a unit of {self.spec}")
-        c = self.base._rinv(g[0])
-        inv = inverses[a] = _pmod(
-            self.base, tuple(self.base._rmul(ci, c) for ci in s), self.modulus
-        )
-        return inv
+    def _mul_row(self, a):
+        """a b = b_0 a + x (a b'): each entry is two lookups in the row of
+        b_0 a, the products by x, and the entry at b' < b."""
+        q, add, smul, xmul = self.base.size, self.add, self._smul(), self._xmul()
+        scaled = [add[smul[c][a]] for c in range(q)]
+        row = [0] * self.size
+        for b in range(1, self.size):
+            row[b] = scaled[b % q][xmul[row[b // q]]]
+        return row
 
-    def _runit(self, a):
+    def _smul(self):
+        """``smul[c][a]``: the product of a by the coefficient c."""
+        def build(c):
+            q, low = self.base.size, self.base.mul[c]
+            row = [0] * self.size
+            for a in range(1, self.size):
+                row[a] = low[a % q] + q * row[a // q]
+            return row
+
+        return self.cached("smul", lambda: _Rows(build))
+
+    def _xmul(self):
+        """``xmul[a]``: the product of a by x, where x^d = -(f - x^d)."""
+        def build():
+            top = self.size // self.base.size
+            xd = self._index(_pneg(self.base, self.modulus[:-1]))
+            add, smul, q = self.add, self._smul(), self.base.size
+            return [add[q * (a % top)][smul[a // top][xd]] for a in range(self.size)]
+
+        return self.cached("xmul", build)
+
+    def _add_op(self, a, b):
+        return self._index(_padd(self.base, self._coeffs[a], self._coeffs[b]))
+
+    def _mul_op(self, a, b):
+        C = self._coeffs
+        return self._index(_pmod(self.base, _pmul(self.base, C[a], C[b]), self.modulus))
+
+    def _neg_list(self):
+        q, low = self.base.size, self.base.neg
+        out = [0] * self.size
+        for a in range(1, self.size):
+            out[a] = low[a % q] + q * out[a // q]
+        return out
+
+    def _residue_list(self):
+        """Horner's rule: a reduces to a_0 + r (a' reduced), with r the root
+        of g in the residue field (the class of x)."""
         if self.is_field:
-            return bool(a)
-        return bool(self._reduce_raw(a))
+            return range(self.size)
+        F, q = self._residue, self.base.size
+        step = F.mul[self._root] if F is self.base else F._xmul()
+        out = [0] * self.size
+        for a in range(1, self.size):
+            out[a] = F.add[a % q][step[out[a // q]]]
+        return out
 
-    def _rkey(self, a):
-        # high-degree coefficient first, so the order matches the carrier
-        # enumeration (constant coefficient cycles fastest)
-        pad = self.degree - len(a)
-        zk = self.base._rkey(self.base._zero_data())
-        return (zk,) * pad + tuple(self.base._rkey(c) for c in reversed(a))
+    def _inverse(self, a):
+        """Inverse by the extended gcd with the modulus."""
+        g, s, _ = _pxgcd(self.base, self._coeffs[a], self.modulus)
+        row = self.base.mul[self.base._rinv(g[0])]
+        return self._index(_pmod(self.base, tuple(row[c] for c in s), self.modulus))
 
     def _rjson(self, a):
-        return [self.base._rjson(c) for c in a]
+        return [self.base._rjson(c) for c in self._coeffs[a]]
 
-    def _zero_data(self):
-        return ()
-
-    def _one_data(self):
-        one = self.base._one_data()
-        return (one,)
-
-    def _from_int_data(self, n):
-        d = self.base._from_int_data(n)
-        return (d,) if d != self.base._zero_data() else ()
-
-    def _carrier(self):
-        def build():
-            base_carrier = self.base._carrier()
-            q = len(base_carrier)
-            out = []
-            for idx in range(self.size):
-                coeffs = []
-                n = idx
-                for _ in range(self.degree):
-                    coeffs.append(base_carrier[n % q])
-                    n //= q
-                out.append(_ptrim(self.base, coeffs))
-            return tuple(out)
-
-        return self.cached("carrier", build)
-
-    def residue_field(self):
-        return self._residue
-
-    def _reduce_raw(self, a):
-        if self.is_field:
-            return a
-        if self._residue is self.base:
-            return _peval(self.base, a, self._root)
-        return _pmod(self.base, a, self.irreducible)
-
-    def _lift_raw(self, abar):
-        if self.is_field:
-            return abar
-        if self._residue is self.base:
-            return (abar,) if abar != self.base._zero_data() else ()
-        return abar
+    def from_int(self, n: int) -> RingElement:
+        return self.elems[self.base.from_int(n).data]
 
     def element_from_json(self, obj) -> RingElement:
         if not isinstance(obj, list):
             raise RingError(f"expected a coefficient array for an element of {self.spec}, got {obj!r}")
-        coeffs = tuple(self.base.element_from_json(c).data for c in obj)
-        return self.element(_pmod(self.base, _ptrim(self.base, coeffs), self.modulus))
+        coeffs = _ptrim([self.base.element_from_json(c).data for c in obj])
+        return self.elems[self._index(_pmod(self.base, coeffs, self.modulus))]
 
     def format_element(self, a):
-        return format_poly(self.base, a, self.var)
+        return format_poly(self.base, self._coeffs[a], self.var)
 
 
 def format_poly(base: LocalRing, coeffs, var: str) -> str:
@@ -730,16 +735,14 @@ def format_poly(base: LocalRing, coeffs, var: str) -> str:
     if not coeffs:
         return "0"
     terms = []
-    one = base._one_data()
-    zero = base._zero_data()
     for i, c in enumerate(coeffs):
-        if c == zero:
+        if not c:
             continue
         if i == 0:
             terms.append(base.format_element(c))
             continue
         v = var if i == 1 else f"{var}^{i}"
-        if c == one:
+        if c == 1:
             terms.append(v)
         else:
             cs = base.format_element(c)
@@ -747,8 +750,6 @@ def format_poly(base: LocalRing, coeffs, var: str) -> str:
                 cs = f"({cs})"
             terms.append(f"{cs}*{v}")
     return "+".join(terms)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -759,17 +760,6 @@ _ZMOD_RE = re.compile(r"^Z/(\d+)$")
 _QUOT_RE = re.compile(r"^(GF\(\d+(?:\^\d+)?\))\[([a-z])\]/\((.+)\)$")
 
 _parse_cache: dict = {}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_power(n: int):
@@ -789,24 +779,32 @@ def _prime_power(n: int):
     return n, 1
 
 
+def _int(token: str) -> int:
+    """The int a spec spells, RingSyntaxError when it has too many digits
+    for ``int`` (CPython's limit on string conversion)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise RingSyntaxError(f"integer literal of {len(token)} digits is too long") from None
+
+
 def _parse_field(token: str, size_cap: int) -> LocalRing:
     m = _GF_RE.match(token)
     if not m:
         raise RingSyntaxError(f"bad field spec {token!r}")
-    p = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else 1
+    p = _int(m.group(1))
+    k = _int(m.group(2)) if m.group(2) else 1
+    # the cap before factoring p; for p >= 2, p^k exceeds the cap once k
+    # exceeds its bit length, so no huge power is computed
+    if p > size_cap or (p > 1 and k > size_cap.bit_length()) or p ** k > size_cap:
+        raise TooLargeError(f"|{token}| exceeds the size cap {size_cap}")
     if k == 1:
         pp = _prime_power(p)
-        if pp is None or pp[1] != 1:
-            if pp is not None:
-                # allow GF(q) with q a prime power, e.g. GF(4)
-                p, k = pp
-            else:
-                raise NotLocalError(f"GF({p}) requires a prime power")
-    if not _is_prime(p):
+        if pp is None:
+            raise NotLocalError(f"GF({p}) requires a prime power")
+        p, k = pp   # GF(q) with q a prime power, e.g. GF(4)
+    if _prime_power(p) != (p, 1):
         raise NotLocalError(f"GF({p}^{k}) requires a prime base")
-    if p ** k > size_cap:
-        raise TooLargeError(f"|GF({p}^{k})| exceeds the size cap {size_cap}")
     if k == 1:
         return Zmod(p, 1, display=f"GF({p})")
     prime = Zmod(p, 1, display=f"GF({p})")
@@ -882,13 +880,12 @@ class _PolyParser:
         if t is None:
             raise RingSyntaxError("unexpected end of polynomial")
         if t.isdigit():
-            c = self.base._from_int_data(int(t))
-            return (c,) if c != self.base._zero_data() else ()
+            c = self.base.from_int(_int(t)).data
+            return (c,) if c else ()
         if t == self.var:
-            poly = (self.base._zero_data(), self.base._one_data())
+            poly = (0, 1)
         elif t == "a":
-            gen = self._generator()
-            poly = (gen,) if gen != self.base._zero_data() else ()
+            poly = (self._generator(),)
         else:
             raise RingSyntaxError(f"unexpected token {t!r} in polynomial")
         if self.peek() == "^":
@@ -896,16 +893,16 @@ class _PolyParser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise RingSyntaxError("exponent must be an integer")
-            e = int(e)
+            e = _int(e)
             if t == self.var:
                 self._check_degree(e)
-                return (self.base._zero_data(),) * e + (self.base._one_data(),)
-            return ((RingElement(self.base, poly[0]) ** e).data,)
+                return (0,) * e + (1,)
+            return ((self.base.elems[poly[0]] ** e).data,)
         return poly
 
     def _generator(self):
         if isinstance(self.base, PolyQuotient) and self.base.var == "a":
-            return (self.base.base._zero_data(), self.base.base._one_data())
+            return self.base._index((0, 1))
         raise RingSyntaxError(f"'a' is undefined over {self.base.spec}")
 
 
@@ -924,12 +921,12 @@ def parse_ring(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> LocalRing:
 def _parse_ring_uncached(stripped: str, size_cap: int) -> LocalRing:
     m = _ZMOD_RE.match(stripped)
     if m:
-        n = int(m.group(1))
+        n = _int(m.group(1))
+        if n > size_cap:   # before factoring n
+            raise TooLargeError(f"|Z/{n}| exceeds the size cap {size_cap}")
         pp = _prime_power(n)
         if pp is None:
             raise NotLocalError(f"Z/{n} is not local (modulus is not a prime power)")
-        if n > size_cap:
-            raise TooLargeError(f"|Z/{n}| exceeds the size cap {size_cap}")
         p, k = pp
         return Zmod(p, k)
 
@@ -942,7 +939,7 @@ def _parse_ring_uncached(stripped: str, size_cap: int) -> LocalRing:
         poly = _PolyParser(m.group(3), base, var, size_cap).parse()
         if not poly:
             raise RingSyntaxError("modulus must be nonzero")
-        if not base._runit(poly[-1]):
+        if not base.residue_of[poly[-1]]:
             raise RingSyntaxError("modulus must have unit leading coefficient")
         poly = _pmonic(base, poly)
         ring = PolyQuotient(base, poly, var, size_cap=size_cap)

@@ -91,10 +91,10 @@ def test_criterion_02_unit_group_facts():
         assert {repr(s) for s in sc.squares} == {"1", "1+x^2"}
         assert len(sc.reps) == 4
         stated = [
-            R.element((1,)),
-            R.element((1, 1)),
-            R.element((1, 1, 1)),
-            R.element((1, 0, 1, 1)),
+            R.element_from_json([1]),
+            R.element_from_json([1, 1]),
+            R.element_from_json([1, 1, 1]),
+            R.element_from_json([1, 0, 1, 1]),
         ]
         # the stated elements represent the four classes, pairwise inequivalent
         assert len({sc.class_index[u.data] for u in stated}) == 4
@@ -192,13 +192,13 @@ def test_criterion_08_identity_witnesses():
 
         # the fixed 2x2 matrix from the counterexample computation
         R = parse_ring(CEX)
-        x = R.element((0, 1))
+        x = R.element_from_json([0, 1])
         one = R.one
         s = x + x * x + x ** 3
         CongruenceWitness(
             R,
             BilinearSpace.diagonal(R, (one, one + x)).gram,
-            BilinearSpace.diagonal(R, (one + x + x * x, R.element((1, 0, 1, 1)))).gram,
+            BilinearSpace.diagonal(R, (one + x + x * x, R.element_from_json([1, 0, 1, 1]))).gram,
             ((x, one), (one, s)),
         )
 

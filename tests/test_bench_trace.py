@@ -40,3 +40,28 @@ def test_spantrace_installs_on_a_fresh_import():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_name_the_tracer_wraps_exists():
+    """Each function, method and counter ``spantrace`` names is defined on
+    the library where ``Tracer.install`` looks for it: methods in the class's
+    own ``vars``, as install reads them.  Importing ``spantrace`` changes
+    nothing; only ``install`` wraps."""
+    import importlib
+    import inspect
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import spantrace
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    for mod_name, funcs in spantrace.SPAN_FUNCTIONS.items():
+        mod = importlib.import_module(f"wittlab.{mod_name}")
+        for fname in funcs:
+            assert callable(getattr(mod, fname, None)), f"{mod_name}.{fname}"
+    for table in (spantrace.SPAN_METHODS, spantrace.COUNTED_METHODS):
+        for mod_name, cls_name, meth in table:
+            cls = getattr(importlib.import_module(f"wittlab.{mod_name}"), cls_name)
+            assert callable(vars(cls).get(meth)), f"{mod_name}.{cls_name}.{meth}"
+    init = vars(importlib.import_module("wittlab.chains").OrthogonalBasis)["__init__"]
+    assert list(inspect.signature(init).parameters)[:4] == ["self", "space", "vectors", "validate"]

@@ -232,7 +232,7 @@ def test_resolve_block_examples():
     assert units == (Z9.from_int(7), Z9.from_int(2), Z9.from_int(2))
 
     R = parse_ring("GF(2)[x]/(x^4)")
-    x = R.element((0, 1))
+    x = R.element_from_json([0, 1])
     units, witness = resolve_block(R, x, x * x)
     one = R.one
     expected0 = (one - x ** 3) * (one + x).inv() * (one + x * x).inv()
@@ -254,7 +254,7 @@ def test_stable_diagonalize_examples():
     assert r == 1 and len(units) == 3
     assert units == (R.one, R.minus_one, R.minus_one)
 
-    x = R.element((0, 1))
+    x = R.element_from_json([0, 1])
     N = BilinearSpace(R, ((x, R.one), (R.one, x)))
     S4 = H.orthogonal_sum(N)
     units, r, witness = stable_diagonalize(S4)
@@ -278,10 +278,10 @@ def test_is_isometric_examples():
 
     # the explicit rank-2 isometry behind the counterexample computation
     R = parse_ring("GF(2)[x]/(x^4)")
-    x = R.element((0, 1))
+    x = R.element_from_json([0, 1])
     one = R.one
     S1 = BilinearSpace.diagonal(R, (one, one + x))
-    S2 = BilinearSpace.diagonal(R, (one + x + x * x, R.element((1, 0, 1, 1))))
+    S2 = BilinearSpace.diagonal(R, (one + x + x * x, R.element_from_json([1, 0, 1, 1])))
     res = is_isometric(S1, S2)
     assert res.status == "isometric"
     # the stated matrix is itself a valid witness
@@ -359,7 +359,7 @@ def check_calls(monkeypatch):
 
 def test_each_public_call_checks_one_witness(check_calls):
     R = parse_ring("GF(2)[x]/(x^4)")
-    x = R.element((0, 1))
+    x = R.element_from_json([0, 1])
     structure = gw_structure(R)
     # two residual blocks, so the composed witness replaces 2 + 2 checks
     S = BilinearSpace.hyperbolic(R).orthogonal_sum(
@@ -434,7 +434,7 @@ def test_steinberg_witness_examples():
     assert w.target == BilinearSpace.diagonal(F5, (F5.one, F5.from_int(3))).gram
 
     F4 = parse_ring("GF(4)")
-    alpha = F4.element((0, 1))
+    alpha = F4.element_from_json([0, 1])
     w = steinberg_witness(F4, alpha)
     assert w.target == BilinearSpace.diagonal(F4, (F4.one, F4.one)).gram
 
@@ -444,7 +444,7 @@ def test_hyperbolic_scaling_witness():
     w = hyperbolic_scaling_witness(Z9, Z9.one)
     assert w.source == w.target
     R = parse_ring("GF(2)[x]/(x^4)")
-    hyperbolic_scaling_witness(R, R.one + R.element((0, 1)))
+    hyperbolic_scaling_witness(R, R.one + R.element_from_json([0, 1]))
 
 
 def test_representation_identity_trivial():

@@ -367,7 +367,7 @@ def test_elementary_move_z4():
 
 def test_elementary_move_poly_ring():
     R = parse_ring("GF(2)[x]/(x^4)")
-    x = R.element((0, 1))
+    x = R.element_from_json([0, 1])
     S = ident_space(R, 2)
     B = standard_basis(S)
     B2 = elementary_move(B, x, 0, 1)
@@ -454,7 +454,7 @@ def test_lift_z9_perturbed_form():
 
 def test_lift_poly_ring_form():
     R = parse_ring("GF(2)[x]/(x^4)")
-    x = R.element((0, 1))
+    x = R.element_from_json([0, 1])
     S = BilinearSpace(R, ((R.one, x), (x, R.one + x * x)))
     rb = S.reduce().standard_basis()
     lifted = lift_basis(S, rb)
@@ -863,7 +863,7 @@ def test_extend_vector_chain_trivial():
 
 def test_extend_vector_chain_paper_step():
     F4 = parse_ring("GF(4)")
-    alpha = F4.element((0, 1))
+    alpha = F4.element_from_json([0, 1])
     beta = F4.one + alpha
     S = ident_space(F4, 4)
     e = standard_basis(S)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -463,3 +464,36 @@ def test_ring_specs_with_large_exponents_are_refused_at_once(capsys, spec, error
     code, data = run_cli(capsys, "ring-info", "--ring", spec)
     assert code == 2
     assert data["error"] == error
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("Z/100000000000000000039", "|Z/100000000000000000039| exceeds the size cap 4096"),
+    ("GF(100000000000000000039)", "|GF(100000000000000000039)| exceeds the size cap 4096"),
+    ("GF(2^99999999999)", "|GF(2^99999999999)| exceeds the size cap 4096"),
+])
+def test_large_moduli_are_refused_before_they_are_factored(capsys, spec, error):
+    """A prime modulus above the cap is refused at once, not factored by
+    trial division first."""
+    t0 = time.perf_counter()
+    code, data = run_cli(capsys, "ring-info", "--ring", spec)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert data["error"] == error
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("spec", [
+    f"Z/{_LONG}",                    # modulus
+    f"GF({_LONG})",                  # field size
+    f"GF(3)[x]/(x^{_LONG})",         # exponent
+    f"GF(3)[x]/(x^2+{_LONG})",       # coefficient
+    f"GF(3^{_LONG})",                # field exponent
+])
+def test_integers_too_long_for_int_exit_2_with_a_json_error(capsys, spec):
+    code = run(["ring-info", "--ring", spec])
+    out = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out.out)["error"] == "integer literal of 5000 digits is too long"
+    assert "Traceback" not in out.err

@@ -94,9 +94,9 @@ def test_whitespace_insensitive_and_canonical_spec():
 
 def test_mul_example_from_counterexample_ring():
     R = parse_ring("GF(2)[x]/(x^4)")
-    x = R.element((0, 1))
-    lhs = (R.one + x) * R.element((1, 0, 1, 1))
-    assert lhs == R.element((1, 1, 1))  # 1 + x + x^2
+    x = R.element_from_json([0, 1])
+    lhs = (R.one + x) * R.element_from_json([1, 0, 1, 1])
+    assert lhs == R.element_from_json([1, 1, 1])  # 1 + x + x^2
 
 
 def test_inverses():
@@ -177,10 +177,10 @@ def test_square_classes_counterexample_ring():
     # the four stated representatives are pairwise inequivalent, hence a
     # complete system of representatives
     stated = [
-        R.element((1,)),
-        R.element((1, 1)),
-        R.element((1, 1, 1)),
-        R.element((1, 0, 1, 1)),
+        R.element_from_json([1]),
+        R.element_from_json([1, 1]),
+        R.element_from_json([1, 1, 1]),
+        R.element_from_json([1, 0, 1, 1]),
     ]
     assert len({sc.class_index[u.data] for u in stated}) == 4
 
@@ -198,11 +198,11 @@ def test_reduce_lift():
     F3 = Z9.residue_field()
     assert Z9.reduce(Z9.from_int(7)) == F3.one
     R = parse_ring("GF(2)[x]/(x^4)")
-    v = R.element((1, 1, 0, 1))
+    v = R.element_from_json([1, 1, 0, 1])
     assert R.reduce(v) == R.residue_field().one
     R2 = parse_ring("GF(4)[y]/(y^2)")
     F4 = R2.residue_field()
-    alpha = F4.element((0, 1))
+    alpha = F4.element_from_json([0, 1])
     assert R2.reduce(R2.lift(alpha)) == alpha
     for spec in ["Z/27", "GF(2)[x]/(x^4)", "GF(4)[y]/(y^2)", "GF(3)[x]/(x^2)"]:
         ring = parse_ring(spec)
@@ -294,7 +294,7 @@ def test_element_ordering_and_repr():
     assert elems == list(R.elements())
     assert repr(elems[0]) == "0"
     assert repr(elems[1]) == "1"
-    assert repr(R.element((0, 0, 1))) == "x^2"
+    assert repr(R.element_from_json([0, 0, 1])) == "x^2"
 
 
 # ---------------------------------------------------------------------------
@@ -308,65 +308,101 @@ _RINGCHECK_SPECS = {
     "GF(4)": "GF(2)[x]/(x^2+x+1)",
     "GF(8)": "GF(2)[x]/(x^3+x+1)",
     "GF(9)": "GF(3)[x]/(x^2+1)",
+    "GF(256)": "GF(2)[x]/(x^8+x^4+x^3+x+1)",
 }
-TABLE_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + ["GF(2)[x]/(x^3)"]
+# rings up to TABLE_SIZE_BOUND elements: the shared test rings, 256-element
+# ones over a prime field and over GF(16), and residue fields of degree 2
+TABLE_SPECS = MATRIX_SPECS + F2_RESIDUE_SPECS + [
+    "GF(2)[x]/(x^3)", "Z/243", "GF(256)", "GF(16)[z]/(z^2)",
+    "GF(2)[x]/(x^4+x^2+1)", "GF(3)[x]/(x^4+2x^2+1)",
+]
+
+
+def _independent_ring(spec):
+    """The benchmark's value-level ring for spec: its elements are dense
+    coefficient tuples, with their own add, mul, neg and JSON."""
+    if spec == "GF(16)[z]/(z^2)":
+        gf16 = ringcheck._Quot(ringcheck._Zn(2), (1, 1, 0, 0, 1))   # x^4+x+1
+        return ringcheck._Quot(gf16, (gf16.zero, gf16.zero, gf16.one))
+    return ringcheck._value_ring(_RINGCHECK_SPECS.get(spec, spec))
 
 
 def _direct_ops(ring):
-    """Sum, product and negative of element data without any table."""
+    """Sum, product and negative of element data by arithmetic on native
+    ints or on coefficient tuples, as rings above the table bound do."""
     if isinstance(ring, rings.Zmod):
-        N = ring.size
-        return (lambda a, b: (a + b) % N), (lambda a, b: (a * b) % N), (lambda a: -a % N)
-    base, modulus = ring.base, ring.modulus
-    return (
-        lambda a, b: rings._padd(base, a, b),
-        lambda a, b: rings._pmod(base, rings._pmul(base, a, b), modulus),
-        lambda a: rings._pneg(base, a),
-    )
+        return ring._add_op, ring._mul_op, lambda a: -a % ring.size
+    return ring._add_op, ring._mul_op, \
+        lambda a: ring._index(rings._pneg(ring.base, ring._coeffs[a]))
 
 
-def _table_entries(ring):
-    state = ring._state
-    return (
-        sum(len(row) for row in state.get("add_table", {}).values()),
-        sum(len(row) for row in state.get("mul_table", {}).values()),
-        len(state.get("neg_table", {})),
-    )
+def _sort_key_of_json(obj, degrees):
+    """The order elements had when they were coefficient tuples: the
+    coefficients' own keys from the highest degree down, zero-padded to the
+    degree at each level of the tower."""
+    if not degrees:
+        return obj
+    inner = degrees[1:]
+    coeffs = list(obj) + [[] if inner else 0] * (degrees[0] - len(obj))
+    return tuple(_sort_key_of_json(c, inner) for c in reversed(coeffs))
+
+
+def _degrees(ring):
+    out = []
+    while isinstance(ring, rings.PolyQuotient):
+        out.append(ring.degree)
+        ring = ring.base
+    return out
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_arithmetic_tables_match_direct_and_independent_arithmetic(spec, monkeypatch):
-    monkeypatch.setattr(rings, "_parse_cache", {})   # a fresh ring: empty tables
+    monkeypatch.setattr(rings, "_parse_cache", {})   # a fresh ring: no rows yet
     ring = parse_ring(spec)
-    tabled = isinstance(ring, rings.PolyQuotient)
-    assert tabled == ("add_table" in ring._state)    # Z/N keeps native ints
-    assert _table_entries(ring) == (0, 0, 0)
+    assert ring.size <= rings.TABLE_SIZE_BOUND
+    assert len(ring._state["add"]) == len(ring._state["mul"]) == 0
     add, mul, neg = _direct_ops(ring)
-    data = ring._carrier()
-    for _ in range(2):   # the first pass fills the tables, the second reads them
-        for a in data:
-            assert ring._rneg(a) == neg(a)
-            for b in data:
-                assert ring._radd(a, b) == add(a, b)
-                assert ring._rmul(a, b) == mul(a, b)
-        if tabled:
-            assert _table_entries(ring) == (ring.size ** 2, ring.size ** 2, ring.size)
+    carrier = range(ring.size)
+    for a in carrier:
+        assert ring.neg[a] == neg(a)
+        add_row, mul_row = ring.add[a], ring.mul[a]
+        assert isinstance(add_row, list) and isinstance(mul_row, list)
+        for b in carrier:
+            assert add_row[b] == add(a, b)
+            assert mul_row[b] == mul(a, b)
+    assert len(ring._state["add"]) == len(ring._state["mul"]) == ring.size
 
-    check = ringcheck.Ring(_RINGCHECK_SPECS.get(spec, spec))
-    assert check.size == ring.size
-    index = {a: check.from_json(ring._rjson(a)) for a in data}
-    for a in data:
-        assert index[ring._rneg(a)] == check.neg_t[index[a]]
-        for b in data:
-            assert index[ring._radd(a, b)] == check.add_t[index[a]][index[b]]
-            assert index[ring._rmul(a, b)] == check.mul_t[index[a]][index[b]]
+    check = _independent_ring(spec)
+    values = [check.from_json(e.to_json()) for e in ring.elems]
+    assert len(set(values)) == ring.size == len(list(check.values()))
+    for a in carrier:
+        va = values[a]
+        assert values[ring.neg[a]] == check.neg(va)
+        for b in carrier:
+            assert values[ring.add[a][b]] == check.add(va, values[b])
+            assert values[ring.mul[a][b]] == check.mul(va, values[b])
+
+    # index order is the order of the old coefficient-tuple sort keys
+    degrees = _degrees(ring)
+    keys = [_sort_key_of_json(e.to_json(), degrees) for e in ring.elems]
+    assert keys == sorted(keys) and len(set(keys)) == ring.size
+    for d, e in enumerate(ring.elems):
+        assert e.data == d and e.sort_key() == d
+        assert ring.element(d) is e and rings.RingElement(ring, d) is e
+        assert ring.element_from_json(e.to_json()) is e
+    assert ring.zero.data == 0 and ring.one.data == 1
 
 
 def test_rings_above_the_table_bound_hold_no_table():
     ring = parse_ring("GF(2)[x]/(x^9)")
     assert ring.size == 512 > rings.TABLE_SIZE_BOUND
-    x = ring.element((0, 1))
+    x = ring.element_from_json([0, 1])
     y = x ** 8 + x + ring.one
     assert y * y + (-y) == x ** 16 + x ** 2 + ring.one + y
     assert ring.zero - y * x == -(x ** 9 + x ** 2 + x)
-    assert not {"add_table", "mul_table", "neg_table"} & set(ring._state)
+    for row in (ring.add[y.data], ring.mul[y.data]):
+        assert not isinstance(row, list)
+        assert row[x.data] in range(ring.size) and len(row) == 0   # computed, not kept
+    add, mul, _ = _direct_ops(ring)
+    assert ring.add[y.data][x.data] == add(y.data, x.data) == (y + x).data
+    assert ring.mul[y.data][x.data] == mul(y.data, x.data) == (y * x).data
