@@ -6,8 +6,9 @@ witness matrix M with M^T A M = B, verified by exact recomputation.  Each
 witness is checked once, at the public entry point that returns it; the
 private cores behind `diagonalize` and `resolve_block` return unchecked
 columns and matrices, so `stable_diagonalize` composes them and checks only
-its final witness.  `eval_b`, `_gram_row` and `vec_combo` work on element
-data, through the ring's tables and interned elements (see `rings`).
+its final witness.  `_b` (behind `eval_b`), `_gram_row` and `_lincomb` work
+on vectors of carrier indices through the ring's tables (see `rings`), as do
+the recursion behind `diagonalize` and the chain engine (see `chains`).
 """
 
 from __future__ import annotations
@@ -99,20 +100,7 @@ class BilinearSpace:
     def eval_b(self, x, y) -> RingElement:
         if len(x) != self.n or len(y) != self.n:
             raise DimensionMismatchError(f"vectors must have length {self.n}")
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        acc = 0
-        for xi, row in zip(x, self._sparse_rows):
-            xd = xi.data
-            if not xd:
-                continue
-            inner = 0
-            for j, g in row:
-                yd = y[j].data
-                if yd:
-                    inner = add[inner][g[yd]]
-            acc = add[acc][mul[xd][inner]]
-        return ring.elems[acc]
+        return self.ring.elems[_b(self, [e.data for e in x], [e.data for e in y])]
 
     def eval_q(self, x) -> RingElement:
         return self.eval_b(x, x)
@@ -173,34 +161,6 @@ class BilinearSpace:
 
     def __repr__(self):
         return f"BilinearSpace({self.ring.spec}, n={self.n})"
-
-
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c: RingElement, x):
-    return tuple(c * a for a in x)
-
-
-def vec_combo(vectors, coeffs):
-    it = iter(zip(coeffs, vectors))
-    c, v = next(it)
-    ring = c.ring
-    add, mul = ring.add, ring.mul
-    scale = mul[c.data]
-    acc = [scale[a.data] for a in v]
-    for c, v in it:
-        if not c.data:
-            continue
-        scale = mul[c.data]
-        for i, a in enumerate(v):
-            acc[i] = add[acc[i]][scale[a.data]]
-    return tuple(ring.elems[d] for d in acc)
 
 
 class CongruenceWitness:
@@ -279,18 +239,51 @@ def _block_diagonal_gram(ring, units, blocks):
     return tuple(tuple(r) for r in rows)
 
 
+def _b(space: BilinearSpace, x, y):
+    """b(x, y) as a carrier index, for vectors x and y of carrier indices,
+    in one pass over the nonzero Gram entries of each row of A."""
+    add, mul = space.ring.add, space.ring.mul
+    acc = 0
+    for xd, row in zip(x, space._sparse_rows):
+        if not xd:
+            continue
+        inner = 0
+        for j, g in row:
+            yd = y[j]
+            if yd:
+                inner = add[inner][g[yd]]
+        acc = add[acc][mul[xd][inner]]
+    return acc
+
+
 def _gram_row(space: BilinearSpace, w):
-    """The row w^T A as a list of element data, in one pass over the
-    nonzero Gram entries of each row of A."""
+    """The row w^T A as a list of carrier indices, for a vector w of carrier
+    indices, in one pass over the nonzero Gram entries of each row of A."""
     add = space.ring.add
     acc = [0] * space.n
-    for wi, row in zip(w, space._sparse_rows):
-        wd = wi.data
+    for wd, row in zip(w, space._sparse_rows):
         if not wd:
             continue
         for j, g in row:
             acc[j] = add[acc[j]][g[wd]]
     return acc
+
+
+def _standard_basis(n):
+    """The standard basis as index tuples (zero and one are 0 and 1)."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _lincomb(ring, vectors, coeffs):
+    """sum c_i v_i, for vectors v_i and coefficients c_i of carrier indices."""
+    add, mul = ring.add, ring.mul
+    acc = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            row = mul[c]
+            for i, a in enumerate(v):
+                acc[i] = add[acc[i]][row[a]]
+    return tuple(acc)
 
 
 def orthogonal_complement(space: BilinearSpace, W):
@@ -305,22 +298,27 @@ def orthogonal_complement(space: BilinearSpace, W):
     for w in W:
         if len(w) != space.n:
             raise DimensionMismatchError("vectors must match the space dimension")
-    ech = mx.Echelon(space.ring, space.n, (_gram_row(space, w) for w in W))
     try:
-        return ech.kernel()
+        kernel = _complement(space, [[e.data for e in w] for w in W])
     except mx.SingularMatrixError as exc:
         raise DegenerateSubspaceError(str(exc))
+    return tuple(tuple(space.ring.elems[d] for d in v) for v in kernel)
+
+
+def _complement(space, W):
+    """``orthogonal_complement`` for vectors of carrier indices, unchecked."""
+    return mx.Echelon(space.ring, space.n, (_gram_row(space, w) for w in W)).kernel()
 
 
 def _complement_within(space, basis, chosen):
     """Complement of `chosen` inside span(basis), as ambient vectors.
 
-    Both inputs are tuples of ambient vectors; the restriction of b to
-    span(chosen) must be non-degenerate.
+    Both inputs are tuples of ambient vectors of carrier indices; the
+    restriction of b to span(chosen) must be non-degenerate.
     """
-    rows = ([space.eval_b(c, v).data for v in basis] for c in chosen)
+    rows = ([_b(space, c, v) for v in basis] for c in chosen)
     kernel = mx.Echelon(space.ring, len(basis), rows).kernel()
-    return tuple(vec_combo(basis, coeffs) for coeffs in kernel)
+    return tuple(_lincomb(space.ring, basis, coeffs) for coeffs in kernel)
 
 
 def _find_anisotropic(space, basis):
@@ -328,7 +326,7 @@ def _find_anisotropic(space, basis):
     carrier scan over coefficient tuples (the first coefficient most
     significant, 0 and 1 the first carrier elements): a vector of `basis`,
     else basis[a] + basis[j] for the first pair (a, j), a < j, with a unit
-    pairing when a and j both run downward.
+    pairing when a and j both run downward.  Vectors are index tuples.
 
     When every q(basis_i) is in the maximal ideal, q(sum c_i basis_i) is
     2 * sum_{i<k} c_i c_k b(basis_i, basis_k) modulo the ideal.  In residue
@@ -336,22 +334,27 @@ def _find_anisotropic(space, basis):
     the first tuple's leading nonzero slot is the last a that pairs to a unit
     with a later vector, and its only other nonzero slot is the last such j.
     """
+    ring = space.ring
+    residue = ring.residue_of
     for v in basis:
-        if space.eval_q(v).is_unit():
+        if residue[_b(space, v, v)]:
             return v
-    if space.ring.residue_field().size % 2 == 0:
+    if ring.residue_field().size % 2 == 0:
         return None
     for a in reversed(range(len(basis))):
         for j in reversed(range(a + 1, len(basis))):
-            if space.eval_b(basis[a], basis[j]).is_unit():
-                return vec_add(basis[a], basis[j])
+            if residue[_b(space, basis[a], basis[j])]:
+                return _lincomb(ring, (basis[a], basis[j]), (1, 1))
     return None
 
 
 def _diagonalize(space: BilinearSpace):
     """Unchecked core of `diagonalize`: (units, blocks, unit_cols,
     block_cols), where unit_cols[i] has q-value units[i] and the pair
-    block_cols[k] = (x, y) spans the block [[a,1],[1,b]] of blocks[k]."""
+    block_cols[k] = (x, y) spans the block [[a,1],[1,b]] of blocks[k];
+    the columns are index tuples."""
+    ring = space.ring
+    residue, elems = ring.residue_of, ring.elems
     unit_cols: list = []
     block_cols: list = []
     blocks: list = []
@@ -369,26 +372,25 @@ def _diagonalize(space: BilinearSpace):
         pair = None
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                if space.eval_b(basis[i], basis[j]).is_unit():
+                if residue[_b(space, basis[i], basis[j])]:
                     pair = (i, j)
                     break
             if pair:
                 break
         if pair is None:
             raise DegenerateError("no unit pairing found; form is degenerate")
-        x = basis[pair[0]]
-        lam = space.eval_b(x, basis[pair[1]])
-        y = vec_scale(lam.inv(), basis[pair[1]])
-        blocks.append((space.eval_q(x), space.eval_q(y)))
+        x, w = basis[pair[0]], basis[pair[1]]
+        y = _lincomb(ring, (w,), (ring._rinv(_b(space, x, w)),))
+        blocks.append((elems[_b(space, x, x)], elems[_b(space, y, y)]))
         block_cols.append((x, y))
         rest = _complement_within(space, basis, (x, y))
         rec(rest)
 
-    rec(space.standard_basis())
+    rec(_standard_basis(space.n))
     for a, b in blocks:
         if a.is_unit() or b.is_unit():
             raise BilinearError("residual block entries must be in the maximal ideal")
-    units = tuple(space.eval_q(v) for v in unit_cols)
+    units = tuple(elems[_b(space, v, v)] for v in unit_cols)
     return units, tuple(blocks), unit_cols, block_cols
 
 
@@ -402,7 +404,7 @@ def diagonalize(space: BilinearSpace):
     ring = space.ring
     units, blocks, unit_cols, block_cols = _diagonalize(space)
     cols = unit_cols + [v for pair in block_cols for v in pair]
-    M = mx.mat_transpose(tuple(cols)) if cols else ()
+    M = tuple(tuple(ring.elems[d] for d in row) for row in zip(*cols))
     target = _block_diagonal_gram(ring, units, blocks)
     witness = CongruenceWitness(ring, space.gram, target, M)
     return DecompositionReport(units, blocks, witness), witness
@@ -461,19 +463,20 @@ def stable_diagonalize(space: BilinearSpace):
     units, blocks, unit_cols, block_cols = _diagonalize(space)
     r = len(blocks)
     z, m1 = ring.zero, ring.minus_one
-    pad = (z,) * r
+    pad = (0,) * r
     cols = [v + pad for v in unit_cols]
     diag_units = list(units)
     for k, ((a, b), (x, y)) in enumerate(zip(blocks, block_cols)):
         block_units, B = _resolve_block(ring, a, b)
         diag_units.extend(block_units)
-        e = (z,) * (n + k) + (ring.one,) + (z,) * (r - k - 1)
-        cols.extend(vec_combo((x + pad, y + pad, e), coeffs) for coeffs in zip(*B))
-    source = tuple(row + pad for row in space.gram) + tuple(
+        e = (0,) * (n + k) + (1,) + (0,) * (r - k - 1)
+        vecs = (x + pad, y + pad, e)
+        cols.extend(_lincomb(ring, vecs, [c.data for c in coeffs]) for coeffs in zip(*B))
+    source = tuple(row + (z,) * r for row in space.gram) + tuple(
         (z,) * (n + k) + (m1,) + (z,) * (r - k - 1) for k in range(r)
     )
     target = _block_diagonal_gram(ring, diag_units, ())
-    M = mx.mat_transpose(tuple(cols)) if cols else ()
+    M = tuple(tuple(ring.elems[d] for d in row) for row in zip(*cols))
     return tuple(diag_units), r, CongruenceWitness(ring, source, target, M)
 
 

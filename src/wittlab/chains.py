@@ -17,16 +17,23 @@ Residue bases are lifted one vector at a time into the orthogonal complement
 of the lifts before it, through one ``matrices.Echelon`` of their rows
 w^T A that grows by a row per lift instead of being eliminated afresh.
 
-Builders assemble their chains as plain vector tuples through private cores
-and wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
+Inside this module a vector is a tuple of carrier indices (see ``rings``):
+builders and checker compute on them through the ring's tables and
+``bilinear._b``, the loop behind ``BilinearSpace.eval_b``.  Elements are
+built only where a vector leaves the library (``OrthogonalBasis.vectors``,
+returned vectors, ``Chain.to_json``), and every public function that takes
+elements checks their ring once, when it converts them.
+
+Builders assemble their chains as index tuples through private cores and
+wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
 chain certificates: every public builder runs it exactly once, on the chain
 it returns, and nothing inside a builder re-checks intermediate pieces.
-Within one certificate it checks each distinct vector (length, ring, unit
-q-value) and each distinct pair (orthogonality) once, since consecutive
-bases share all but at most two vectors.  It computes no determinant:
-pairwise orthogonal vectors v_1..v_n with unit q-values satisfy
-det(M)^2 det(A) = q(v_1)...q(v_n) for M = (v_1 .. v_n), and det(A) is a
-unit, so they always form a basis.
+Within one certificate it checks each distinct vector (unit q-value) and
+each distinct pair (orthogonality) once, since consecutive bases share all
+but at most two vectors.  It computes no determinant: pairwise orthogonal
+vectors v_1..v_n with unit q-values satisfy det(M)^2 det(A) =
+q(v_1)...q(v_n) for M = (v_1 .. v_n), and det(A) is a unit, so they always
+form a basis.
 
 Chain entries are stored as ordered tuples; the overlap condition and
 endpoint identity are evaluated on vector *sets*, matching the set
@@ -46,14 +53,13 @@ from .bilinear import (
     BilinearSpace,
     BilinearError,
     NotInMaximalIdealError,
+    _b,
+    _complement,
     _complement_within,
     _gram_row,
+    _lincomb,
+    _standard_basis,
     diagonalize,
-    orthogonal_complement,
-    vec_add,
-    vec_combo,
-    vec_scale,
-    vec_sub,
 )
 
 
@@ -96,20 +102,61 @@ class BadParametersError(ChainError):
 
 
 # ---------------------------------------------------------------------------
-# bases and chains
+# vectors, bases and chains
 # ---------------------------------------------------------------------------
 
 
+def _indices_of(ring, v):
+    """The index tuple of v; RingError unless its entries lie in ``ring``."""
+    ring.check_elements(v)
+    return tuple(e.data for e in v)
+
+
+def _elements(ring, v):
+    elems = ring.elems
+    return tuple(elems[d] for d in v)
+
+
+def _residues(ring, v):
+    """The image of v over the residue field (canonical lifts share indices)."""
+    residue = ring.residue_of
+    return tuple(residue[d] for d in v)
+
+
 class OrthogonalBasis:
-    """Ordered tuple of pairwise orthogonal anisotropic vectors forming a basis."""
+    """Ordered tuple of pairwise orthogonal anisotropic vectors forming a basis.
+
+    Its vectors are kept as index tuples (``indices``), elements
+    (``vectors``) or both, each made from the other on first use."""
 
     def __init__(self, space: BilinearSpace, vectors, validate: bool = True):
         self.space = space
-        self.vectors = tuple(tuple(v) for v in vectors)
+        self._vectors = tuple(tuple(v) for v in vectors)
+        self._indices = None
         if validate:
-            ok, msg = _check_orthobasis(space, self.vectors)
+            ok, msg = _check_orthobasis(space, self)
             if not ok:
                 raise NotOrthogonalError(msg)
+
+    @classmethod
+    def _of(cls, space, indices) -> "OrthogonalBasis":
+        """An unchecked basis of index tuples."""
+        basis = cls.__new__(cls)
+        basis.space, basis._vectors, basis._indices = space, None, indices
+        return basis
+
+    @property
+    def vectors(self):
+        if self._vectors is None:
+            self._vectors = tuple(_elements(self.space.ring, v) for v in self._indices)
+        return self._vectors
+
+    @property
+    def indices(self):
+        """The vectors as index tuples, after a check of their ring."""
+        if self._indices is None:
+            self._indices = tuple(_indices_of(self.space.ring, v) for v in self._vectors)
+        return self._indices
 
     def vector_set(self):
         return frozenset(self.vectors)
@@ -140,35 +187,30 @@ class OrthogonalBasis:
 class _CertificateChecks:
     """What the bases of one certificate have established so far: an id for
     each distinct vector, given the first time the vector is seen and keyed
-    by element equality; the ids whose length, ring and q-value are checked;
-    and the unordered id pairs checked orthogonal."""
+    by its index tuple; the ids whose q-value is checked; and the unordered
+    id pairs checked orthogonal."""
 
     __slots__ = ("ids", "checked", "pairs")
 
     def __init__(self):
-        self.ids: dict = {}
-        self.checked: set = set()
-        self.pairs: set = set()
+        self.ids, self.checked, self.pairs = {}, set(), set()
 
-    def id_of(self, v):
+    def id_list(self, vectors):
         ids = self.ids
-        k = ids.get(v)
-        if k is None:
-            k = ids[v] = len(ids)
-        return k
-
-    def id_set(self, vectors):
-        return frozenset(self.id_of(v) for v in vectors)
+        return [ids.setdefault(v, len(ids)) for v in vectors]
 
 
-def _check_orthobasis(space, vectors, checks=None):
+def _check_orthobasis(space, basis, checks=None):
     """(ok, message) for one ordered basis: n vectors of length n over the
     space's ring, each with unit q, pairwise orthogonal.
 
-    ``checks``, shared by the bases of one certificate, skips every vector
-    and every pair an earlier basis already passed.  The remaining checks
-    run in the order of a full check, and what is skipped has passed, so the
-    first failure and its message are the same with or without ``checks``.
+    The length and ring of each vector are checked in turn, so a wrong
+    length is reported before a later vector's foreign entry raises
+    RingError.  ``checks``, shared by the bases of one certificate, skips
+    every q-value and every pair an earlier basis already passed.  The
+    remaining checks run in the order of a full check, and what is skipped
+    has passed, so the first failure and its message are the same with or
+    without ``checks``.
 
     There is no determinant check, because it is implied.  Let M be the
     matrix with columns v_1..v_n.  As b(v_i, v_j) = 0 for i < j, M^T A M is
@@ -176,22 +218,24 @@ def _check_orthobasis(space, vectors, checks=None):
     q(v_1)...q(v_n).  ``BilinearSpace`` requires det(A) to be a unit, so
     det(M) is a unit and the vectors form a basis.
     """
-    n = space.n
+    n, ring = space.n, space.ring
+    from_elements = basis._indices is None
+    vectors = basis._vectors if from_elements else basis._indices
     if len(vectors) != n:
         return False, f"expected {n} vectors, got {len(vectors)}"
-    if checks is None:
-        checks = _CertificateChecks()
-    ids = [checks.id_of(v) for v in vectors]
-    checked, pairs = checks.checked, checks.pairs
-    for v, a in zip(vectors, ids):
-        if a not in checked:
-            if len(v) != n:
-                return False, "vector length does not match the space dimension"
-            space.ring.check_elements(v)
+    for v in vectors:
+        if len(v) != n:
+            return False, "vector length does not match the space dimension"
+        if from_elements:
+            ring.check_elements(v)
+    indices = basis.indices
+    checks = checks or _CertificateChecks()
+    ids = checks.id_list(indices)
+    checked, pairs, residue = checks.checked, checks.pairs, ring.residue_of
     for i in range(n):
-        a = ids[i]
+        a, v = ids[i], indices[i]
         if a not in checked:
-            if not space.eval_q(vectors[i]).is_unit():
+            if not residue[_b(space, v, v)]:
                 return False, f"vector {i} is not anisotropic"
             checked.add(a)
         for j in range(i + 1, n):
@@ -199,7 +243,7 @@ def _check_orthobasis(space, vectors, checks=None):
             pair = (a, b) if a <= b else (b, a)
             if pair not in pairs:
                 # a repeated vector makes the pair (a, a): b(v, v) = q(v) is a unit
-                if not space.eval_b(vectors[i], vectors[j]).is_zero():
+                if _b(space, v, indices[j]):
                     return False, f"vectors {i} and {j} are not orthogonal"
                 pairs.add(pair)
     return True, "ok"
@@ -225,7 +269,7 @@ class Chain:
 
     def to_json(self):
         """The certificate as a JSON value: ring spec, Gram matrix, and each
-        basis as a list of vectors.
+        basis as a list of vectors, written from the index tuples.
 
         Consecutive bases share most of their vectors, so within one document
         every distinct vector and every distinct element is built once and
@@ -238,25 +282,20 @@ class Chain:
         elements: dict = {}
         vectors: dict = {}
 
-        def element(e):
-            try:
-                return elements[e.data]
-            except KeyError:
-                out = elements[e.data] = ring._rjson(e.data)
-                return out
+        def element(d):
+            if d not in elements:
+                elements[d] = ring._rjson(d)
+            return elements[d]
 
         def vector(v):
-            key = tuple(e.data for e in v)
-            try:
-                return vectors[key]
-            except KeyError:
-                out = vectors[key] = [element(e) for e in v]
-                return out
+            if v not in vectors:
+                vectors[v] = [element(d) for d in v]
+            return vectors[v]
 
         return {
             "ring": ring.spec,
-            "gram": [[element(e) for e in row] for row in self.space.gram],
-            "bases": [[vector(v) for v in b.vectors] for b in self.bases],
+            "gram": [[element(e.data) for e in row] for row in self.space.gram],
+            "bases": [[vector(v) for v in b.indices] for b in self.bases],
         }
 
     @classmethod
@@ -270,10 +309,8 @@ class Chain:
         space = BilinearSpace.from_json(ring, obj["gram"])
         # unchecked: a decoded certificate is judged by verify_chain alone
         bases = [
-            OrthogonalBasis(
-                space,
-                tuple(tuple(ring.element_from_json(c) for c in v) for v in bvecs),
-                validate=False,
+            OrthogonalBasis._of(
+                space, tuple(tuple(ring.element_from_json(c).data for c in v) for v in bvecs)
             )
             for bvecs in obj["bases"]
         ]
@@ -287,21 +324,21 @@ def verify_chain(chain: Chain, start: OrthogonalBasis, end: OrthogonalBasis):
     ``_check_orthobasis``), consecutive bases must share at least n-2
     vectors, and the first and last bases must hold the vectors of start and
     end.  Consecutive bases share most of their vectors, so each distinct
-    vector's length, ring and q-value, and each distinct pair's
-    orthogonality, are checked once per certificate; the overlap and
-    endpoint tests compare sets of vector ids.  No determinant is computed:
-    pairwise orthogonal vectors with unit q-values over a space of unit
-    determinant always form a basis.
+    vector's q-value, and each distinct pair's orthogonality, are checked
+    once per certificate; the overlap and endpoint tests compare sets of
+    vector ids.  No determinant is computed: pairwise orthogonal vectors
+    with unit q-values over a space of unit determinant always form a basis.
     """
-    n = chain.space.n
+    space = chain.space
+    n = space.n
     checks = _CertificateChecks()
     for idx, basis in enumerate(chain.bases):
-        if basis.space != chain.space:
+        if basis.space != space:
             return False, f"basis {idx} lives on a different space"
-        ok, msg = _check_orthobasis(chain.space, basis.vectors, checks)
+        ok, msg = _check_orthobasis(space, basis, checks)
         if not ok:
             return False, f"basis {idx}: {msg}"
-    id_sets = [checks.id_set(basis.vectors) for basis in chain.bases]
+    id_sets = [frozenset(checks.id_list(basis.indices)) for basis in chain.bases]
     for idx in range(len(id_sets) - 1):
         overlap = len(id_sets[idx] & id_sets[idx + 1])
         if overlap < n - 2:
@@ -309,16 +346,16 @@ def verify_chain(chain: Chain, start: OrthogonalBasis, end: OrthogonalBasis):
                 f"step {idx} -> {idx + 1} replaces more than two vectors "
                 f"(overlap {overlap} < {n - 2})"
             )
-    if id_sets[0] != checks.id_set(start.vectors):
-        return False, "chain does not start at the requested basis"
-    if id_sets[-1] != checks.id_set(end.vectors):
-        return False, "chain does not end at the requested basis"
+    for ids, basis, which in ((id_sets[0], start, "start"), (id_sets[-1], end, "end")):
+        # an endpoint over another ring holds none of the chain's vectors
+        if basis.space.ring != space.ring or ids != frozenset(checks.id_list(basis.indices)):
+            return False, f"chain does not {which} at the requested basis"
     return True, "ok"
 
 
 def _certified(space, tuples, start: OrthogonalBasis, end: OrthogonalBasis) -> Chain:
     """Wrap builder output in unchecked bases and verify the chain once."""
-    bases = [OrthogonalBasis(space, t, validate=False) for t in tuples]
+    bases = [OrthogonalBasis._of(space, t) for t in tuples]
     return Chain(space, bases).verify(start, end)
 
 
@@ -339,25 +376,27 @@ def elementary_move(basis: OrthogonalBasis, eps: RingElement, i: int, j: int) ->
     the input componentwise modulo the maximal ideal.
     """
     space = basis.space
+    ring = space.ring
     if eps.is_unit():
         raise NotInMaximalIdealError("eps must lie in the maximal ideal")
     if i == j:
         raise ChainError("positions must differ")
-    u = list(basis.vectors)
-    qi = space.eval_q(u[i])
-    qj = space.eval_q(u[j])
-    new_i = vec_add(u[i], vec_scale(eps, u[j]))
-    new_j = vec_sub(u[j], vec_scale(eps * qj * qi.inv(), u[i]))
-    u[i], u[j] = new_i, new_j
-    return OrthogonalBasis(space, u)
+    (e,) = _indices_of(ring, (eps,))
+    u = list(basis.indices)
+    mul = ring.mul
+    f = ring.neg[mul[mul[e][_b(space, u[j], u[j])]][ring._rinv(_b(space, u[i], u[i]))]]
+    pair = (u[i], u[j])
+    u[i], u[j] = _lincomb(ring, pair, (1, e)), _lincomb(ring, pair[::-1], (1, f))
+    return OrthogonalBasis(space, [_elements(ring, v) for v in u])
 
 
 def _coords_in(space, basis_vectors, z, q_inverses=None):
     """Coordinates of z in an orthogonal tuple: c_i = b(z, u_i) / q(u_i).
     ``q_inverses``, when given, are the 1 / q(u_i) already computed."""
+    ring = space.ring
     if q_inverses is None:
-        q_inverses = [space.eval_q(u).inv() for u in basis_vectors]
-    return tuple(space.eval_b(z, u) * qinv for u, qinv in zip(basis_vectors, q_inverses))
+        q_inverses = [ring._rinv(_b(space, u, u)) for u in basis_vectors]
+    return tuple(ring.mul[_b(space, z, u)][qinv] for u, qinv in zip(basis_vectors, q_inverses))
 
 
 def chain_equal_mod_m(b1: OrthogonalBasis, b2: OrthogonalBasis) -> Chain:
@@ -365,11 +404,10 @@ def chain_equal_mod_m(b1: OrthogonalBasis, b2: OrthogonalBasis) -> Chain:
     space = b1.space
     if b2.space != space:
         raise ChainError("bases live on different spaces")
-    red1 = [space.reduce_vector(v) for v in b1.vectors]
-    red2 = [space.reduce_vector(v) for v in b2.vectors]
-    if red1 != red2:
+    ring = space.ring
+    if [_residues(ring, v) for v in b1.indices] != [_residues(ring, v) for v in b2.indices]:
         raise NotEqualModMError("bases differ modulo the maximal ideal")
-    steps = _equal_mod_m_core(space, b1.vectors, b2.vectors)
+    steps = _equal_mod_m_core(space, b1.indices, b2.indices)
     return _certified(space, _dedupe(steps), b1, b2)
 
 
@@ -379,25 +417,25 @@ def _equal_mod_m_core(space, cur, target):
         return [cur]
     if k <= 2:
         return [cur, target]
-    qs = [space.eval_q(u) for u in cur]
-    coords = _coords_in(space, cur, target[0], [q.inv() for q in qs])
-    eps1 = coords[0] - space.ring.one
+    ring = space.ring
+    mul, residue = ring.mul, ring.residue_of
+    qs = [_b(space, u, u) for u in cur]
+    coords = _coords_in(space, cur, target[0], [ring._rinv(q) for q in qs])
     steps = [cur]
     work = list(cur)
-    if not eps1.is_zero():
-        work[0] = vec_scale(space.ring.one + eps1, work[0])
+    if coords[0] != 1:  # eps_1 = coords[0] - 1 is not zero
+        work[0] = _lincomb(ring, (work[0],), coords[:1])
         steps.append(tuple(work))
     for i in range(1, k):
         eps = coords[i]
-        if eps.is_zero():
+        if not eps:
             continue
-        if eps.is_unit():
+        if residue[eps]:
             raise NotEqualModMError("coordinate outside the maximal ideal")
-        q0 = space.eval_q(work[0])
-        qi = qs[i]  # work[i] is still cur[i]
-        new0 = vec_add(work[0], vec_scale(eps, work[i]))
-        newi = vec_sub(work[i], vec_scale(eps * qi * q0.inv(), work[0]))
-        work[0], work[i] = new0, newi
+        q0 = _b(space, work[0], work[0])
+        f = ring.neg[mul[mul[eps][qs[i]]][ring._rinv(q0)]]  # work[i] is still cur[i]
+        pair = (work[0], work[i])
+        work[0], work[i] = _lincomb(ring, pair, (1, eps)), _lincomb(ring, pair[::-1], (1, f))
         steps.append(tuple(work))
     if work[0] != target[0]:
         raise ChainError("partial-sum recursion failed to reach the target vector")
@@ -441,7 +479,7 @@ def _lift_into(ech, vbar):
     ring = ech.ring
     add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
     # the canonical lift of a residue has the residue's own index
-    v = [c.data for c in vbar]
+    v = list(vbar)
     taken = set(ech.pivots)
     free = [f for f in range(len(v)) if f not in taken]
     for row, p in zip(ech.rows, ech.pivots):
@@ -451,13 +489,12 @@ def _lift_into(ech, vbar):
             if a and x:
                 acc = add[acc][mul[a][x]]
         acc = neg[acc]
-        if residue[acc] != vbar[p].data:
+        if residue[acc] != vbar[p]:
             raise NotOrthogonalOverResidueError(
                 "residue vector is not orthogonal to the previous ones"
             )
         v[p] = acc
-    elems = ring.elems
-    return tuple(elems[d] for d in v)
+    return tuple(v)
 
 
 def _lift_in_turn(space, ech, residue_vectors):
@@ -480,15 +517,21 @@ def lift_pair(space: BilinearSpace, bbar, cbar):
         raise ChainError("residue bases must have equal length")
     if any(len(v) != space.n for v in cbar):
         raise ChainError("residue vector length does not match the space dimension")
-    ok, msg = _check_orthobasis(space.reduce(), bbar)
+    rspace = space.reduce()
+    residue_basis = OrthogonalBasis(rspace, bbar, validate=False)
+    ok, msg = _check_orthobasis(rspace, residue_basis)
     if not ok:
         raise NotOrthogonalOverResidueError(msg)
+    bbar = residue_basis.indices
+    cbar = tuple(_indices_of(rspace.ring, v) for v in cbar)
     bvecs, cvecs = _lift_pair_core(space, bbar, cbar)
     for lifts, residue in ((bvecs, bbar), (cvecs, cbar)):
-        if tuple(space.reduce_vector(v) for v in lifts) != residue:
+        if tuple(_residues(space.ring, v) for v in lifts) != residue:
             raise ChainError("lift does not reduce to its input")
-    B = OrthogonalBasis(space, bvecs)
-    return B, (B if cvecs == bvecs else OrthogonalBasis(space, cvecs))
+    B = OrthogonalBasis(space, [_elements(space.ring, v) for v in bvecs])
+    if cvecs == bvecs:
+        return B, B
+    return B, OrthogonalBasis(space, [_elements(space.ring, v) for v in cvecs])
 
 
 def _lift_pair_core(space, bbar, cbar):
@@ -526,26 +569,31 @@ def _lift_pair_core(space, bbar, cbar):
 # ---------------------------------------------------------------------------
 
 
-def _field_sqrt(field: LocalRing, c: RingElement) -> RingElement:
-    """Square root in a finite field of characteristic 2 (Frobenius inverse)."""
-    return c ** (field.size // 2)
+def _field_sqrt(field: LocalRing, c: int) -> int:
+    """Square root c^(2^(k-1)) in a field of order 2^k (Frobenius inverse)."""
+    mul = field.mul
+    for _ in range(field.size.bit_length() - 2):
+        c = mul[c][c]
+    return c
 
 
 def _complement_in_plane(space, z, p, q):
     """Generator of the orthogonal of z inside the nondegenerate plane
     spanned by p and q (z anisotropic in that plane)."""
-    g = vec_sub(vec_scale(space.eval_b(q, z), p), vec_scale(space.eval_b(p, z), q))
-    return g
+    ring = space.ring
+    return _lincomb(ring, (p, q), (_b(space, q, z), ring.neg[_b(space, p, z)]))
 
 
 def _extend_core(space, basis_vectors, coeffs):
     """Chain realizing lem. "element chains": returns (steps, final_tuple).
 
     basis_vectors is a tuple of mutually orthogonal anisotropic vectors;
-    coeffs are ring elements.  Every nonzero partial sum past the first
+    coeffs are carrier indices.  Every nonzero partial sum past the first
     nonzero coefficient must be anisotropic (IsotropicPartialSumError
     reports the 1-based failing index).
     """
+    ring = space.ring
+    residue = ring.residue_of
     k = len(basis_vectors)
     steps = [tuple(basis_vectors)]
     work = list(basis_vectors)
@@ -554,22 +602,22 @@ def _extend_core(space, basis_vectors, coeffs):
     placed = False          # whether `partial` has been written into `work`
     for r in range(k):
         c = coeffs[r]
-        if c.is_zero():
+        if not c:
             continue
         if partial is None:
-            partial = vec_scale(c, work[r])
-            if not space.eval_q(partial).is_unit():
+            partial = _lincomb(ring, (work[r],), (c,))
+            if not residue[_b(space, partial, partial)]:
                 raise IsotropicPartialSumError(r + 1)
             pos = r
             placed = work[r] == partial
             continue
-        z = vec_add(partial, vec_scale(c, work[r]))
-        if not space.eval_q(z).is_unit():
+        z = _lincomb(ring, (partial, work[r]), (1, c))
+        if not residue[_b(space, z, z)]:
             raise IsotropicPartialSumError(r + 1)
         # the plane span(work[pos], work[r]) contains both partial and z,
         # so the first move folds the head scaling into one step
         s = _complement_in_plane(space, z, work[pos], work[r])
-        if not space.eval_q(s).is_unit():  # pragma: no cover - plane nondegenerate
+        if not residue[_b(space, s, s)]:  # pragma: no cover - plane nondegenerate
             raise ChainError("complement generator degenerated")
         work[pos] = z
         work[r] = s
@@ -591,10 +639,10 @@ def extend_vector_chain(basis: OrthogonalBasis, coeffs):
     """Extend v_1 = sum a_i u_i to an orthogonal basis chain equivalent to u."""
     space = basis.space
     coeffs = tuple(coeffs)
-    if len(coeffs) != len(basis.vectors):
+    if len(coeffs) != len(basis.indices):
         raise ChainError("coefficient count must match the dimension")
-    steps, final = _extend_core(space, basis.vectors, coeffs)
-    target = OrthogonalBasis(space, final, validate=False)
+    steps, final = _extend_core(space, basis.indices, _indices_of(space.ring, coeffs))
+    target = OrthogonalBasis._of(space, final)
     return _certified(space, _dedupe(steps), basis, target), target
 
 
@@ -617,28 +665,29 @@ def find_nonvanishing_vector(field: LocalRing, forms):
         raise FieldTooSmallError(
             f"|F| = {field.size} < {len(forms)} forms"
         )
-    if any(all(c.is_zero() for c in f) for f in forms):
+    forms = [_indices_of(field, f) for f in forms]
+    if not all(any(f) for f in forms):
         raise BadParametersError("forms must be nontrivial")
+    add, mul = field.add, field.mul
 
     def evaluate(f, v):
-        acc = field.zero
+        acc = 0
         for c, x in zip(f, v):
-            acc = acc + c * x * x
+            acc = add[acc][mul[mul[c][x]][x]]
         return acc
 
-    return _find_nonvanishing_core(
-        field, n, [lambda v, f=f: evaluate(f, v) for f in forms]
-    )
+    fns = [lambda v, f=f: evaluate(f, v) for f in forms]
+    return _elements(field, _find_nonvanishing_core(field, n, fns))
 
 
 def _find_nonvanishing_core(field, n, form_fns):
-    """Recursion from the epsilon-selection proof; forms are callables that
-    are additive under + (diagonalisable in characteristic 2)."""
-    elems = tuple(field.elements())
+    """Recursion from the epsilon-selection proof; forms are callables on index
+    tuples, additive under + (diagonalisable in characteristic 2)."""
+    elems = range(field.size)
 
     def some_nonzero(fn):
         for v in itertools.product(elems, repeat=n):
-            if not fn(v).is_zero():
+            if fn(v):
                 return v
         raise BadParametersError("form is trivial")
 
@@ -647,20 +696,15 @@ def _find_nonvanishing_core(field, n, form_fns):
         return some_nonzero(form_fns[0])
     v1 = _find_nonvanishing_core(field, n, form_fns[:-1])
     last = form_fns[-1]
-    if not last(v1).is_zero():
+    if last(v1):
         return v1
     v2 = some_nonzero(last)
-    forbidden = set()
-    for fn in form_fns[:-1]:
-        forbidden.add((fn(v2) * fn(v1).inv()).data)
-    eps = None
-    for e in elems:
-        if (e * e).data not in forbidden:
-            eps = e
-            break
+    mul = field.mul
+    forbidden = {mul[fn(v2)][field._rinv(fn(v1))] for fn in form_fns[:-1]}
+    eps = next((e for e in elems if mul[e][e] not in forbidden), None)
     if eps is None:  # pragma: no cover - |F| >= r guarantees existence
         raise FieldTooSmallError("no epsilon available")
-    return vec_add(vec_scale(eps, v1), v2)
+    return _lincomb(field, (v1, v2), (eps, 1))
 
 
 def _rescale_steps(space, vectors):
@@ -673,15 +717,14 @@ def _rescale_steps(space, vectors):
     work = list(vectors)
     scale_at = []
     for i, v in enumerate(work):
-        qv = space.eval_q(v)
-        if qv == field.one:
+        qv = _b(space, v, v)
+        if qv == 1:
             continue
-        lam = _field_sqrt(field, qv).inv()
-        scale_at.append((i, lam))
+        scale_at.append((i, field._rinv(_field_sqrt(field, qv))))
     steps = []
     for chunk_start in range(0, len(scale_at), 2):
         for i, lam in scale_at[chunk_start:chunk_start + 2]:
-            work[i] = vec_scale(lam, work[i])
+            work[i] = _lincomb(field, (work[i],), (lam,))
         steps.append(tuple(work))
     return steps, tuple(work)
 
@@ -695,23 +738,16 @@ def _hat_core(space, sub):
     field = space.ring
     m = len(sub)
     # any two distinct units have a nonzero sum in characteristic 2
-    b1, bn = field.units()[:2]
+    b1, bn = (u.data for u in field.units()[:2])
 
-    hat = []
-    for k in range(m):
-        acc = space.zero_vector()
-        for i in range(m):
-            if i != k:
-                acc = vec_add(acc, sub[i])
-        hat.append(acc)
-    hat = tuple(hat)
+    hat = tuple(_lincomb(field, sub[:k] + sub[k + 1:], (1,) * (m - 1)) for k in range(m))
 
     # e-side: v_1 = b_n p_1 + (b_1+b_n)(p_2+..+p_{m-1}) + b_1 p_m
-    bmid = b1 + bn
+    bmid = field.add[b1][bn]
     coeffs_e = (bn,) + (bmid,) * (m - 2) + (b1,)
     steps_u, ut = _extend_core(space, sub, coeffs_e)
     # hat-side: v_1 = b_1 hat_1 + b_n hat_m
-    coeffs_h = (b1,) + (field.zero,) * (m - 2) + (bn,)
+    coeffs_h = (b1,) + (0,) * (m - 2) + (bn,)
     steps_v, vt = _extend_core(space, hat, coeffs_h)
     if ut[0] != vt[0]:  # pragma: no cover - identity checked in tests
         raise ChainError("hat construction misaligned")
@@ -732,13 +768,13 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
     if field.size % 2 or field.size == 2 or not field.is_field:
         raise BadParametersError("field must have characteristic 2 and more than 2 elements")
     space = BilinearSpace.diagonal(field, (field.one,) * n)
-    e = space.standard_basis()
+    e = _standard_basis(n)
     steps, hat = _hat_core(space, e)
     return _certified(
         space,
         _dedupe([e] + steps),
-        OrthogonalBasis(space, e, validate=False),
-        OrthogonalBasis(space, hat, validate=False),
+        OrthogonalBasis._of(space, e),
+        OrthogonalBasis._of(space, hat),
     )
 
 
@@ -772,7 +808,9 @@ def _field_chain_contract(space, tup_a, tup_b):
     support coefficients agree, the hat basis of the support plus one more
     vector contains w1.
     """
-    char2 = space.ring.size % 2 == 0
+    field = space.ring
+    residue = field.residue_of
+    char2 = field.size % 2 == 0
     steps = [tup_a]
     if char2:
         resc_a, cur = _rescale_steps(space, tup_a)
@@ -785,7 +823,7 @@ def _field_chain_contract(space, tup_a, tup_b):
     w1 = target[0]
     while w1 not in cur:
         coords = _coords_in(space, cur, w1)
-        supp = [i for i, c in enumerate(coords) if not c.is_zero()]
+        supp = [i for i, c in enumerate(coords) if c]
         if len(supp) == 1:  # odd characteristic only: q = 1 forces w1 = cur[i]
             work = list(cur)
             work[supp[0]] = w1
@@ -794,8 +832,8 @@ def _field_chain_contract(space, tup_a, tup_b):
             break
         pair = None
         for i, j in itertools.combinations(supp, 2):
-            z = vec_add(vec_scale(coords[i], cur[i]), vec_scale(coords[j], cur[j]))
-            if space.eval_q(z).is_unit():
+            z = _lincomb(field, (cur[i], cur[j]), (coords[i], coords[j]))
+            if residue[_b(space, z, z)]:
                 pair = (i, j, z)
                 break
         if pair is not None:
@@ -837,17 +875,18 @@ def _field_chain_dim3_char2(space, tup_a, tup_b):
     """Dimension 3 over a characteristic-2 field: pick a common head vector
     avoiding the vanishing loci of both partial-sum families."""
     field = space.ring
+    add, mul = field.add, field.mul
 
     def partial_forms(tup):
-        qs = [space.eval_q(u) for u in tup]
-        q_inverses = [q.inv() for q in qs]
+        qs = [_b(space, u, u) for u in tup]
+        q_inverses = [field._rinv(q) for q in qs]
         fns = []
         for r in (2, 3):
             def fn(z, r=r):
                 coords = _coords_in(space, tup, z, q_inverses)
-                acc = field.zero
+                acc = 0
                 for i in range(r):
-                    acc = acc + coords[i] * coords[i] * qs[i]
+                    acc = add[acc][mul[mul[coords[i]][coords[i]]][qs[i]]]
                 return acc
             fns.append(fn)
         return fns
@@ -873,8 +912,8 @@ def _field_chain_dim3_char2(space, tup_a, tup_b):
 
 
 def _normalize_q1(space, v):
-    lam = _field_sqrt(space.ring, space.eval_q(v)).inv()
-    return vec_scale(lam, v)
+    field = space.ring
+    return _lincomb(field, (v,), (field._rinv(_field_sqrt(field, _b(space, v, v))),))
 
 
 def chain_field(b: OrthogonalBasis, c: OrthogonalBasis,
@@ -889,7 +928,7 @@ def chain_field(b: OrthogonalBasis, c: OrthogonalBasis,
         raise ChainError("chain_field requires a field")
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    return _certified(space, _field_tuples(space, b.vectors, c.vectors, bfs_budget), b, c)
+    return _certified(space, _field_tuples(space, b.indices, c.indices, bfs_budget), b, c)
 
 
 def _field_tuples(space, tup_b, tup_c, bfs_budget=None):
@@ -911,15 +950,8 @@ def _align_step(prev_tuple, next_set):
     """Order next_set so it differs from prev_tuple in <= 2 positions."""
     prev_set = frozenset(prev_tuple)
     shared = prev_set & next_set
-    incoming = sorted(next_set - prev_set, key=lambda v: tuple(c.sort_key() for c in v))
-    out = []
-    inc = iter(incoming)
-    for v in prev_tuple:
-        if v in shared:
-            out.append(v)
-        else:
-            out.append(next(inc))
-    return tuple(out)
+    inc = iter(sorted(next_set - prev_set))
+    return tuple(v if v in shared else next(inc) for v in prev_tuple)
 
 
 def chain_local(b: OrthogonalBasis, c: OrthogonalBasis,
@@ -934,16 +966,17 @@ def chain_local(b: OrthogonalBasis, c: OrthogonalBasis,
     if c.space != space:
         raise ChainError("bases live on different spaces")
     if space.ring.is_field:
-        tuples = _field_tuples(space, b.vectors, c.vectors, bfs_budget)
+        tuples = _field_tuples(space, b.indices, c.indices, bfs_budget)
     else:
-        tuples = _local_tuples(space, b.vectors, c.vectors, bfs_budget)
+        tuples = _local_tuples(space, b.indices, c.indices, bfs_budget)
     return _certified(space, tuples, b, c)
 
 
 def _local_tuples(space, tup_b, tup_c, bfs_budget):
     if frozenset(tup_b) == frozenset(tup_c):
         return [tup_b]
-    if space.ring.residue_field().size == 2:
+    ring = space.ring
+    if ring.residue_field().size == 2:
         return _bfs_tuples(
             space, tup_b, tup_c, bfs_budget,
             "endpoints lie in different chain components (residue field F_2)",
@@ -951,8 +984,8 @@ def _local_tuples(space, tup_b, tup_c, bfs_budget):
         )
 
     rspace = space.reduce()
-    bbar = tuple(space.reduce_vector(v) for v in tup_b)
-    cbar = tuple(space.reduce_vector(v) for v in tup_c)
+    bbar = tuple(_residues(ring, v) for v in tup_b)
+    cbar = tuple(_residues(ring, v) for v in tup_c)
     # align: make consecutive residue bases differ positionally in <= 2 slots
     tups = [bbar]
     for t in _field_tuples(rspace, bbar, cbar)[1:]:
@@ -968,8 +1001,8 @@ def _local_tuples(space, tup_b, tup_c, bfs_budget):
         pieces.append(lift_next)
         cur = lift_next
     # permute cur so its reduction matches c's positionally, then close up
-    by_reduction = {space.reduce_vector(v): v for v in cur}
-    arranged = tuple(by_reduction[space.reduce_vector(v)] for v in tup_c)
+    by_reduction = {_residues(ring, v): v for v in cur}
+    arranged = tuple(by_reduction[_residues(ring, v)] for v in tup_c)
     pieces.extend(_equal_mod_m_core(space, arranged, tup_c))
     return _dedupe(pieces)
 
@@ -999,9 +1032,12 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
     Edges replace at most two vectors.  "unreachable" is only reported after
     the full component of the start basis has been explored.
     """
-    result, tuples = _bfs_core(b.space, b.vectors, c.vectors, node_budget, space_cap)
+    space = b.space
+    result, tuples = _bfs_core(space, b.indices, c.indices, node_budget, space_cap)
     if tuples is not None:
-        result.chain = _certified(b.space, tuples, b, c)
+        result.chain = _certified(space, tuples, b, c)
+    ring = space.ring
+    result.component = tuple(frozenset(_elements(ring, v) for v in n) for n in result.component)
     return result
 
 
@@ -1016,7 +1052,7 @@ def _bfs_tuples(space, tup_b, tup_c, node_budget, unreachable, exhausted):
 
 
 def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
-    """(BfsResult without a chain, path tuples or None)."""
+    """(BfsResult without a chain, path tuples or None), over index tuples."""
     ring = space.ring
     if node_budget is None:
         node_budget = DEFAULT_BFS_NODE_BUDGET
@@ -1044,7 +1080,7 @@ def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
                 break
             queue.append(nxt)
     if not found:
-        component = tuple(sorted(parents, key=_node_key))
+        component = tuple(sorted(parents, key=_canonical_tuple))
         return BfsResult("unreachable", explored=explored, component=component), None
     path = []
     node = goal
@@ -1058,60 +1094,57 @@ def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
     return BfsResult("found", explored=explored, component=()), tuples
 
 
-def _node_key(node):
-    return tuple(sorted(tuple(c.sort_key() for c in v) for v in node))
-
-
 def _canonical_tuple(node):
-    return tuple(sorted(node, key=lambda v: tuple(c.sort_key() for c in v)))
+    """The vectors of a node in index order; also the order of nodes."""
+    return tuple(sorted(node))
 
 
 def _bfs_neighbors(space, node):
     ring = space.ring
+    residue = ring.residue_of
     vectors = _canonical_tuple(node)
     n = len(vectors)
-    units = ring.units()
+    units = [u.data for u in ring.units()]
     out = []
     # replace one vector
     for i in range(n):
         kept = vectors[:i] + vectors[i + 1:]
-        comp = orthogonal_complement(space, kept)
-        g = comp[0]
-        if not space.eval_q(g).is_unit():
+        g = _complement(space, kept)[0]
+        if not residue[_b(space, g, g)]:
             continue
         for u in units:
-            z = vec_scale(u, g)
-            nxt = frozenset(kept) | {z}
+            nxt = frozenset(kept) | {_lincomb(ring, (g,), (u,))}
             if nxt != node:
                 out.append(nxt)
     # replace two vectors
-    elems = tuple(ring.elements())
     for i, j in itertools.combinations(range(n), 2):
         kept = tuple(v for k, v in enumerate(vectors) if k not in (i, j))
         # g1, g2 are a free basis of the plane orthogonal to `kept`, so each
         # (c1, c2) gives a new z1; z1 and z2 are anisotropic and orthogonal
         # to each other and to `kept`, so nxt always has n vectors
-        g1, g2 = orthogonal_complement(space, kept)[:2]
-        for c1 in elems:
-            for c2 in elems:
-                z1 = vec_add(vec_scale(c1, g1), vec_scale(c2, g2))
-                if not space.eval_q(z1).is_unit():
+        g1, g2 = _complement(space, kept)[:2]
+        for c1 in range(ring.size):
+            for c2 in range(ring.size):
+                z1 = _lincomb(ring, (g1, g2), (c1, c2))
+                if not residue[_b(space, z1, z1)]:
                     continue
                 gp = _complement_in_plane(space, z1, g1, g2)
-                if not space.eval_q(gp).is_unit():
+                if not residue[_b(space, gp, gp)]:
                     continue
                 for u in units:
-                    nxt = frozenset(kept) | {z1, vec_scale(u, gp)}
+                    nxt = frozenset(kept) | {z1, _lincomb(ring, (gp,), (u,))}
                     if nxt != node:
                         out.append(nxt)
     # deterministic expansion order
-    out_sorted = sorted(set(out), key=_node_key)
-    return out_sorted
+    return sorted(set(out), key=_canonical_tuple)
 
 
 def all_orthogonal_bases(space: BilinearSpace):
     """Every orthogonal basis vector-set of a small space (backtracking)."""
-    aniso = [v for v in space.all_vectors() if space.eval_q(v).is_unit()]
+    ring = space.ring
+    residue = ring.residue_of
+    vectors = itertools.product(range(ring.size), repeat=space.n)
+    aniso = [v for v in vectors if residue[_b(space, v, v)]]
     results: list = []
 
     def extend(chosen, start_pool):
@@ -1121,11 +1154,12 @@ def all_orthogonal_bases(space: BilinearSpace):
             results.append(frozenset(chosen))
             return
         for idx, v in enumerate(start_pool):
-            if all(space.eval_b(v, w).is_zero() for w in chosen):
+            if not any(_b(space, v, w) for w in chosen):
                 extend(chosen + [v], start_pool[idx + 1:])
 
     extend([], aniso)
-    return sorted(results, key=_node_key)
+    nodes = sorted(results, key=_canonical_tuple)
+    return [frozenset(_elements(ring, v) for v in node) for node in nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -1140,18 +1174,18 @@ def random_orthogonal_basis(space: BilinearSpace, rng, attempts: int = 2000) -> 
     orthogonal complement still diagonalizes with unit values throughout.
     """
     ring = space.ring
+    residue, elems = ring.residue_of, ring.elems
 
-    def pick(basis_vectors, depth):
+    def pick(basis_vectors):
         if not basis_vectors:
             return []
-        k = len(basis_vectors)
         for _ in range(attempts):
-            coeffs = tuple(ring.random_element(rng) for _ in range(k))
-            v = vec_combo(basis_vectors, coeffs)
-            if not space.eval_q(v).is_unit():
+            coeffs = [rng.randrange(ring.size) for _ in basis_vectors]
+            v = _lincomb(ring, basis_vectors, coeffs)
+            if not residue[_b(space, v, v)]:
                 continue
-            rest = _complement_within(space, tuple(basis_vectors), (v,))
-            gram = tuple(tuple(space.eval_b(p, q2) for q2 in rest) for p in rest)
+            rest = _complement_within(space, basis_vectors, (v,))
+            gram = tuple(tuple(elems[_b(space, p, q2)] for q2 in rest) for p in rest)
             try:
                 sub = BilinearSpace(ring, gram)
             except BilinearError:  # pragma: no cover - complement is nondegenerate
@@ -1159,15 +1193,15 @@ def random_orthogonal_basis(space: BilinearSpace, rng, attempts: int = 2000) -> 
             rep, _ = diagonalize(sub)
             if rep.r:
                 continue
-            tail = pick(list(rest), depth + 1)
+            tail = pick(rest)
             if tail is not None:
                 return [v] + tail
         return None
 
-    vecs = pick(list(space.standard_basis()), 0)
+    vecs = pick(_standard_basis(space.n))
     if vecs is None:
         raise ChainError("could not sample an orthogonal basis")
-    return OrthogonalBasis(space, vecs)
+    return OrthogonalBasis(space, [_elements(ring, v) for v in vecs])
 
 
 def random_diagonal_space(ring: LocalRing, n: int, rng) -> BilinearSpace:

@@ -8,8 +8,8 @@ reduced echelon form on element data that grows a row at a time.
 mat_inverse, kernel_basis and solve_field are entry points over it, and the
 orthogonal complements of ``bilinear`` and the residue lifts of ``chains``
 use it directly.  Like ``_dot`` and ``mat_det``, it works on element data
-(carrier indices): it indexes the ring's ``add``/``mul`` tables and ``neg``
-list directly and takes results from its interned elements (``rings``).
+(carrier indices), its rows and kernel vectors alike: it indexes the ring's
+``add``/``mul`` tables and ``neg`` list directly (``rings``).
 """
 
 from __future__ import annotations
@@ -146,12 +146,13 @@ class Echelon:
         self.pivots.append(col)
 
     def kernel(self):
-        """Basis of {x : row . x = 0 for every row added}: one vector per
-        free column f, in increasing order, with 1 at f, 0 on the other free
-        columns and -row[f] at each pivot.  SingularMatrixError when a rest
-        row reduced on the final pivots is not zero (the row span is not a
-        free summand, e.g. a degenerate restriction)."""
-        elems, neg = self.ring.elems, self.ring.neg
+        """Basis of {x : row . x = 0 for every row added}, as index tuples:
+        one vector per free column f, in increasing order, with 1 at f, 0 on
+        the other free columns and -row[f] at each pivot.
+        SingularMatrixError when a rest row reduced on the final pivots is
+        not zero (the row span is not a free summand, e.g. a degenerate
+        restriction)."""
+        neg = self.ring.neg
         if any(any(self.reduce(row)) for row in self.rest):
             raise SingularMatrixError("row space has no unit pivot for a nonzero row")
         kernel = []
@@ -161,7 +162,7 @@ class Echelon:
                 v[f] = 1
                 for row, p in zip(self.rows, self.pivots):
                     v[p] = neg[row[f]]
-                kernel.append(tuple(elems[d] for d in v))
+                kernel.append(tuple(v))
         return tuple(kernel)
 
 
@@ -181,7 +182,8 @@ def kernel_basis(ring: LocalRing, T):
     """(sorted pivot columns, basis of {x : T x = 0}); see ``Echelon.kernel``."""
     n = len(T[0]) if T else 0
     ech = Echelon(ring, n, ([c.data for c in row] for row in T))
-    return sorted(ech.pivots), ech.kernel()
+    elems = ring.elems
+    return sorted(ech.pivots), tuple(tuple(elems[d] for d in v) for v in ech.kernel())
 
 
 def solve_field(field: LocalRing, A, b):

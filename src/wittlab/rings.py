@@ -20,12 +20,12 @@ residue itself for ``Z/N``, and sum c_i q^i for the element sum c_i x^i of
 order of the coefficients read from the highest degree down, zero is 0 and
 one is 1 in every ring, and equal data means equal elements.  Sums,
 products and negatives come from the kernel described at
-``LocalRing.cached``.  Hot loops elsewhere (``eval_b``, ``_gram_row``,
-``vec_combo``, ``_lift_into``, the elimination ``matrices.Echelon``, ``_dot``
-and ``mat_det``) index its tables directly and take their results from the
-interned elements.  They do not check which ring an element belongs to, so
-spaces, bases and congruence witnesses check their entries once, through
-``LocalRing.check_elements``.
+``LocalRing.cached``.  Hot loops elsewhere index its tables directly:
+``bilinear._b`` (behind ``eval_b``), ``_gram_row``, ``_lincomb``,
+``matrices.Echelon``, ``_dot``, ``mat_det`` and the chain engine, whose
+vectors are tuples of indices (``chains``).  An index carries no ring, so
+spaces, bases, witnesses and the public chain functions check the ring of
+the elements they take once, through ``LocalRing.check_elements``.
 """
 
 from __future__ import annotations

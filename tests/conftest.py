@@ -39,6 +39,23 @@ def seeded(seed):
     return random.Random(seed)
 
 
+# element-level vector arithmetic for test references; the library
+# computes on index tuples
+def vec_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vec_scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def vec_combo(vectors, coeffs):
+    acc = vec_scale(coeffs[0], vectors[0])
+    for c, v in zip(coeffs[1:], vectors[1:]):
+        acc = vec_add(acc, vec_scale(c, v))
+    return acc
+
+
 @pytest.fixture()
 def search_cap_one(monkeypatch):
     """A fresh ring registry, so every ring parsed in the test starts with

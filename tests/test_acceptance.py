@@ -35,10 +35,9 @@ from wittlab import (
     verify_chain,
     verify_steinberg_consequences,
 )
-from wittlab.bilinear import vec_add
 from wittlab.groups import _class_data
 
-from conftest import MATRIX_SPECS, seeded
+from conftest import MATRIX_SPECS, seeded, vec_add
 from paper_data import f4_chain_certificate
 
 CEX = "GF(2)[x]/(x^4)"

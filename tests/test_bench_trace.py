@@ -25,6 +25,8 @@ def basis(rows):
 chain = lib.chain_local(basis([[5, 7, 1], [4, 0, 7], [2, 8, 4]]),
                         basis([[8, 3, 3], [6, 6, 2], [3, 2, 6]]))
 assert len(chain) > 1
+# the chain engine evaluates b on index tuples, past eval_b; eval_q calls it
+assert S.eval_q(chain.bases[0].vectors[0]).is_unit()
 spans = tracer.summary()
 for name in ("cli.run", "groups.stable_isometry_oracle", "groups.gw_presentation",
              "groups.group_structure", "groups.coords_of_group_ring",

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -31,23 +32,30 @@ from wittlab import (
 )
 from wittlab import chains
 from wittlab import matrices as mx
-from wittlab.bilinear import (
-    NotInMaximalIdealError,
-    orthogonal_complement,
-    vec_add,
-    vec_combo,
-    vec_scale,
-)
+from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
 from wittlab.rings import RingError
 
 import elimination_reference as reference
-from conftest import MATRIX_SPECS, seeded
+from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS, seeded, vec_add, vec_combo, vec_scale
 from paper_data import f4_chain_certificate
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def ident_space(ring, n):
     return BilinearSpace.diagonal(ring, (ring.one,) * n)
+
+
+def _idx(vectors):
+    """Element vectors as the index tuples the private cores take."""
+    return tuple(tuple(c.data for c in v) for v in vectors)
+
+
+def _els(ring, vectors):
+    """Index tuples back as element vectors."""
+    return tuple(tuple(ring.elems[d] for d in v) for v in vectors)
 
 
 def hat_basis(space):
@@ -482,8 +490,8 @@ def test_lift_pair_shares_positions():
         bbar, cbar = chain.bases[i], chain.bases[i + 1]
         from wittlab.chains import _align_step
 
-        aligned = _align_step(bbar.vectors, cbar.vector_set())
-        B, C = lift_pair(S, bbar.vectors, aligned)
+        aligned = _align_step(_idx(bbar.vectors), frozenset(_idx(cbar.vectors)))
+        B, C = lift_pair(S, bbar.vectors, _els(rspace.ring, aligned))
         diff = sum(u != v for u, v in zip(B.vectors, C.vectors))
         assert diff <= 2
         assert B.reduce().vectors == bbar.vectors
@@ -602,7 +610,9 @@ def test_lift_pair_core_matches_lifting_from_scratch(spec):
                 except NotOrthogonalOverResidueError as exc:
                     expected = type(exc)
                 try:
-                    got = chains._lift_pair_core(space, bbar, cbar)
+                    got = tuple(
+                        _els(ring, t) for t in chains._lift_pair_core(space, _idx(bbar), _idx(cbar))
+                    )
                 except NotOrthogonalOverResidueError as exc:
                     got = type(exc)
                 assert got == expected, (n, bbar, cbar)
@@ -623,7 +633,7 @@ def test_chain_local_lifts_without_eliminating_afresh(spec, monkeypatch):
     def banned(*args):
         raise AssertionError("complement eliminated from scratch")
 
-    monkeypatch.setattr(chains, "orthogonal_complement", banned)
+    monkeypatch.setattr(mx.Echelon, "kernel", banned)
     monkeypatch.setattr(mx, "kernel_basis", banned)
     monkeypatch.setattr(mx, "solve_field", banned)
     for b, c in ends:
@@ -684,12 +694,39 @@ def test_chain_field_matrix_random():
 
 # ---------------------------------------------------------------------------
 # the single contraction loop against the two per-characteristic loops it
-# replaced, kept here as the reference (minus their unreachable guards)
+# replaced, kept here as the reference (minus their unreachable guards), on
+# elements; the shared pieces it calls (_hat_core, the dimension-3 case) run
+# on index tuples and are read back as elements
 # ---------------------------------------------------------------------------
 
 
 def _ref_support(coords):
     return [i for i, c in enumerate(coords) if not c.is_zero()]
+
+
+def _ref_coords_in(space, basis, z):
+    return [space.eval_b(z, u) * space.eval_q(u).inv() for u in basis]
+
+
+def _ref_complement_in_plane(space, z, p, q):
+    return vec_add(vec_scale(space.eval_b(q, z), p), vec_scale(-space.eval_b(p, z), q))
+
+
+def _ref_normalize_q1(space, v):
+    """v scaled to q = 1 over a field of characteristic 2: the square root
+    of q(v) is q(v)^(|F|/2)."""
+    return vec_scale((space.eval_q(v) ** (space.ring.size // 2)).inv(), v)
+
+
+def _ref_rescale_steps(space, vectors):
+    work = list(vectors)
+    scale_at = [i for i, v in enumerate(work) if space.eval_q(v) != space.ring.one]
+    steps = []
+    for k in range(0, len(scale_at), 2):
+        for i in scale_at[k:k + 2]:
+            work[i] = _ref_normalize_q1(space, work[i])
+        steps.append(tuple(work))
+    return steps, tuple(work)
 
 
 def _ref_field_chain_core(space, tup_a, tup_b):
@@ -701,7 +738,8 @@ def _ref_field_chain_core(space, tup_a, tup_b):
     if space.ring.size % 2:
         return _ref_field_chain_odd(space, tup_a, tup_b)
     if k == 3:
-        return chains._field_chain_dim3_char2(space, tup_a, tup_b)
+        steps = chains._field_chain_dim3_char2(space, _idx(tup_a), _idx(tup_b))
+        return [_els(space.ring, t) for t in steps]
     return _ref_field_chain_char2(space, tup_a, tup_b)
 
 
@@ -719,7 +757,7 @@ def _ref_field_chain_odd(space, tup_a, tup_b):
     cur = tup_a
     w1 = tup_b[0]
     while True:
-        coords = chains._coords_in(space, cur, w1)
+        coords = _ref_coords_in(space, cur, w1)
         supp = _ref_support(coords)
         r = len(supp)
         if r == 1:
@@ -732,7 +770,7 @@ def _ref_field_chain_odd(space, tup_a, tup_b):
             return _ref_front_and_recurse(space, steps, cur, tup_b)
         if r == 2:
             i, j = supp
-            s = chains._complement_in_plane(space, w1, cur[i], cur[j])
+            s = _ref_complement_in_plane(space, w1, cur[i], cur[j])
             work = list(cur)
             work[i], work[j] = w1, s
             cur = tuple(work)
@@ -746,7 +784,7 @@ def _ref_field_chain_odd(space, tup_a, tup_b):
                 break
         assert pair is not None
         i, j, z = pair
-        s = chains._complement_in_plane(space, z, cur[i], cur[j])
+        s = _ref_complement_in_plane(space, z, cur[i], cur[j])
         work = list(cur)
         work[i], work[j] = z, s
         cur = tuple(work)
@@ -755,20 +793,20 @@ def _ref_field_chain_odd(space, tup_a, tup_b):
 
 def _ref_field_chain_char2(space, tup_a, tup_b):
     steps = [tup_a]
-    resc_a, cur = chains._rescale_steps(space, tup_a)
+    resc_a, cur = _ref_rescale_steps(space, tup_a)
     steps.extend(resc_a)
-    resc_b, target = chains._rescale_steps(space, tup_b)
+    resc_b, target = _ref_rescale_steps(space, tup_b)
     w1 = target[0]
     while True:
-        coords = chains._coords_in(space, cur, w1)
+        coords = _ref_coords_in(space, cur, w1)
         supp = _ref_support(coords)
         r = len(supp)
         if r == 1:
             break
         if r == 2:
             i, j = supp
-            s = chains._complement_in_plane(space, w1, cur[i], cur[j])
-            s = chains._normalize_q1(space, s)
+            s = _ref_complement_in_plane(space, w1, cur[i], cur[j])
+            s = _ref_normalize_q1(space, s)
             work = list(cur)
             work[i], work[j] = w1, s
             cur = tuple(work)
@@ -782,9 +820,9 @@ def _ref_field_chain_char2(space, tup_a, tup_b):
         if pair is not None:
             i, j = pair
             z = vec_add(vec_scale(coords[i], cur[i]), vec_scale(coords[j], cur[j]))
-            z = chains._normalize_q1(space, z)
-            s = chains._complement_in_plane(space, z, cur[i], cur[j])
-            s = chains._normalize_q1(space, s)
+            z = _ref_normalize_q1(space, z)
+            s = _ref_complement_in_plane(space, z, cur[i], cur[j])
+            s = _ref_normalize_q1(space, s)
             work = list(cur)
             work[i], work[j] = z, s
             cur = tuple(work)
@@ -793,10 +831,10 @@ def _ref_field_chain_char2(space, tup_a, tup_b):
         sub_idx = supp + [next(i for i in range(len(cur)) if i not in supp)]
         sub = tuple(cur[i] for i in sub_idx)
         rest = tuple(cur[i] for i in range(len(cur)) if i not in sub_idx)
-        hat_steps, hat = chains._hat_core(space, sub)
+        hat_steps, hat = chains._hat_core(space, _idx(sub))
         for t in hat_steps[1:]:
-            steps.append(t + rest)
-        cur = hat + rest
+            steps.append(_els(space.ring, t) + rest)
+        cur = _els(space.ring, hat) + rest
     steps = _ref_front_and_recurse(space, steps, cur, target)
     for t in reversed(resc_b):
         steps.append(t)
@@ -820,13 +858,18 @@ def test_contraction_loop_matches_per_characteristic_loops(spec, monkeypatch):
             # e -> e-hat takes the hat escape
             S = ident_space(field, n)
             pairs.append((S, standard_basis(S), hat_basis(S)))
+
+    def ref_on_indices(space, tup_a, tup_b):
+        steps = _ref_field_chain_core(space, _els(field, tup_a), _els(field, tup_b))
+        return [_idx(t) for t in steps]
+
     for S, A, B in pairs:
-        got = chains._field_chain_core(S, A.vectors, B.vectors)
+        got = chains._field_chain_core(S, A.indices, B.indices)
         with monkeypatch.context() as m:
             # _hat_core's inner chain runs the reference too
-            m.setattr(chains, "_field_chain_core", _ref_field_chain_core)
+            m.setattr(chains, "_field_chain_core", ref_on_indices)
             want = _ref_field_chain_core(S, A.vectors, B.vectors)
-        assert got == want
+        assert [_els(field, t) for t in got] == want
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(16)"])
@@ -837,7 +880,9 @@ def test_char2_pair_test_is_unequal_coefficients(spec):
     field = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()))
     S = random_diagonal_space(field, 3, rng)
-    u = [chains._normalize_q1(S, v) for v in random_orthogonal_basis(S, rng).vectors]
+    basis = random_orthogonal_basis(S, rng)
+    u = _els(field, [chains._normalize_q1(S, v) for v in basis.indices])
+    assert list(u) == [_ref_normalize_q1(S, v) for v in basis.vectors]
     for ui, uj in ((u[0], u[1]), (u[1], u[2])):
         assert S.eval_q(ui) == S.eval_q(uj) == field.one
         assert S.eval_b(ui, uj).is_zero()
@@ -990,12 +1035,16 @@ def test_bfs_space_cap():
         bfs_chain_oracle(standard_basis(S), standard_basis(S), space_cap=1 << 10)
 
 
+def _ref_node_key(node):
+    return tuple(sorted(tuple(c.data for c in v) for v in node))
+
+
 def _ref_bfs_neighbors(space, node):
-    """The former neighbour generator: chains._bfs_neighbors plus its guards
-    for an empty kept set, a repeated z1, z2 == z1 and a replacement that
-    collides with a kept vector."""
+    """The former neighbour generator on elements: chains._bfs_neighbors
+    plus its guards for an empty kept set, a repeated z1, z2 == z1 and a
+    replacement that collides with a kept vector."""
     ring = space.ring
-    vectors = chains._canonical_tuple(node)
+    vectors = tuple(sorted(node, key=lambda v: tuple(c.data for c in v)))
     n = len(vectors)
     units = ring.units()
     out = []
@@ -1022,7 +1071,7 @@ def _ref_bfs_neighbors(space, node):
                 seen_z1.add(z1)
                 if not space.eval_q(z1).is_unit():
                     continue
-                gp = chains._complement_in_plane(space, z1, g1, g2)
+                gp = _ref_complement_in_plane(space, z1, g1, g2)
                 if not space.eval_q(gp).is_unit():
                     continue
                 for u in units:
@@ -1032,7 +1081,7 @@ def _ref_bfs_neighbors(space, node):
                     nxt = frozenset(kept) | {z1, z2}
                     if len(nxt) == n and nxt != node:
                         out.append(nxt)
-    return sorted(set(out), key=chains._node_key)
+    return sorted(set(out), key=_ref_node_key)
 
 
 @pytest.mark.parametrize("spec", ["GF(2)", "Z/4", "GF(2)[x]/(x^2)", "GF(3)", "Z/8"])
@@ -1042,13 +1091,15 @@ def test_bfs_neighbors_match_guarded_generator(spec):
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()))
     S = random_diagonal_space(ring, 2 if ring.size > 4 else 3, rng)
-    frontier = [random_orthogonal_basis(S, rng).vector_set()]
+    frontier = [frozenset(random_orthogonal_basis(S, rng).indices)]
     seen = set(frontier)
     checked = 0
     while frontier and checked < 12:
         node = frontier.pop(0)
         got = chains._bfs_neighbors(S, node)
-        assert got == _ref_bfs_neighbors(S, node)
+        assert [frozenset(_els(ring, nxt)) for nxt in got] == _ref_bfs_neighbors(
+            S, frozenset(_els(ring, node))
+        )
         checked += 1
         for nxt in got:
             if nxt not in seen:
@@ -1186,6 +1237,93 @@ def test_certificate_json_shares_vectors_and_keeps_its_text(spec):
         _clear_lists(doc)
         assert json.dumps(other) == text
         assert json.dumps(chain.to_json()) == text
+
+
+def _reference_json(chain):
+    """The certificate written from the elements of each basis."""
+    return {
+        "ring": chain.space.ring.spec,
+        "gram": [[e.to_json() for e in row] for row in chain.space.gram],
+        "bases": [[[c.to_json() for c in v] for v in b.vectors] for b in chain.bases],
+    }
+
+
+def _built_chains(spec):
+    """Chains over one ring, n = 2, 3, 4: chain_local where the residue
+    field is not F_2, equal-mod-m chains between a basis and elementary
+    moves of it where it is."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 2)
+    ideal = ring.maximal_ideal()
+    for n in (2, 3, 4):
+        S = random_diagonal_space(ring, n, rng)
+        A = random_orthogonal_basis(S, rng)
+        if ring.residue_field().size > 2:
+            yield chain_local(A, random_orthogonal_basis(S, rng))
+            continue
+        B = A
+        for _ in range(4):
+            i, j = rng.sample(range(n), 2)
+            B = elementary_move(B, ideal[rng.randrange(len(ideal))], i, j)
+        yield chain_equal_mod_m(A, B)
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS + F2_RESIDUE_SPECS)
+def test_certificate_json_from_indices_equals_json_from_elements(spec):
+    lengths = []
+    for chain in _built_chains(spec):
+        doc = chain.to_json()
+        assert doc == _reference_json(chain)
+        assert json.dumps(doc) == json.dumps(_reference_json(chain))
+        lengths.append(len(chain))
+    assert max(lengths) > 1 or parse_ring(spec).size == 2, lengths
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("chain_*.json")))
+def test_golden_certificates_round_trip_byte_identically(name):
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    doc["certificate"] = Chain.from_json(doc["certificate"]).to_json()
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
+def test_elements_of_another_ring_raise_at_every_entry_point():
+    """An index tuple carries no ring, so each public function that takes
+    elements checks their ring when it converts them."""
+    Z9, F5, F4 = parse_ring("Z/9"), parse_ring("GF(5)"), parse_ring("GF(4)")
+    F7, F8 = parse_ring("GF(7)"), parse_ring("GF(8)")
+    S9, S5 = ident_space(Z9, 3), ident_space(F5, 3)
+    E9, E5 = standard_basis(S9), standard_basis(S5)
+
+    def foreign(basis, ring):
+        return [tuple(ring.element(c.data) for c in v) for v in basis.vectors]
+
+    X9 = OrthogonalBasis(S9, foreign(E9, F7), validate=False)
+    X5 = OrthogonalBasis(S5, foreign(E5, F7), validate=False)
+    F3 = Z9.residue_field()
+    rb = S9.reduce().standard_basis()
+    z9_cert = chain_local(E9, random_orthogonal_basis(S9, seeded(3))).to_json()
+    calls = [
+        lambda: OrthogonalBasis(S9, foreign(E9, F7)),
+        lambda: chain_local(E9, X9),
+        lambda: chain_local(X9, E9),
+        lambda: chain_field(E5, X5),
+        lambda: chain_field(X5, E5),
+        lambda: chain_equal_mod_m(E9, X9),
+        lambda: bfs_chain_oracle(E5, X5),
+        lambda: elementary_move(E9, F7.zero, 0, 1),
+        lambda: extend_vector_chain(E5, (F5.one, F7.one, F5.zero)),
+        lambda: find_nonvanishing_vector(F4, [(F4.one, F8.one)]),
+        lambda: lift_basis(S9, E9.vectors),
+        lambda: lift_pair(S9, rb, rb[:2] + (tuple(Z9.element(c.data) for c in rb[2]),)),
+        lambda: lift_pair(S9, rb, rb[:2] + ((F3.zero, F3.zero, F7.one),)),
+        lambda: Chain.from_json(z9_cert, ring=parse_ring("GF(3)[x]/(x^2)")),
+        lambda: Chain.from_json(f4_chain_certificate(), ring=Z9),
+    ]
+    for k, call in enumerate(calls):
+        with pytest.raises(RingError):
+            call()
+            pytest.fail(f"call {k} accepted elements of another ring")
 
 
 # ---------------------------------------------------------------------------
