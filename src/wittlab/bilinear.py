@@ -2,13 +2,14 @@
 
 A space is a symmetric matrix with unit determinant.  Every structural
 statement made by this module is certified: congruences carry an explicit
-witness matrix M with M^T A M = B, verified by exact recomputation.  Each
-witness is checked once, at the public entry point that returns it; the
-private cores behind `diagonalize` and `resolve_block` return unchecked
-columns and matrices, so `stable_diagonalize` composes them and checks only
-its final witness.  `_b` (behind `eval_b`), `_gram_row` and `_lincomb` work
-on vectors of carrier indices through the ring's tables (see `rings`), as do
-the recursion behind `diagonalize` and the chain engine (see `chains`).
+witness matrix M with M^T A M = B, which `certify.check_congruence` verifies
+by exact recomputation.  Each witness is checked once, at the public entry
+point that returns it; the private cores behind `diagonalize` and
+`resolve_block` return unchecked columns and matrices, so
+`stable_diagonalize` composes them and checks only its final witness.
+`certify._b` (behind `eval_b`), `_gram_row` and `_lincomb` work on vectors
+of carrier indices through the ring's tables (see `rings`), as do the
+recursion behind `diagonalize` and the chain engine (see `chains`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 
 from .rings import LocalRing, NonUnitError, RingElement
 from . import matrices as mx
+# CheckResult and check_representation_identity are part of this module's API
+from .certify import CheckResult, _b, check_congruence, check_representation_identity
 
 
 class BilinearError(Exception):
@@ -51,14 +54,12 @@ class BilinearSpace:
             if len(row) != self.n:
                 raise DimensionMismatchError("Gram matrix must be square")
         ring.check_elements(e for row in self.gram for e in row)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise BilinearError("Gram matrix must be symmetric")
+        if self.gram != mx.mat_transpose(self.gram):
+            raise BilinearError("Gram matrix must be symmetric")
         self.det = mx.mat_det(ring, self.gram)
         if self.n and not self.det.is_unit():
             raise DegenerateError(f"det = {self.det!r} is not a unit of {ring.spec}")
-        self._q_buckets = None
+        self._q_buckets = self._reduced = None
         # the nonzero Gram entries of each row, as (column, product row)
         # pairs: mul[g] of the entry g, so that mul[g][y] is g * y
         mul = ring.mul
@@ -88,11 +89,7 @@ class BilinearSpace:
             raise BilinearError("summands must live over the same ring")
         z = self.ring.zero
         n, m = self.n, other.n
-        gram = []
-        for i in range(n):
-            gram.append(tuple(self.gram[i]) + (z,) * m)
-        for i in range(m):
-            gram.append((z,) * n + tuple(other.gram[i]))
+        gram = [row + (z,) * m for row in self.gram] + [(z,) * n + row for row in other.gram]
         return BilinearSpace(self.ring, gram)
 
     # -- evaluation ----------------------------------------------------------
@@ -133,10 +130,11 @@ class BilinearSpace:
         return self._q_buckets.get(value.data, ())
 
     def reduce(self) -> "BilinearSpace":
-        """The induced space over the residue field."""
-        F = self.ring.residue_field()
-        gram = tuple(tuple(self.ring.reduce(e) for e in row) for row in self.gram)
-        return BilinearSpace(F, gram)
+        """The induced space over the residue field, built on the first call."""
+        if self._reduced is None:
+            gram = tuple(tuple(self.ring.reduce(e) for e in row) for row in self.gram)
+            self._reduced = BilinearSpace(self.ring.residue_field(), gram)
+        return self._reduced
 
     def reduce_vector(self, v):
         return tuple(self.ring.reduce(c) for c in v)
@@ -176,17 +174,7 @@ class CongruenceWitness:
             raise BilinearError(f"invalid congruence witness: {msg}")
 
     def check(self):
-        n = len(self.matrix)
-        for grid in (self.source, self.target, self.matrix):
-            if len(grid) != n or any(len(row) != n for row in grid):
-                return False, "source, target and matrix must be square matrices of one size"
-            self.ring.check_elements(e for row in grid for e in row)
-        got = mx.congruent(self.matrix, self.source)
-        if got != self.target:
-            return False, "M^T A M differs from the target"
-        if self.matrix and not mx.mat_det(self.ring, self.matrix).is_unit():
-            return False, "witness determinant is not a unit"
-        return True, "ok"
+        return check_congruence(self.ring, self.source, self.target, self.matrix)
 
     def inverse(self) -> "CongruenceWitness":
         Minv = mx.mat_inverse(self.ring, self.matrix)
@@ -237,23 +225,6 @@ def _block_diagonal_gram(ring, units, blocks):
         rows[i + 1][i] = one
         rows[i + 1][i + 1] = b
     return tuple(tuple(r) for r in rows)
-
-
-def _b(space: BilinearSpace, x, y):
-    """b(x, y) as a carrier index, for vectors x and y of carrier indices,
-    in one pass over the nonzero Gram entries of each row of A."""
-    add, mul = space.ring.add, space.ring.mul
-    acc = 0
-    for xd, row in zip(x, space._sparse_rows):
-        if not xd:
-            continue
-        inner = 0
-        for j, g in row:
-            yd = y[j]
-            if yd:
-                inner = add[inner][g[yd]]
-        acc = add[acc][mul[xd][inner]]
-    return acc
 
 
 def _gram_row(space: BilinearSpace, w):
@@ -369,14 +340,10 @@ def _diagonalize(space: BilinearSpace):
             rec(rest)
             return
         # all q-values in the maximal ideal: split off a rank-2 block
-        pair = None
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if residue[_b(space, basis[i], basis[j])]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next((
+            (i, j) for i, j in itertools.combinations(range(len(basis)), 2)
+            if residue[_b(space, basis[i], basis[j])]
+        ), None)
         if pair is None:
             raise DegenerateError("no unit pairing found; form is degenerate")
         x, w = basis[pair[0]], basis[pair[1]]
@@ -519,18 +486,11 @@ def is_isometric(s1: BilinearSpace, s2: BilinearSpace, budget: int | None = None
             spent[0] += 1
             if spent[0] > budget:
                 return "budget"
-            ok = True
-            for j, w in enumerate(chosen):
-                if s2.eval_b(w, v) != s1.gram[j][i]:
-                    ok = False
-                    break
-            if not ok:
+            if any(s2.eval_b(w, v) != s1.gram[j][i] for j, w in enumerate(chosen)):
                 continue
             chosen.append(v)
             res = extend(i + 1)
             if res != "fail":
-                if res == "found":
-                    return "found"
                 return res
             chosen.pop()
         return "fail"
@@ -566,36 +526,3 @@ def hyperbolic_scaling_witness(ring: LocalRing, u: RingElement) -> CongruenceWit
     target = ((z, u), (u, z))
     M = ((z, u), (one, z))
     return CongruenceWitness(ring, source, target, M)
-
-
-@dataclass
-class CheckResult:
-    ok: bool
-    reason: str = "ok"
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_representation_identity(a, b, c, d, x, y, s, t, f) -> CheckResult:
-    """Exact check of f = c((asx+bty)/c)^2 + d((tx-sy)/c)^2.
-
-    Preconditions (violations are reported, not raised): a, b units,
-    c = a x^2 + b y^2 a unit, d = abc, f = a s^2 + b t^2.
-    """
-    if not a.is_unit() or not b.is_unit():
-        return CheckResult(False, "a and b must be units")
-    if not c.is_unit():
-        return CheckResult(False, "c must be a unit")
-    if c != a * x * x + b * y * y:
-        return CheckResult(False, "c != a*x^2 + b*y^2")
-    if d != a * b * c:
-        return CheckResult(False, "d != a*b*c")
-    if f != a * s * s + b * t * t:
-        return CheckResult(False, "f != a*s^2 + b*t^2")
-    ci = c.inv()
-    p = (a * s * x + b * t * y) * ci
-    r = (t * x - s * y) * ci
-    if f == c * p * p + d * r * r:
-        return CheckResult(True)
-    return CheckResult(False, "identity failed")

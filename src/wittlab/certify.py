@@ -1,0 +1,237 @@
+"""The trusted checker: every certificate ``wittlab`` returns is judged here.
+
+Builders construct certificates and this module judges them (McConnell,
+Mehlhorn, Näher and Schweitzer, "Certifying algorithms", 2011).  It imports
+``rings`` and ``matrices``' ``congruent`` and ``mat_det``, never a builder;
+the builders import from it the loops they share with the checks, ``_b``
+and ``int_mat_mul``.  A chain needs no determinant: for M with columns
+v_1..v_n, pairwise orthogonal with unit q-values, M^T A M is triangular with
+diagonal q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .rings import LocalRing
+from .matrices import congruent, mat_det
+
+
+def _b(space, x, y):
+    """b(x, y) as a carrier index, for vectors x and y of carrier indices,
+    in one pass over the nonzero Gram entries of each row of A."""
+    add, mul = space.ring.add, space.ring.mul
+    acc = 0
+    for xd, row in zip(x, space._sparse_rows):
+        if not xd:
+            continue
+        inner = 0
+        for j, g in row:
+            yd = y[j]
+            if yd:
+                inner = add[inner][g[yd]]
+        acc = add[acc][mul[xd][inner]]
+    return acc
+
+
+class _CertificateChecks:
+    """What the bases of one certificate have established so far: an id for
+    each distinct vector, given the first time the vector is seen and keyed
+    by its index tuple; the ids whose q-value is checked; and the unordered
+    id pairs checked orthogonal."""
+
+    __slots__ = ("ids", "checked", "pairs")
+
+    def __init__(self):
+        self.ids, self.checked, self.pairs = {}, set(), set()
+
+    def id_list(self, vectors):
+        ids = self.ids
+        return [ids.setdefault(v, len(ids)) for v in vectors]
+
+
+def _check_orthobasis(space, basis, checks=None):
+    """(ok, message) for one ordered basis: n vectors of length n over the
+    space's ring, each with unit q, pairwise orthogonal.
+
+    The length and ring of each vector are checked in turn, so a wrong
+    length is reported before a later vector's foreign entry raises
+    RingError.  ``checks``, shared by the bases of one certificate, skips
+    every q-value and every pair an earlier basis already passed.  The
+    remaining checks run in the order of a full check, and what is skipped
+    has passed, so the first failure and its message are the same with or
+    without ``checks``.
+    """
+    n, ring = space.n, space.ring
+    from_elements = basis._indices is None
+    vectors = basis._vectors if from_elements else basis._indices
+    if len(vectors) != n:
+        return False, f"expected {n} vectors, got {len(vectors)}"
+    for v in vectors:
+        if len(v) != n:
+            return False, "vector length does not match the space dimension"
+        if from_elements:
+            ring.check_elements(v)
+    indices = basis.indices
+    checks = checks or _CertificateChecks()
+    ids = checks.id_list(indices)
+    checked, pairs, residue = checks.checked, checks.pairs, ring.residue_of
+    for i in range(n):
+        a, v = ids[i], indices[i]
+        if a not in checked:
+            if not residue[_b(space, v, v)]:
+                return False, f"vector {i} is not anisotropic"
+            checked.add(a)
+        for j in range(i + 1, n):
+            b = ids[j]
+            pair = (a, b) if a <= b else (b, a)
+            if pair not in pairs:
+                # a repeated vector makes the pair (a, a): b(v, v) = q(v) is a unit
+                if _b(space, v, indices[j]):
+                    return False, f"vectors {i} and {j} are not orthogonal"
+                pairs.add(pair)
+    return True, "ok"
+
+
+def verify_chain(chain, start, end):
+    """Full certificate check; returns (ok, diagnostic).
+
+    Every basis must be an orthogonal basis of the chain's space, each
+    distinct vector and pair checked once per certificate (see
+    ``_check_orthobasis``); consecutive bases must share at least n-2
+    vectors, and the first and last bases must hold the vectors of start and
+    end.  The overlap and endpoint tests compare sets of vector ids.
+    """
+    space = chain.space
+    n = space.n
+    checks = _CertificateChecks()
+    for idx, basis in enumerate(chain.bases):
+        if basis.space != space:
+            return False, f"basis {idx} lives on a different space"
+        ok, msg = _check_orthobasis(space, basis, checks)
+        if not ok:
+            return False, f"basis {idx}: {msg}"
+    id_sets = [frozenset(checks.id_list(basis.indices)) for basis in chain.bases]
+    for idx in range(len(id_sets) - 1):
+        overlap = len(id_sets[idx] & id_sets[idx + 1])
+        if overlap < n - 2:
+            return False, (
+                f"step {idx} -> {idx + 1} replaces more than two vectors "
+                f"(overlap {overlap} < {n - 2})"
+            )
+    for ids, basis, which in ((id_sets[0], start, "start"), (id_sets[-1], end, "end")):
+        # an endpoint over another ring holds none of the chain's vectors
+        if basis.space.ring != space.ring or ids != frozenset(checks.id_list(basis.indices)):
+            return False, f"chain does not {which} at the requested basis"
+    return True, "ok"
+
+
+def check_congruence(ring: LocalRing, source, target, matrix):
+    """(ok, message) for a witness M of source A and target B, all tuples of
+    row tuples: square of one size over ``ring``, M^T A M = B, det M a unit."""
+    n = len(matrix)
+    for grid in (source, target, matrix):
+        if len(grid) != n or any(len(row) != n for row in grid):
+            return False, "source, target and matrix must be square matrices of one size"
+        ring.check_elements(e for row in grid for e in row)
+    if congruent(matrix, source) != target:
+        return False, "M^T A M differs from the target"
+    if matrix and not mat_det(ring, matrix).is_unit():
+        return False, "witness determinant is not a unit"
+    return True, "ok"
+
+
+@dataclass
+class CheckResult:
+    ok: bool
+    reason: str = "ok"
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_representation_identity(a, b, c, d, x, y, s, t, f) -> CheckResult:
+    """Exact check of f = c((asx+bty)/c)^2 + d((tx-sy)/c)^2.
+
+    Preconditions (violations are reported, not raised): a, b units,
+    c = a x^2 + b y^2 a unit, d = abc, f = a s^2 + b t^2.
+    """
+    if not a.is_unit() or not b.is_unit():
+        return CheckResult(False, "a and b must be units")
+    if not c.is_unit():
+        return CheckResult(False, "c must be a unit")
+    if c != a * x * x + b * y * y:
+        return CheckResult(False, "c != a*x^2 + b*y^2")
+    if d != a * b * c:
+        return CheckResult(False, "d != a*b*c")
+    if f != a * s * s + b * t * t:
+        return CheckResult(False, "f != a*s^2 + b*t^2")
+    ci = c.inv()
+    p = (a * s * x + b * t * y) * ci
+    r = (t * x - s * y) * ci
+    if f == c * p * p + d * r * r:
+        return CheckResult(True)
+    return CheckResult(False, "identity failed")
+
+
+def int_mat_mul(A, B):
+    """A * B, summing over the nonzero entries of each row of A and of B;
+    the unimodular transforms this checks are mostly zeros."""
+    if not A or not B:
+        return []
+    sparse_B = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    product = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, b_row in zip(row, sparse_B):
+            if a:
+                for j, b in b_row:
+                    acc[j] += a * b
+        product.append(acc)
+    return product
+
+
+def int_det(M):
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: after step k every entry is a (k+1)-minor, so each division
+    by the previous pivot is exact."""
+    A, sign, prev = [list(row) for row in M], 1, 1
+    for k in range(len(A) - 1):
+        swap = next((i for i in range(k, len(A)) if A[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            A[k], A[swap], sign = A[swap], A[k], -sign
+        pivot, tail = A[k][k], A[k][k + 1:]
+        for row in A[k + 1:]:
+            f = row[k]
+            if f or pivot != prev:  # else the step leaves the row as it is
+                row[k + 1:] = [(a * pivot - f * b) // prev for a, b in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign * A[-1][-1] if A else 1
+
+
+def _is_unimodular(M):
+    return all(len(row) == len(M) for row in M) and abs(int_det(M)) == 1
+
+
+def check_smith(form, A) -> bool:
+    """U A V = diag(d_1..d_r) for the integer matrix A, with U and V
+    unimodular and each d_i dividing d_{i+1}."""
+    got = int_mat_mul(int_mat_mul(form.U, A), form.V)
+    for i in range(form.rows):
+        for j in range(form.cols):
+            expected = form.diag[i] if i == j and i < len(form.diag) else 0
+            if got[i][j] != expected:
+                return False
+    if not (_is_unimodular(form.U) and _is_unimodular(form.V)):
+        return False
+    for a, b in zip(form.diag, form.diag[1:]):
+        if b % a != 0:
+            return False
+    return True
+
+
+def relations_vanish(structure, rows) -> bool:
+    """Every relation row has zero coordinates under the structure's map."""
+    return all(structure.is_zero(structure.coords_of_row(row)) for row in rows)

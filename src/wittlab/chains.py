@@ -19,21 +19,16 @@ w^T A that grows by a row per lift instead of being eliminated afresh.
 
 Inside this module a vector is a tuple of carrier indices (see ``rings``):
 builders and checker compute on them through the ring's tables and
-``bilinear._b``, the loop behind ``BilinearSpace.eval_b``.  Elements are
+``certify._b``, the loop behind ``BilinearSpace.eval_b``.  Elements are
 built only where a vector leaves the library (``OrthogonalBasis.vectors``,
 returned vectors, ``Chain.to_json``), and every public function that takes
 elements checks their ring once, when it converts them.
 
 Builders assemble their chains as index tuples through private cores and
-wrap them in unchecked bases.  ``verify_chain`` is the sole checker of
-chain certificates: every public builder runs it exactly once, on the chain
-it returns, and nothing inside a builder re-checks intermediate pieces.
-Within one certificate it checks each distinct vector (unit q-value) and
-each distinct pair (orthogonality) once, since consecutive bases share all
-but at most two vectors.  It computes no determinant: pairwise orthogonal
-vectors v_1..v_n with unit q-values satisfy det(M)^2 det(A) =
-q(v_1)...q(v_n) for M = (v_1 .. v_n), and det(A) is a unit, so they always
-form a basis.
+wrap them in unchecked bases.  ``verify_chain``, from the checker module
+``certify``, is the sole judge of chain certificates: every public builder
+runs it exactly once, on the chain it returns, through this module's name,
+and nothing inside a builder re-checks intermediate pieces.
 
 Chain entries are stored as ordered tuples; the overlap condition and
 endpoint identity are evaluated on vector *sets*, matching the set
@@ -47,13 +42,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
+from . import certify
+from .certify import _b, verify_chain
 from .rings import LocalRing, RingElement
 from .matrices import Echelon
 from .bilinear import (
     BilinearSpace,
     BilinearError,
     NotInMaximalIdealError,
-    _b,
     _complement,
     _complement_within,
     _gram_row,
@@ -134,7 +130,7 @@ class OrthogonalBasis:
         self._vectors = tuple(tuple(v) for v in vectors)
         self._indices = None
         if validate:
-            ok, msg = _check_orthobasis(space, self)
+            ok, msg = certify._check_orthobasis(space, self)
             if not ok:
                 raise NotOrthogonalError(msg)
 
@@ -165,10 +161,8 @@ class OrthogonalBasis:
         return tuple(self.space.eval_q(v) for v in self.vectors)
 
     def reduce(self) -> "OrthogonalBasis":
-        rspace = self.space.reduce()
-        return OrthogonalBasis(
-            rspace, tuple(self.space.reduce_vector(v) for v in self.vectors)
-        )
+        space = self.space
+        return OrthogonalBasis(space.reduce(), tuple(map(space.reduce_vector, self.vectors)))
 
     def to_json(self):
         return [[c.to_json() for c in v] for v in self.vectors]
@@ -182,71 +176,6 @@ class OrthogonalBasis:
 
     def __repr__(self):
         return f"OrthogonalBasis({list(self.vectors)!r})"
-
-
-class _CertificateChecks:
-    """What the bases of one certificate have established so far: an id for
-    each distinct vector, given the first time the vector is seen and keyed
-    by its index tuple; the ids whose q-value is checked; and the unordered
-    id pairs checked orthogonal."""
-
-    __slots__ = ("ids", "checked", "pairs")
-
-    def __init__(self):
-        self.ids, self.checked, self.pairs = {}, set(), set()
-
-    def id_list(self, vectors):
-        ids = self.ids
-        return [ids.setdefault(v, len(ids)) for v in vectors]
-
-
-def _check_orthobasis(space, basis, checks=None):
-    """(ok, message) for one ordered basis: n vectors of length n over the
-    space's ring, each with unit q, pairwise orthogonal.
-
-    The length and ring of each vector are checked in turn, so a wrong
-    length is reported before a later vector's foreign entry raises
-    RingError.  ``checks``, shared by the bases of one certificate, skips
-    every q-value and every pair an earlier basis already passed.  The
-    remaining checks run in the order of a full check, and what is skipped
-    has passed, so the first failure and its message are the same with or
-    without ``checks``.
-
-    There is no determinant check, because it is implied.  Let M be the
-    matrix with columns v_1..v_n.  As b(v_i, v_j) = 0 for i < j, M^T A M is
-    triangular with diagonal q(v_1)..q(v_n), so det(M)^2 det(A) is the unit
-    q(v_1)...q(v_n).  ``BilinearSpace`` requires det(A) to be a unit, so
-    det(M) is a unit and the vectors form a basis.
-    """
-    n, ring = space.n, space.ring
-    from_elements = basis._indices is None
-    vectors = basis._vectors if from_elements else basis._indices
-    if len(vectors) != n:
-        return False, f"expected {n} vectors, got {len(vectors)}"
-    for v in vectors:
-        if len(v) != n:
-            return False, "vector length does not match the space dimension"
-        if from_elements:
-            ring.check_elements(v)
-    indices = basis.indices
-    checks = checks or _CertificateChecks()
-    ids = checks.id_list(indices)
-    checked, pairs, residue = checks.checked, checks.pairs, ring.residue_of
-    for i in range(n):
-        a, v = ids[i], indices[i]
-        if a not in checked:
-            if not residue[_b(space, v, v)]:
-                return False, f"vector {i} is not anisotropic"
-            checked.add(a)
-        for j in range(i + 1, n):
-            b = ids[j]
-            pair = (a, b) if a <= b else (b, a)
-            if pair not in pairs:
-                # a repeated vector makes the pair (a, a): b(v, v) = q(v) is a unit
-                if _b(space, v, indices[j]):
-                    return False, f"vectors {i} and {j} are not orthogonal"
-                pairs.add(pair)
-    return True, "ok"
 
 
 class Chain:
@@ -315,42 +244,6 @@ class Chain:
             for bvecs in obj["bases"]
         ]
         return cls(space, bases)
-
-
-def verify_chain(chain: Chain, start: OrthogonalBasis, end: OrthogonalBasis):
-    """Full certificate check; returns (ok, diagnostic).
-
-    Every basis must be an orthogonal basis of the chain's space (see
-    ``_check_orthobasis``), consecutive bases must share at least n-2
-    vectors, and the first and last bases must hold the vectors of start and
-    end.  Consecutive bases share most of their vectors, so each distinct
-    vector's q-value, and each distinct pair's orthogonality, are checked
-    once per certificate; the overlap and endpoint tests compare sets of
-    vector ids.  No determinant is computed: pairwise orthogonal vectors
-    with unit q-values over a space of unit determinant always form a basis.
-    """
-    space = chain.space
-    n = space.n
-    checks = _CertificateChecks()
-    for idx, basis in enumerate(chain.bases):
-        if basis.space != space:
-            return False, f"basis {idx} lives on a different space"
-        ok, msg = _check_orthobasis(space, basis, checks)
-        if not ok:
-            return False, f"basis {idx}: {msg}"
-    id_sets = [frozenset(checks.id_list(basis.indices)) for basis in chain.bases]
-    for idx in range(len(id_sets) - 1):
-        overlap = len(id_sets[idx] & id_sets[idx + 1])
-        if overlap < n - 2:
-            return False, (
-                f"step {idx} -> {idx + 1} replaces more than two vectors "
-                f"(overlap {overlap} < {n - 2})"
-            )
-    for ids, basis, which in ((id_sets[0], start, "start"), (id_sets[-1], end, "end")):
-        # an endpoint over another ring holds none of the chain's vectors
-        if basis.space.ring != space.ring or ids != frozenset(checks.id_list(basis.indices)):
-            return False, f"chain does not {which} at the requested basis"
-    return True, "ok"
 
 
 def _certified(space, tuples, start: OrthogonalBasis, end: OrthogonalBasis) -> Chain:
@@ -519,7 +412,7 @@ def lift_pair(space: BilinearSpace, bbar, cbar):
         raise ChainError("residue vector length does not match the space dimension")
     rspace = space.reduce()
     residue_basis = OrthogonalBasis(rspace, bbar, validate=False)
-    ok, msg = _check_orthobasis(rspace, residue_basis)
+    ok, msg = certify._check_orthobasis(rspace, residue_basis)
     if not ok:
         raise NotOrthogonalOverResidueError(msg)
     bbar = residue_basis.indices
@@ -830,12 +723,9 @@ def _field_chain_contract(space, tup_a, tup_b):
             cur = tuple(work)
             steps.append(cur)
             break
-        pair = None
-        for i, j in itertools.combinations(supp, 2):
-            z = _lincomb(field, (cur[i], cur[j]), (coords[i], coords[j]))
-            if residue[_b(space, z, z)]:
-                pair = (i, j, z)
-                break
+        parts = ((i, j, _lincomb(field, (cur[i], cur[j]), (coords[i], coords[j])))
+                 for i, j in itertools.combinations(supp, 2))
+        pair = next(((i, j, z) for i, j, z in parts if residue[_b(space, z, z)]), None)
         if pair is not None:
             i, j, z = pair
             z = normalize(z)
@@ -1060,8 +950,7 @@ def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
         raise BudgetExceededError(
             f"|R|^n = {ring.size ** space.n} exceeds the BFS space cap {space_cap}"
         )
-    start = frozenset(tup_b)
-    goal = frozenset(tup_c)
+    start, goal = frozenset(tup_b), frozenset(tup_c)
     parents: dict = {start: None}
     queue = deque([start])
     explored = 0
@@ -1149,8 +1038,7 @@ def all_orthogonal_bases(space: BilinearSpace):
 
     def extend(chosen, start_pool):
         if len(chosen) == space.n:
-            # pairwise orthogonal with unit q-values, hence a basis: the
-            # determinant argument in _check_orthobasis
+            # pairwise orthogonal with unit q-values, hence a basis (certify)
             results.append(frozenset(chosen))
             return
         for idx, v in enumerate(start_pool):

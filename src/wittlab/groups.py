@@ -19,12 +19,14 @@ method decides are reported as undecided.
 
 Group structure is computed by integer Smith normal form with retained
 transforms, which makes generator images, representative lifting, products,
-and lattice-membership tests exact.
+and lattice-membership tests exact.  The Smith form, each congruence witness
+and the vanishing of every relation row are checked in `certify`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .rings import LocalRing, RingElement
@@ -34,7 +36,7 @@ from .bilinear import (
     is_isometric,
     stable_diagonalize,
 )
-from . import snf
+from . import certify, snf
 
 
 class GroupsError(Exception):
@@ -75,11 +77,7 @@ class GroupRingElement:
     @classmethod
     def hyperbolic(cls, ring: LocalRing) -> "GroupRingElement":
         """h = <1> + <-1>."""
-        out: dict = {}
-        out[ring.one.data] = 1
-        m1 = ring.minus_one.data
-        out[m1] = out.get(m1, 0) + 1
-        return cls(ring, out)
+        return cls.generator(ring.one) + cls.generator(ring.minus_one)
 
     def __add__(self, other):
         out = self.coeffs.copy()
@@ -124,12 +122,8 @@ class GroupRingElement:
         return tuple(row)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            parts.append(f"{self.coeffs[k]:+d}<{self.ring.format_element(k)}>")
-        return "".join(parts)
+        fmt = self.ring.format_element
+        return "".join(f"{self.coeffs[k]:+d}<{fmt(k)}>" for k in sorted(self.coeffs)) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +586,8 @@ class AbelianGroupStructure:
         # rows of V restricted to the coordinate columns: torsion, then free
         kept = self._torsion_positions + list(range(rank, g))
         self._V_kept = [tuple(Vi[j] for j in kept) for Vi in form.V]
-        for row in presentation.rows:
-            if not self.is_zero(self.coords_of_row(row)):
-                raise GroupsError("a relation row does not map to zero")
+        if not certify.relations_vanish(self, presentation.rows):
+            raise GroupsError("a relation row does not map to zero")
 
     # -- coordinate plumbing -------------------------------------------------
 
@@ -640,10 +633,7 @@ class AbelianGroupStructure:
         return torsion + coords[nt:]
 
     def torsion_order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     def section(self, coords):
         """A generator-coefficient vector mapping to the given coordinates."""
@@ -820,14 +810,11 @@ def gw_class(space: BilinearSpace, structure: AbelianGroupStructure | None = Non
 def product_table(structure: AbelianGroupStructure):
     """Products of the pairs of units with a column, in structure coordinates."""
     out = {}
+    fmt = structure.ring.format_element
     units = [u for u in structure.ring.units() if u.data in structure._index]
     for a in units:
         for b in units:
-            key = (
-                structure.ring.format_element(a.data),
-                structure.ring.format_element(b.data),
-            )
-            out[key] = structure.coords_of_generator(a * b)
+            out[fmt(a.data), fmt(b.data)] = structure.coords_of_generator(a * b)
     return out
 
 

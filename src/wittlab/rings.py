@@ -21,7 +21,7 @@ order of the coefficients read from the highest degree down, zero is 0 and
 one is 1 in every ring, and equal data means equal elements.  Sums,
 products and negatives come from the kernel described at
 ``LocalRing.cached``.  Hot loops elsewhere index its tables directly:
-``bilinear._b`` (behind ``eval_b``), ``_gram_row``, ``_lincomb``,
+``certify._b`` (behind ``eval_b``), ``bilinear._gram_row`` and ``_lincomb``,
 ``matrices.Echelon``, ``_dot``, ``mat_det`` and the chain engine, whose
 vectors are tuples of indices (``chains``).  An index carries no ring, so
 spaces, bases, witnesses and the public chain functions check the ring of

@@ -3,42 +3,23 @@
 Everything works on plain Python ints (no overflow).  There are two
 elimination routines.  `hnf_rows` returns the reduced Hermite basis of a row
 lattice, which depends on the lattice alone; it also inverts unimodular
-matrices (the right block of the Hermite basis of [A | I]) and decides
-unimodularity (a square matrix is unimodular iff its Hermite basis is I).
+matrices (the right block of the Hermite basis of [A | I]).
 `smith_normal_form` keeps both unimodular transforms so generator images
 stay computable; relation lists are compressed by `hnf_rows` first, since
-elementary integer row operations preserve the row lattice.
+elementary integer row operations preserve the row lattice.  A Smith form is
+judged by `certify.check_smith`, apart from both routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# int_mat_mul is part of this module's API
+from .certify import check_smith, int_mat_mul
+
 
 def int_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def int_mat_mul(A, B):
-    """A * B, summing over the nonzero entries of each row of A and of B;
-    the unimodular transforms this checks are mostly zeros."""
-    if not A or not B:
-        return []
-    sparse_B = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    product = []
-    for row in A:
-        acc = [0] * len(B[0])
-        for a, b_row in zip(row, sparse_B):
-            if a:
-                for j, b in b_row:
-                    acc[j] += a * b
-        product.append(acc)
-    return product
-
-
-def _is_unimodular(M):
-    """|det M| = 1 for a square M: its Hermite basis is the identity."""
-    return hnf_rows(M, len(M)) == [tuple(r) for r in int_identity(len(M))]
 
 
 def int_inverse_unimodular(A):
@@ -115,18 +96,7 @@ class SmithNormalForm:
     cols: int
 
     def verify(self, A):
-        got = int_mat_mul(int_mat_mul(self.U, A), self.V)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                expected = self.diag[i] if i == j and i < len(self.diag) else 0
-                if got[i][j] != expected:
-                    return False
-        if not (_is_unimodular(self.U) and _is_unimodular(self.V)):
-            return False
-        for a, b in zip(self.diag, self.diag[1:]):
-            if b % a != 0:
-                return False
-        return True
+        return check_smith(self, A)
 
 
 def smith_normal_form(rows, width) -> SmithNormalForm:
@@ -167,14 +137,10 @@ def smith_normal_form(rows, width) -> SmithNormalForm:
     t = 0
     while t < min(m, n):
         # locate a pivot of least absolute value in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
+        pivot = min(
+            ((i, j) for i in range(t, m) for j in range(t, n) if A[i][j]),
+            key=lambda ij: abs(A[ij[0]][ij[1]]), default=None,
+        )
         if pivot is None:
             break
         row_swap(t, pivot[0])
@@ -202,14 +168,9 @@ def smith_normal_form(rows, width) -> SmithNormalForm:
             if dirty:
                 continue
             # enforce divisibility of the remaining block
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((
+                i for i in range(t + 1, m) if any(A[i][j] % A[t][t] for j in range(t + 1, n))
+            ), None)
             if offender is None:
                 break
             row_op(t, offender, -1)

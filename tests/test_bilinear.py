@@ -503,3 +503,95 @@ def test_entries_from_another_ring_are_rejected():
         BilinearSpace(F9, ((F9.one, F9.zero), (F9.zero, Q.one)))
     with pytest.raises(RingError, match="cannot be mixed"):
         CongruenceWitness(F9, S.gram, S.gram, foreign)
+
+
+def test_reduce_builds_the_residue_space_once():
+    rng = seeded(4)
+    for spec in ["Z/9", "GF(4)[y]/(y^2)", "GF(2)[x]/(x^4)", "GF(5)"]:
+        R = parse_ring(spec)
+        S = _random_space(R, 3, rng)
+        F = R.residue_field()
+        fresh = BilinearSpace(F, tuple(tuple(R.reduce(e) for e in row) for row in S.gram))
+        assert S.reduce() is S.reduce()
+        assert S.reduce() == fresh and S.reduce().ring is F
+
+
+# ---------------------------------------------------------------------------
+# mutants of the witnesses the library builds
+# ---------------------------------------------------------------------------
+
+
+def _ref_congruent(M, A):
+    """M^T A M entry by entry, on element arithmetic."""
+    n = len(M)
+    zero = M[0][0].ring.zero
+    return tuple(
+        tuple(sum((M[k][i] * A[k][l] * M[l][j] for k in range(n) for l in range(n)), zero)
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def _ref_det(ring, M):
+    """Cofactor expansion along the first row."""
+    if not M:
+        return ring.one
+    total = ring.zero
+    for j, a in enumerate(M[0]):
+        term = a * _ref_det(ring, [row[:j] + row[j + 1:] for row in M[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _built_witnesses(ring, rng):
+    """One witness from each of diagonalize, stable_diagonalize,
+    resolve_block and steinberg_witness (none where no a has a and 1 - a
+    both units)."""
+    space = _random_space(ring, 3, rng)
+    plane = BilinearSpace.hyperbolic(ring).orthogonal_sum(
+        BilinearSpace.diagonal(ring, (ring.random_unit(rng),))
+    )
+    ideal = ring.maximal_ideal()
+    witnesses = [
+        diagonalize(space)[1],
+        stable_diagonalize(plane)[2],
+        resolve_block(ring, rng.choice(ideal), rng.choice(ideal))[1],
+    ]
+    a = next((u for u in ring.units() if (ring.one - u).is_unit()), None)
+    if a is not None:
+        witnesses.append(steinberg_witness(ring, a))
+    return witnesses
+
+
+def test_congruence_checker_rejects_single_entry_mutants(rings):
+    """Change one entry of a built witness's source, target or matrix.  The
+    checker rejects the mutant with the message for the first failing
+    condition, unless the element-level reference finds M^T A M = B with
+    det M a unit, in which case it accepts."""
+    rng = seeded(22)
+    outcomes = {}
+    for ring in rings.values():
+        for witness in _built_witnesses(ring, rng):
+            n = len(witness.matrix)
+            for g in range(3):
+                for _ in range(4):
+                    grids = [[list(row) for row in grid]
+                             for grid in (witness.source, witness.target, witness.matrix)]
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    old = grids[g][i][j]
+                    grids[g][i][j] = rng.choice([e for e in ring.elements() if e != old])
+                    source, target, matrix = (tuple(map(tuple, grid)) for grid in grids)
+                    if _ref_congruent(matrix, source) != target:
+                        expected = "M^T A M differs from the target"
+                    elif not _ref_det(ring, matrix).is_unit():
+                        expected = "witness determinant is not a unit"
+                    else:
+                        expected = "ok"
+                    outcomes[expected] = outcomes.get(expected, 0) + 1
+                    if expected == "ok":
+                        assert CongruenceWitness(ring, source, target, matrix).check() == (True, "ok")
+                        continue
+                    with pytest.raises(BilinearError) as exc:
+                        CongruenceWitness(ring, source, target, matrix)
+                    assert str(exc.value) == f"invalid congruence witness: {expected}"
+    assert outcomes["M^T A M differs from the target"] >= 400, outcomes

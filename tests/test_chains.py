@@ -30,7 +30,7 @@ from wittlab import (
     standard_basis,
     verify_chain,
 )
-from wittlab import chains
+from wittlab import certify, chains
 from wittlab import matrices as mx
 from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement
 from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
@@ -1333,13 +1333,15 @@ def test_elements_of_another_ring_raise_at_every_entry_point():
 
 @pytest.fixture()
 def check_calls(monkeypatch):
-    """Counts of verify_chain and _check_orthobasis calls inside chains."""
+    """Counts of ``chains.verify_chain`` calls, the name every builder calls
+    it by, and of the per-basis check ``certify._check_orthobasis``, which
+    ``verify_chain`` and ``OrthogonalBasis`` call."""
     calls = {"verify_chain": 0, "_check_orthobasis": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(chains, name)):
+    for module, name in ((chains, "verify_chain"), (certify, "_check_orthobasis")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(chains, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

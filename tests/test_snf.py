@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from wittlab import snf
+from wittlab import certify, snf
 
 
 def laplace_det(M):
@@ -202,3 +202,31 @@ def test_sparse_product_matches_dense_reference():
         assert snf.int_mat_mul(A, B) == dense_mul(A, B), (A, B)
     for A, B in (([], []), ([], [[1, 2]]), ([[1, 2]], []), ([[]], []), ([[1], [2]], [[]])):
         assert snf.int_mat_mul(A, B) == dense_mul(A, B)
+
+
+def test_int_det_matches_cofactor_expansion():
+    """The checker's Bareiss determinant against ``laplace_det``, on dense
+    and sparse matrices up to 6x6, including ones whose leading entries
+    vanish so that rows must be swapped."""
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(0, 7)
+        density = rng.choice([0.2, 0.6, 1.0])
+        M = [[rng.randrange(-9, 10) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        assert certify.int_det(M) == laplace_det(M), M
+    assert certify.int_det([[0, 1], [1, 0]]) == -1
+    assert certify.int_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+
+
+def test_int_det_of_unimodular_and_singular_matrices():
+    rng = random.Random(32)
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        assert certify.int_det(random_unimodular(rng, n)) in (1, -1)
+        # rank at most n - 1: a product through n - 1 dimensions
+        A = [[rng.randrange(-5, 6) for _ in range(n - 1)] for _ in range(n)]
+        B = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n - 1)]
+        singular = dense_mul(A, B) if n > 1 else [[0]]
+        assert certify.int_det(singular) == 0, singular
+    assert certify.int_det([[0, 1], [0, 2]]) == 0

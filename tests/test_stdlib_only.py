@@ -39,3 +39,114 @@ def test_every_module_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_the_library_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+# ---------------------------------------------------------------------------
+# the checker module: what it imports, and what the builders keep
+# ---------------------------------------------------------------------------
+
+SRC = SOURCES[0].parent
+MATRIX_PRIMITIVES = {"mat_mul", "mat_transpose", "congruent", "mat_det"}
+
+
+def wittlab_imports(source: str):
+    """(module, name) for each name imported from a wittlab module, with
+    (module, "*") for a module imported whole."""
+    pairs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            pairs.extend((alias.name[len("wittlab."):], "*") for alias in node.names
+                         if alias.name.startswith("wittlab."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "wittlab":
+                    continue
+                module = module[len("wittlab."):]
+            for alias in node.names:
+                pairs.append((module, alias.name) if module else (alias.name, "*"))
+    return pairs
+
+
+def checker_violations(source: str):
+    """The wittlab imports of a checker source other than ``rings`` and the
+    matrix primitives."""
+    return [
+        (module, name) for module, name in wittlab_imports(source)
+        if module != "rings" and not (module == "matrices" and name in MATRIX_PRIMITIVES)
+    ]
+
+
+def test_the_checker_guard_sees_builder_imports():
+    source = (
+        "from . import rings\n"
+        "from .rings import LocalRing\n"
+        "from .matrices import congruent, Echelon\n"
+        "from . import matrices, snf\n"
+        "import wittlab.chains\n"
+        "from wittlab.bilinear import _b\n"
+    )
+    assert checker_violations(source) == [
+        ("matrices", "Echelon"), ("matrices", "*"), ("snf", "*"),
+        ("chains", "*"), ("bilinear", "_b"),
+    ]
+
+
+def test_certify_imports_only_rings_and_matrix_primitives():
+    assert checker_violations((SRC / "certify.py").read_text(encoding="utf-8")) == []
+
+
+def test_moved_names_are_the_checker_objects():
+    from wittlab import bilinear, certify, chains, snf
+
+    assert chains.verify_chain is certify.verify_chain
+    assert bilinear._b is certify._b
+    assert bilinear.check_representation_identity is certify.check_representation_identity
+    assert bilinear.CheckResult is certify.CheckResult
+    assert snf.int_mat_mul is certify.int_mat_mul
+
+
+# method -> the certify function it hands its check to
+DELEGATES = {
+    ("bilinear.py", "CongruenceWitness", "check"): "check_congruence",
+    ("snf.py", "SmithNormalForm", "verify"): "check_smith",
+    ("groups.py", "AbelianGroupStructure", "__init__"): "relations_vanish",
+}
+
+
+def _called_names(node):
+    names = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return names
+
+
+def test_no_check_body_is_left_beside_its_builder():
+    """No builder module defines a name that ``certify`` defines, and each
+    method whose check moved calls ``certify`` and none of the check's own
+    steps."""
+    certify_tree = ast.parse((SRC / "certify.py").read_text(encoding="utf-8"))
+    checker_names = {
+        node.name for node in certify_tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    check_steps = {"coords_of_row", "is_zero", "congruent", "mat_det", "int_mat_mul",
+                   "_is_unimodular", "check_elements"}
+    trees = {
+        name: ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for name in ("chains.py", "bilinear.py", "snf.py", "groups.py")
+    }
+    for name, tree in trees.items():
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & checker_names, name
+    for (name, cls_name, meth), target in DELEGATES.items():
+        cls = next(n for n in trees[name].body if isinstance(n, ast.ClassDef) and n.name == cls_name)
+        method = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == meth)
+        called = _called_names(method)
+        assert target in called, (cls_name, meth)
+        assert not called & check_steps, (cls_name, meth, called & check_steps)
