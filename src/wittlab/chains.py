@@ -5,7 +5,16 @@ sequence of orthogonal bases connects them in which consecutive bases share
 all but at most two vectors.  This module builds such chains as verifiable
 certificates: the reduction from a local ring to its residue field, the
 field-level constructions, and a breadth-first oracle that doubles as the
-proof engine for the F_2 counterexample.
+proof engine over F_2, where the chain lemma fails.
+
+Every local ring takes one route, which never uses the size of the residue
+field: a residue chain, lifted step by step and spliced with equal-mod-m
+chains.  An orthogonal residue basis always lifts (each vector lies in the
+residue kernel of the echelon rows, so its pivot entries reduce correctly),
+and ``_equal_mod_m_core`` needs only that eps lies in m, so a raise there is
+a bug, reported as ``ChainError``.  Over residue F_2 the residue chain comes
+from BFS on F_2^n; "unreachable" then proves itself, since reduction maps a
+chain over R to a chain over F_2.
 
 Over a field other than F_2 one minimal-support loop serves both
 characteristics: it contracts the first target vector into the current
@@ -823,11 +832,12 @@ def chain_field(b: OrthogonalBasis, c: OrthogonalBasis,
 
 def _field_tuples(space, tup_b, tup_c, bfs_budget=None):
     if space.ring.size == 2 and space.n > 2 and frozenset(tup_b) != frozenset(tup_c):
-        return _bfs_tuples(
-            space, tup_b, tup_c, bfs_budget,
-            "endpoints lie in different chain components over F_2",
-            "BFS budget exhausted over F_2",
-        )
+        result, tuples = _bfs_core(space, tup_b, tup_c, bfs_budget, DEFAULT_BFS_SPACE_CAP)
+        if result.status == "unreachable":
+            raise ChainUnreachableError("endpoints lie in different chain components over F_2")
+        if result.status == "budget":
+            raise BudgetExceededError("BFS budget exhausted over F_2")
+        return tuples
     return _dedupe(_field_chain_core(space, tup_b, tup_c))
 
 
@@ -848,9 +858,11 @@ def chain_local(b: OrthogonalBasis, c: OrthogonalBasis,
                 bfs_budget: int | None = None) -> Chain:
     """Chain between two orthogonal bases over a finite local ring.
 
-    Residue field != F_2: compute the residue-field chain, lift it stepwise,
-    and splice with equal-mod-m chains.  Residue field F_2: fall back to the
-    BFS oracle (the chain lemma genuinely fails there).
+    Compute the residue-field chain, lift it stepwise, and splice with
+    equal-mod-m chains.  Over residue F_2 (n >= 3) the residue chain comes
+    from BFS on F_2^n, which may end in ChainUnreachableError, and
+    ``bfs_budget`` bounds the basis sets that BFS expands (default
+    ``DEFAULT_BFS_NODE_BUDGET``); other residue fields ignore it.
     """
     space = b.space
     if c.space != space:
@@ -866,19 +878,11 @@ def _local_tuples(space, tup_b, tup_c, bfs_budget):
     if frozenset(tup_b) == frozenset(tup_c):
         return [tup_b]
     ring = space.ring
-    if ring.residue_field().size == 2:
-        return _bfs_tuples(
-            space, tup_b, tup_c, bfs_budget,
-            "endpoints lie in different chain components (residue field F_2)",
-            "residue field is F_2 and the BFS oracle exhausted its budget",
-        )
-
-    rspace = space.reduce()
     bbar = tuple(_residues(ring, v) for v in tup_b)
     cbar = tuple(_residues(ring, v) for v in tup_c)
     # align: make consecutive residue bases differ positionally in <= 2 slots
     tups = [bbar]
-    for t in _field_tuples(rspace, bbar, cbar)[1:]:
+    for t in _field_tuples(space.reduce(), bbar, cbar, bfs_budget)[1:]:
         tups.append(_align_step(tups[-1], frozenset(t)))
     if frozenset(tups[-1]) != frozenset(cbar):  # pragma: no cover
         raise ChainError("field chain endpoint mismatch")
@@ -920,25 +924,19 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
     """Breadth-first search on the graph of orthogonal basis sets.
 
     Edges replace at most two vectors.  "unreachable" is only reported after
-    the full component of the start basis has been explored.
+    the full component of the start basis has been explored.  ``node_budget``
+    bounds the basis sets taken off the queue and expanded (default
+    ``DEFAULT_BFS_NODE_BUDGET``).
     """
     space = b.space
+    if c.space != space:
+        raise ChainError("bases live on different spaces")
     result, tuples = _bfs_core(space, b.indices, c.indices, node_budget, space_cap)
     if tuples is not None:
         result.chain = _certified(space, tuples, b, c)
     ring = space.ring
     result.component = tuple(frozenset(_elements(ring, v) for v in n) for n in result.component)
     return result
-
-
-def _bfs_tuples(space, tup_b, tup_c, node_budget, unreachable, exhausted):
-    """Path tuples of a BFS search; raises with the given messages otherwise."""
-    result, tuples = _bfs_core(space, tup_b, tup_c, node_budget, DEFAULT_BFS_SPACE_CAP)
-    if result.status == "unreachable":
-        raise ChainUnreachableError(unreachable)
-    if result.status == "budget":
-        raise BudgetExceededError(exhausted)
-    return tuples
 
 
 def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):

@@ -19,7 +19,8 @@ MATRIX_SPECS = [
     "GF(4)[y]/(y^2)",
 ]
 
-# rings whose residue field is F_2 (chain lemma fails; BFS territory)
+# rings whose residue field is F_2: the chain lemma fails, and chain_local
+# runs BFS on the residue space F_2^n before it lifts
 F2_RESIDUE_SPECS = ["GF(2)", "Z/4", "GF(2)[x]/(x^2)", "GF(2)[x]/(x^4)"]
 
 COUNTEREXAMPLE_SPEC = "GF(2)[x]/(x^4)"
@@ -37,6 +38,26 @@ def rng():
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def residue_f2_pair():
+    """Two random orthogonal bases of a random diagonal space over
+    GF(2)[x]/(x^4) at n = 3, where |R|^n = 4096; their reductions agree as
+    sets."""
+    from wittlab import random_diagonal_space, random_orthogonal_basis
+
+    rng = seeded(5)
+    space = random_diagonal_space(parse_ring(COUNTEREXAMPLE_SPEC), 3, rng)
+    return random_orthogonal_basis(space, rng), random_orthogonal_basis(space, rng)
+
+
+def lifted_hat_basis(space):
+    """A lift of the residue basis of weights n-1 (the hat basis over F_2)."""
+    from wittlab import lift_basis
+
+    F = space.ring.residue_field()
+    n = space.n
+    return lift_basis(space, [[F.zero if i == r else F.one for i in range(n)] for r in range(n)])
 
 
 # element-level vector arithmetic for test references; the library

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 import zlib
 from pathlib import Path
 
@@ -33,11 +34,14 @@ from wittlab import (
 from wittlab import certify, chains
 from wittlab import matrices as mx
 from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement
-from wittlab.chains import NotEqualModMError, NotOrthogonalOverResidueError
+from wittlab.chains import ChainError, NotEqualModMError, NotOrthogonalOverResidueError
 from wittlab.rings import RingError
 
 import elimination_reference as reference
-from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS, seeded, vec_add, vec_combo, vec_scale
+from conftest import (
+    F2_RESIDUE_SPECS, MATRIX_SPECS, lifted_hat_basis, residue_f2_pair, seeded,
+    vec_add, vec_combo, vec_scale,
+)
 from paper_data import f4_chain_certificate
 
 
@@ -1035,6 +1039,22 @@ def test_bfs_space_cap():
         bfs_chain_oracle(standard_basis(S), standard_basis(S), space_cap=1 << 10)
 
 
+def test_bases_on_different_spaces_are_rejected():
+    F3 = parse_ring("GF(3)")
+    zero, one, two = F3.zero, F3.one, F3.from_int(2)
+    S112 = BilinearSpace.diagonal(F3, (one, one, two))
+    C112 = OrthogonalBasis(S112, ((one, one, zero), (one, two, one), (one, two, two)))
+    E11 = standard_basis(ident_space(F3, 2))
+    E12 = standard_basis(BilinearSpace.diagonal(F3, (one, two)))
+    # the second pair has the same index tuples on both sides
+    for b, c in ((standard_basis(ident_space(F3, 3)), C112), (E11, E12)):
+        with pytest.raises(ChainError, match="bases live on different spaces"):
+            bfs_chain_oracle(b, c)
+    single = Chain(E11.space, [E11])
+    assert verify_chain(single, E11, E12) == (False, "chain does not end at the requested basis")
+    assert verify_chain(single, E12, E11) == (False, "chain does not start at the requested basis")
+
+
 def _ref_node_key(node):
     return tuple(sorted(tuple(c.data for c in v) for v in node))
 
@@ -1162,6 +1182,103 @@ def test_chain_local_reduction_is_field_chain():
     )
     ok, msg = verify_chain(reduced, chain.bases[0].reduce(), chain.bases[-1].reduce())
     assert ok, msg
+
+
+def test_chain_local_joins_a_residue_f2_pair_mod_m():
+    """The residue bases agree as sets, so an equal-mod-m chain joins them,
+    found without a search over R^n."""
+    A, B = residue_f2_pair()
+    chain = chain_local(A, B)
+    ok, msg = verify_chain(chain, A, B)
+    assert ok, msg
+
+
+@pytest.mark.parametrize("spec", ["Z/4", "Z/8", "Z/16", "GF(2)[x]/(x^2)", "GF(2)[x]/(x^4)"])
+def test_chain_local_lifted_counterexample_is_unreachable(spec):
+    """The F_2 counterexample lifted to R: the residue BFS exhausts the
+    one-basis component of e over F_2^4 at once."""
+    S = ident_space(parse_ring(spec), 4)
+    E, H = standard_basis(S), lifted_hat_basis(S)
+    start = time.perf_counter()
+    for b, c in ((E, H), (H, E)):
+        with pytest.raises(ChainUnreachableError, match="different chain components over F_2"):
+            chain_local(b, c)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("spec", ["Z/4", "GF(2)[x]/(x^2)", "GF(2)[x]/(x^4)"])
+def test_chain_local_searches_only_over_the_residue_field(spec, monkeypatch):
+    bfs_core, fields = chains._bfs_core, []
+
+    def field_only(space, *args):
+        if not space.ring.is_field:
+            pytest.fail(f"BFS over {space.ring.spec}^{space.n}")
+        fields.append(space.ring.spec)
+        return bfs_core(space, *args)
+
+    monkeypatch.setattr(chains, "_bfs_core", field_only)
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    for n in (2, 3, 4):
+        S = random_diagonal_space(ring, n, rng)
+        pairs = [(random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng))
+                 for _ in range(6)]
+        if n == 4:  # the lifted counterexample reaches the residue BFS
+            I = ident_space(ring, 4)
+            pairs.append((standard_basis(I), lifted_hat_basis(I)))
+        for A, B in pairs:
+            try:
+                chain = chain_local(A, B)
+            except ChainUnreachableError:
+                continue
+            ok, msg = verify_chain(chain, A, B)
+            assert ok, msg
+    assert fields and set(fields) == {"GF(2)"}
+
+
+def _components(space, nodes):
+    """The root of each node's component, by exhaustive search with the
+    BFS oracle's neighbour generator."""
+    root = {}
+    for start in nodes:
+        if start in root:
+            continue
+        root[start] = start
+        stack = [start]
+        while stack:
+            for nxt in chains._bfs_neighbors(space, stack.pop()):
+                if nxt not in root:
+                    root[nxt] = start
+                    stack.append(nxt)
+    return root
+
+
+def _blocks(nodes, key):
+    blocks: dict = {}
+    for node in nodes:
+        blocks.setdefault(key(node), set()).add(node)
+    return {frozenset(b) for b in blocks.values()}
+
+
+@pytest.mark.parametrize("spec", ["Z/4", "GF(2)[x]/(x^2)"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_components_over_residue_f2_are_residue_components(spec, n):
+    """Chain components over R are the preimages of chain components over
+    F_2, which makes the residue route's "unreachable" exact."""
+    ring = parse_ring(spec)
+    S = ident_space(ring, n)
+    nodes = [frozenset(_idx(b)) for b in all_orthogonal_bases(S)]
+    root = _components(S, nodes)
+    assert set(root) == set(nodes)
+    F = S.reduce()
+    residue_root = _components(F, [frozenset(_idx(b)) for b in all_orthogonal_bases(F)])
+
+    def residue_component(node):
+        return residue_root[frozenset(tuple(ring.residue_of[d] for d in v) for v in node)]
+
+    assert _blocks(nodes, root.get) == _blocks(nodes, residue_component)
+    if n == 4:
+        assert sorted(map(len, _blocks(nodes, root.get))) == [1024, 1024]
 
 
 @pytest.mark.parametrize("spec", MATRIX_SPECS)
@@ -1367,12 +1484,14 @@ def test_every_chain_builder_verifies_once(check_calls):
     M9 = elementary_move(E9, Z9.from_int(3), 0, 1)
     E4 = standard_basis(ident_space(Z4, 2))
     M4 = elementary_move(E4, Z4.from_int(2), 0, 1)
+    A2, B2 = residue_f2_pair()
     builders = [
         lambda: chain_field(A5, B5),
         lambda: chain_equal_mod_m(E9, M9),
         lambda: extend_vector_chain(E5, (F5.one, F5.one, F5.zero, F5.one))[0],
         lambda: hat_chain(4, F4),
         lambda: bfs_chain_oracle(E4, M4).chain,
+        lambda: chain_local(A2, B2),
     ]
     for build in builders:
         check_calls.update(verify_chain=0, _check_orthobasis=0)

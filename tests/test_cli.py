@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from wittlab import cli
+from wittlab import BilinearSpace, cli, parse_ring
 from wittlab.cli import run
 
+from conftest import lifted_hat_basis, residue_f2_pair
 from paper_data import f4_chain_certificate
 
 
@@ -77,6 +78,17 @@ def test_chain_roundtrip_and_verify(tmp_path, capsys):
     code, data = run_cli(capsys, "verify", "--cert", str(cert_path))
     assert code == 0
     assert data["valid"] is True
+
+
+def test_chain_over_residue_f2_verifies(capsys):
+    A, B = residue_f2_pair()
+    code, data = run_cli(
+        capsys, "chain", "--ring", A.space.ring.spec, "--gram", json.dumps(A.space.to_json()),
+        "--from", json.dumps(A.to_json()), "--to", json.dumps(B.to_json()),
+    )
+    assert code == 0
+    code, data = run_cli(capsys, "verify", "--cert", json.dumps(data))
+    assert code == 0 and data["valid"] is True
 
 
 def test_verify_paper_chain(tmp_path, capsys):
@@ -170,18 +182,23 @@ def test_verify_congruence_witness(capsys):
 
 
 def test_chain_unreachable_exit_codes(capsys):
-    gram = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    e = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    ehat = json.dumps([[0 if i == j else 1 for j in range(4)] for i in range(4)])
-    code, data = run_cli(
-        capsys, "chain", "--ring", "GF(2)", "--gram", gram, "--from", e, "--to", ehat,
-        "--allow-unreachable",
-    )
-    assert code == 0 and data["unreachable"] is True
-    code, data = run_cli(
-        capsys, "chain", "--ring", "GF(2)", "--gram", gram, "--from", e, "--to", ehat,
-    )
-    assert code == 1 and data["unreachable"] is True
+    # the F_2 counterexample, and its lift to a ring with residue field F_2
+    for spec in ("GF(2)", "GF(2)[x]/(x^4)"):
+        ring = parse_ring(spec)
+        space = BilinearSpace.diagonal(ring, (ring.one,) * 4)
+        gram = json.dumps(space.to_json())
+        e = gram  # the rows of the identity are the standard basis
+        ehat = json.dumps(lifted_hat_basis(space).to_json())
+        code, data = run_cli(
+            capsys, "chain", "--ring", spec, "--gram", gram, "--from", e, "--to", ehat,
+            "--allow-unreachable",
+        )
+        assert code == 0 and data["unreachable"] is True
+        assert data["detail"] == "endpoints lie in different chain components over F_2"
+        code, data = run_cli(
+            capsys, "chain", "--ring", spec, "--gram", gram, "--from", e, "--to", ehat,
+        )
+        assert code == 1 and data["unreachable"] is True
 
 
 def test_usage_errors(capsys):
