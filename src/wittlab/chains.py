@@ -3,18 +3,25 @@
 Two orthogonal bases of an inner product space are chain equivalent when a
 sequence of orthogonal bases connects them in which consecutive bases share
 all but at most two vectors.  This module builds such chains as verifiable
-certificates: the reduction from a local ring to its residue field, the
-field-level constructions, and a breadth-first oracle that doubles as the
-proof engine over F_2, where the chain lemma fails.
+certificates: the reduction from a local ring to its residue field and the
+field-level constructions.  A breadth-first oracle over all orthogonal
+bases stays beside them as an independent reference; no builder calls it.
 
 Every local ring takes one route, which never uses the size of the residue
 field: a residue chain, lifted step by step and spliced with equal-mod-m
 chains.  An orthogonal residue basis always lifts (each vector lies in the
 residue kernel of the echelon rows, so its pivot entries reduce correctly),
 and ``_equal_mod_m_core`` needs only that eps lies in m, so a raise there is
-a bug, reported as ``ChainError``.  Over residue F_2 the residue chain comes
-from BFS on F_2^n; "unreachable" then proves itself, since reduction maps a
-chain over R to a chain over F_2.
+a bug, reported as ``ChainError``.
+
+Over F_2 the chain lemma fails outright: every orthogonal basis is alone in
+its chain component.  If u and v are orthogonal with q(u) = q(v) = 1 (the
+only unit), then q(au + bv) = a + b, so u and v are the only anisotropic
+vectors of their plane.  A step that replaces one or two vectors puts the
+new ones in the plane of the old, so it gives back the same set.  Hence
+two bases over F_2 (n >= 3) are chain equivalent iff they agree as sets,
+and otherwise ``ChainUnreachableError`` is a proof.  Over residue F_2 it is
+a proof too, since reduction maps a chain over R to a chain over F_2.
 
 Over a field other than F_2 one minimal-support loop serves both
 characteristics: it contracts the first target vector into the current
@@ -689,8 +696,8 @@ def _field_chain_core(space, tup_a, tup_b):
     if k <= 2:
         return [tup_a, tup_b]
     field = space.ring
-    if field.size == 2:
-        raise ChainUnreachableError("no constructive chain over F_2; use the BFS oracle")
+    if field.size == 2:  # every basis is its own component (module docstring)
+        raise ChainUnreachableError("endpoints lie in different chain components over F_2")
     if field.size % 2 == 0 and k == 3:
         return _field_chain_dim3_char2(space, tup_a, tup_b)
     return _field_chain_contract(space, tup_a, tup_b)
@@ -815,30 +822,18 @@ def _normalize_q1(space, v):
     return _lincomb(field, (v,), (field._rinv(_field_sqrt(field, _b(space, v, v))),))
 
 
-def chain_field(b: OrthogonalBasis, c: OrthogonalBasis,
-                bfs_budget: int | None = None) -> Chain:
+def chain_field(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     """Chain between orthogonal bases over a finite field.
 
-    F_2 is handled by the BFS oracle alone and raises ChainUnreachableError
-    for the genuinely disconnected cases.
+    Over F_2 (n >= 3) bases that differ as sets raise ChainUnreachableError:
+    each basis is alone in its chain component.
     """
     space = b.space
     if not space.ring.is_field:
         raise ChainError("chain_field requires a field")
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    return _certified(space, _field_tuples(space, b.indices, c.indices, bfs_budget), b, c)
-
-
-def _field_tuples(space, tup_b, tup_c, bfs_budget=None):
-    if space.ring.size == 2 and space.n > 2 and frozenset(tup_b) != frozenset(tup_c):
-        result, tuples = _bfs_core(space, tup_b, tup_c, bfs_budget, DEFAULT_BFS_SPACE_CAP)
-        if result.status == "unreachable":
-            raise ChainUnreachableError("endpoints lie in different chain components over F_2")
-        if result.status == "budget":
-            raise BudgetExceededError("BFS budget exhausted over F_2")
-        return tuples
-    return _dedupe(_field_chain_core(space, tup_b, tup_c))
+    return _certified(space, _dedupe(_field_chain_core(space, b.indices, c.indices)), b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -854,27 +849,24 @@ def _align_step(prev_tuple, next_set):
     return tuple(v if v in shared else next(inc) for v in prev_tuple)
 
 
-def chain_local(b: OrthogonalBasis, c: OrthogonalBasis,
-                bfs_budget: int | None = None) -> Chain:
+def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     """Chain between two orthogonal bases over a finite local ring.
 
     Compute the residue-field chain, lift it stepwise, and splice with
-    equal-mod-m chains.  Over residue F_2 (n >= 3) the residue chain comes
-    from BFS on F_2^n, which may end in ChainUnreachableError, and
-    ``bfs_budget`` bounds the basis sets that BFS expands (default
-    ``DEFAULT_BFS_NODE_BUDGET``); other residue fields ignore it.
+    equal-mod-m chains.  Over residue F_2 (n >= 3) a chain exists iff the
+    residue bases agree as sets; otherwise ChainUnreachableError.
     """
     space = b.space
     if c.space != space:
         raise ChainError("bases live on different spaces")
     if space.ring.is_field:
-        tuples = _field_tuples(space, b.indices, c.indices, bfs_budget)
+        tuples = _dedupe(_field_chain_core(space, b.indices, c.indices))
     else:
-        tuples = _local_tuples(space, b.indices, c.indices, bfs_budget)
+        tuples = _local_tuples(space, b.indices, c.indices)
     return _certified(space, tuples, b, c)
 
 
-def _local_tuples(space, tup_b, tup_c, bfs_budget):
+def _local_tuples(space, tup_b, tup_c):
     if frozenset(tup_b) == frozenset(tup_c):
         return [tup_b]
     ring = space.ring
@@ -882,7 +874,7 @@ def _local_tuples(space, tup_b, tup_c, bfs_budget):
     cbar = tuple(_residues(ring, v) for v in tup_c)
     # align: make consecutive residue bases differ positionally in <= 2 slots
     tups = [bbar]
-    for t in _field_tuples(space.reduce(), bbar, cbar, bfs_budget)[1:]:
+    for t in _dedupe(_field_chain_core(space.reduce(), bbar, cbar))[1:]:
         tups.append(_align_step(tups[-1], frozenset(t)))
     if frozenset(tups[-1]) != frozenset(cbar):  # pragma: no cover
         raise ChainError("field chain endpoint mismatch")
@@ -923,8 +915,9 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
                      space_cap: int = DEFAULT_BFS_SPACE_CAP) -> BfsResult:
     """Breadth-first search on the graph of orthogonal basis sets.
 
-    Edges replace at most two vectors.  "unreachable" is only reported after
-    the full component of the start basis has been explored.  ``node_budget``
+    A reference for the builders, which never call it.  Edges replace at
+    most two vectors.  "unreachable" is only reported after the full
+    component of the start basis has been explored.  ``node_budget``
     bounds the basis sets taken off the queue and expanded (default
     ``DEFAULT_BFS_NODE_BUDGET``).
     """

@@ -47,7 +47,6 @@ class _Parser(argparse.ArgumentParser):
 _COMMON_FLAGS = (
     ("--ring", {"help": "ring spec, e.g. 'GF(2)[x]/(x^4)'"}),
     ("--size-cap", {"type": int, "default": DEFAULT_SIZE_CAP}),
-    ("--seed", {"type": int, "default": 0}),
     ("--output", {"help": "also write the JSON result to this path"}),
 )
 
@@ -85,10 +84,8 @@ COMMANDS = {
             ("--from", {"dest": "from_basis", "required": True,
                         "help": "basis as JSON or a file path"}),
             ("--to", {"dest": "to_basis", "required": True}),
-            ("--bfs-budget", {"type": int, "default": None}),
             ("--allow-unreachable", {"action": "store_true"}),
         ),
-        (("--bfs-budget", 1),),
     ),
     "verify": _Command(
         "verify a chain certificate or a congruence witness",
@@ -198,7 +195,6 @@ _ERROR_EXIT_CODES = {
     BilinearError: 2,
     chains.NotOrthogonalError: 2,
     json.JSONDecodeError: 2,
-    chains.BudgetExceededError: 1,
     groups.GroupsError: 1,
 }
 
@@ -324,7 +320,7 @@ def _dispatch(args, out) -> int:
         b = chains.OrthogonalBasis(space, _vectors_from_json(ring, from_basis))
         c = chains.OrthogonalBasis(space, _vectors_from_json(ring, to_basis))
         try:
-            chain = chains.chain_local(b, c, bfs_budget=args.bfs_budget)
+            chain = chains.chain_local(b, c)
         except chains.ChainUnreachableError as exc:
             out["unreachable"] = True
             out["detail"] = str(exc)

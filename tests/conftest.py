@@ -20,7 +20,7 @@ MATRIX_SPECS = [
 ]
 
 # rings whose residue field is F_2: the chain lemma fails, and chain_local
-# runs BFS on the residue space F_2^n before it lifts
+# finds a chain iff the residue bases agree as sets (n >= 3)
 F2_RESIDUE_SPECS = ["GF(2)", "Z/4", "GF(2)[x]/(x^2)", "GF(2)[x]/(x^4)"]
 
 COUNTEREXAMPLE_SPEC = "GF(2)[x]/(x^4)"

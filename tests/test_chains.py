@@ -1195,8 +1195,8 @@ def test_chain_local_joins_a_residue_f2_pair_mod_m():
 
 @pytest.mark.parametrize("spec", ["Z/4", "Z/8", "Z/16", "GF(2)[x]/(x^2)", "GF(2)[x]/(x^4)"])
 def test_chain_local_lifted_counterexample_is_unreachable(spec):
-    """The F_2 counterexample lifted to R: the residue BFS exhausts the
-    one-basis component of e over F_2^4 at once."""
+    """The F_2 counterexample lifted to R: the residue bases differ as sets,
+    and over F_2 every basis is alone in its component."""
     S = ident_space(parse_ring(spec), 4)
     E, H = standard_basis(S), lifted_hat_basis(S)
     start = time.perf_counter()
@@ -1206,34 +1206,67 @@ def test_chain_local_lifted_counterexample_is_unreachable(spec):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("spec", ["GF(2)", "Z/4"])
+def test_chain_local_is_exact_over_residue_f2_above_the_bfs_space_cap(spec):
+    """<1>^18 has |R|^n above DEFAULT_BFS_SPACE_CAP; the residue bases of e
+    and the lifted hat basis differ as sets, which proves unreachability."""
+    S = ident_space(parse_ring(spec), 18)
+    assert S.ring.size ** S.n > chains.DEFAULT_BFS_SPACE_CAP
+    E, H = standard_basis(S), lifted_hat_basis(S)
+    for b, c in ((E, H), (H, E)):
+        with pytest.raises(ChainUnreachableError, match="different chain components over F_2"):
+            chain_local(b, c)
+
+
 @pytest.mark.parametrize("spec", ["Z/4", "GF(2)[x]/(x^2)", "GF(2)[x]/(x^4)"])
-def test_chain_local_searches_only_over_the_residue_field(spec, monkeypatch):
-    bfs_core, fields = chains._bfs_core, []
+def test_chain_local_and_chain_field_never_search(spec, monkeypatch):
+    def no_search(space, *args):
+        pytest.fail(f"BFS over {space.ring.spec}^{space.n}")
 
-    def field_only(space, *args):
-        if not space.ring.is_field:
-            pytest.fail(f"BFS over {space.ring.spec}^{space.n}")
-        fields.append(space.ring.spec)
-        return bfs_core(space, *args)
-
-    monkeypatch.setattr(chains, "_bfs_core", field_only)
+    monkeypatch.setattr(chains, "_bfs_core", no_search)
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()))
+    unreachable = 0
     for n in (2, 3, 4):
         S = random_diagonal_space(ring, n, rng)
         pairs = [(random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng))
                  for _ in range(6)]
-        if n == 4:  # the lifted counterexample reaches the residue BFS
+        if n == 4:  # the lifted counterexample
             I = ident_space(ring, 4)
             pairs.append((standard_basis(I), lifted_hat_basis(I)))
         for A, B in pairs:
-            try:
-                chain = chain_local(A, B)
-            except ChainUnreachableError:
-                continue
-            ok, msg = verify_chain(chain, A, B)
-            assert ok, msg
-    assert fields and set(fields) == {"GF(2)"}
+            for build, b, c in ((chain_local, A, B), (chain_field, A.reduce(), B.reduce())):
+                try:
+                    chain = build(b, c)
+                except ChainUnreachableError:
+                    unreachable += 1
+                    continue
+                ok, msg = verify_chain(chain, b, c)
+                assert ok, msg
+    assert unreachable
+
+
+@pytest.mark.parametrize("n, count", [(3, 1), (4, 2), (5, 6), (6, 32)])
+def test_every_orthogonal_basis_over_f2_is_its_own_component(n, count):
+    """The fact the F_2 route rests on: orthogonal u, v with q = 1 are the
+    only anisotropic vectors of their plane, so no step changes a basis
+    set.  (n = 7, 288 bases, holds too but takes seconds.)"""
+    F2 = parse_ring("GF(2)")
+    S = ident_space(F2, n)
+    nodes = [frozenset(_idx(b)) for b in all_orthogonal_bases(S)]
+    assert len(nodes) == count
+    for node in nodes:
+        assert set(chains._bfs_neighbors(S, node)) <= {node}
+    bases = [OrthogonalBasis(S, _els(F2, sorted(node))) for node in nodes]
+    # a one-basis component is unreachable from every other basis
+    for b, c in zip(bases, bases[1:] + bases[:1]):
+        if b != c:
+            res = bfs_chain_oracle(b, c)
+            assert res.status == "unreachable"
+            assert res.component == (b.vector_set(),)
+    for b, c in itertools.permutations(bases, 2):
+        with pytest.raises(ChainUnreachableError, match="different chain components over F_2"):
+            chain_field(b, c)
 
 
 def _components(space, nodes):
