@@ -10,6 +10,13 @@ point that returns it; the private cores behind `diagonalize` and
 `certify._b` (behind `eval_b`), `_gram_row` and `_lincomb` work on vectors
 of carrier indices through the ring's tables (see `rings`), as do the
 recursion behind `diagonalize` and the chain engine (see `chains`).
+
+Exhaustive searches share one limit policy.  None runs where |R|^n exceeds
+`SEARCH_SPACE_CAP`: `is_isometric` answers "unknown" at once, and
+`chains.bfs_chain_oracle` and `chains.all_orthogonal_bases` raise
+`BudgetExceededError`.  Running out of a step budget (`ISOMETRY_BUDGET`,
+`chains.BFS_NODE_BUDGET`) is "unknown" too, never a "no".  The cap is read
+through this module, so patching `bilinear.SEARCH_SPACE_CAP` reaches all.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from .rings import LocalRing, NonUnitError, RingElement
 from . import matrices as mx
 # CheckResult and check_representation_identity are part of this module's API
 from .certify import CheckResult, _b, check_congruence, check_representation_identity
+
+
+SEARCH_SPACE_CAP = 1 << 16
+ISOMETRY_BUDGET = 400_000
 
 
 class BilinearError(Exception):
@@ -114,20 +125,18 @@ class BilinearSpace:
     def zero_vector(self):
         return (self.ring.zero,) * self.n
 
-    def all_vectors(self):
-        """Every vector of R^n, one tuple per n kept on the ring."""
-        ring, n = self.ring, self.n
-        return ring.cached(
-            ("vectors", n), lambda: tuple(itertools.product(tuple(ring.elements()), repeat=n))
-        )
-
-    def vectors_with_q(self, value: RingElement):
+    def _vectors_by_q(self):
+        """q-value index -> the index tuples of R^n with that value, in
+        carrier order; R^n is enumerated once per n and kept on the ring."""
         if self._q_buckets is None:
-            buckets: dict = {}
-            for v in self.all_vectors():
-                buckets.setdefault(self.eval_q(v).data, []).append(v)
-            self._q_buckets = {k: tuple(vs) for k, vs in buckets.items()}
-        return self._q_buckets.get(value.data, ())
+            ring, n = self.ring, self.n
+            vectors = ring.cached(
+                ("vectors", n), lambda: tuple(itertools.product(range(ring.size), repeat=n))
+            )
+            self._q_buckets = {}
+            for v in vectors:
+                self._q_buckets.setdefault(_b(self, v, v), []).append(v)
+        return self._q_buckets
 
     def reduce(self) -> "BilinearSpace":
         """The induced space over the residue field, built on the first call."""
@@ -456,37 +465,37 @@ class IsometryResult:
         return self.status == "isometric"
 
 
-DEFAULT_ISOMETRY_BUDGET = 2_000_000
-
-
-def is_isometric(s1: BilinearSpace, s2: BilinearSpace, budget: int | None = None) -> IsometryResult:
+def is_isometric(s1: BilinearSpace, s2: BilinearSpace) -> IsometryResult:
     """Backtracking search for M with M^T A2 M = A1.
 
     Basis vectors of s1 are mapped to s2-vectors of equal q-value with
-    matching pairings.  "not_isometric" is only returned once the search
-    has exhausted all candidates; running out of budget yields "unknown".
+    matching pairings, candidates taken in carrier order.  "not_isometric"
+    is only returned once the search has exhausted all candidates.  The
+    answer is "unknown" at once when |R|^n exceeds `SEARCH_SPACE_CAP`, and
+    once more than `ISOMETRY_BUDGET` candidates have been tried.
     """
     if s1.ring != s2.ring:
         raise BilinearError("spaces must live over the same ring")
     if s1.n != s2.n:
         raise DimensionMismatchError("spaces must have equal dimension")
-    n = s1.n
-    ring = s1.ring
+    n, ring = s1.n, s1.ring
     if n == 0:
         return IsometryResult("isometric", CongruenceWitness(ring, (), (), ()))
-    if budget is None:
-        budget = DEFAULT_ISOMETRY_BUDGET
-    spent = [0]
+    if ring.size ** n > SEARCH_SPACE_CAP:
+        return IsometryResult("unknown")
+    by_q = s2._vectors_by_q()
+    spent = 0
     chosen: list = []
 
     def extend(i: int) -> str:
+        nonlocal spent
         if i == n:
             return "found"
-        for v in s2.vectors_with_q(s1.gram[i][i]):
-            spent[0] += 1
-            if spent[0] > budget:
+        for v in by_q.get(s1.gram[i][i].data, ()):
+            spent += 1
+            if spent > ISOMETRY_BUDGET:
                 return "budget"
-            if any(s2.eval_b(w, v) != s1.gram[j][i] for j, w in enumerate(chosen)):
+            if any(_b(s2, w, v) != s1.gram[j][i].data for j, w in enumerate(chosen)):
                 continue
             chosen.append(v)
             res = extend(i + 1)
@@ -497,7 +506,7 @@ def is_isometric(s1: BilinearSpace, s2: BilinearSpace, budget: int | None = None
 
     res = extend(0)
     if res == "found":
-        M = mx.mat_transpose(tuple(chosen))
+        M = tuple(tuple(ring.elems[d] for d in row) for row in zip(*chosen))
         return IsometryResult("isometric", CongruenceWitness(ring, s2.gram, s1.gram, M))
     if res == "budget":
         return IsometryResult("unknown")

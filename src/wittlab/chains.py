@@ -58,7 +58,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
-from . import certify
+from . import bilinear, certify
 from .certify import _b, verify_chain
 from .rings import LocalRing, RingElement
 from .matrices import Echelon
@@ -898,8 +898,7 @@ def _local_tuples(space, tup_b, tup_c):
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_BFS_NODE_BUDGET = 200_000
-DEFAULT_BFS_SPACE_CAP = 1 << 16
+BFS_NODE_BUDGET = 200_000
 
 
 @dataclass
@@ -910,21 +909,19 @@ class BfsResult:
     component: tuple = dc_field(default_factory=tuple)
 
 
-def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
-                     node_budget: int | None = None,
-                     space_cap: int = DEFAULT_BFS_SPACE_CAP) -> BfsResult:
+def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis) -> BfsResult:
     """Breadth-first search on the graph of orthogonal basis sets.
 
     A reference for the builders, which never call it.  Edges replace at
     most two vectors.  "unreachable" is only reported after the full
-    component of the start basis has been explored.  ``node_budget``
-    bounds the basis sets taken off the queue and expanded (default
-    ``DEFAULT_BFS_NODE_BUDGET``).
+    component of the start basis has been explored.  Limits as in
+    ``bilinear``: ``BudgetExceededError`` above the search space cap, and
+    status "budget" after ``BFS_NODE_BUDGET`` expanded basis sets.
     """
     space = b.space
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    result, tuples = _bfs_core(space, b.indices, c.indices, node_budget, space_cap)
+    result, tuples = _bfs_core(space, b.indices, c.indices)
     if tuples is not None:
         result.chain = _certified(space, tuples, b, c)
     ring = space.ring
@@ -932,15 +929,16 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis,
     return result
 
 
-def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
+def _check_search_space(space):
+    """BudgetExceededError when |R|^n exceeds ``bilinear.SEARCH_SPACE_CAP``."""
+    size, cap = space.ring.size ** space.n, bilinear.SEARCH_SPACE_CAP
+    if size > cap:
+        raise BudgetExceededError(f"|R|^n = {size} exceeds the search space cap {cap}")
+
+
+def _bfs_core(space, tup_b, tup_c):
     """(BfsResult without a chain, path tuples or None), over index tuples."""
-    ring = space.ring
-    if node_budget is None:
-        node_budget = DEFAULT_BFS_NODE_BUDGET
-    if ring.size ** space.n > space_cap:
-        raise BudgetExceededError(
-            f"|R|^n = {ring.size ** space.n} exceeds the BFS space cap {space_cap}"
-        )
+    _check_search_space(space)
     start, goal = frozenset(tup_b), frozenset(tup_c)
     parents: dict = {start: None}
     queue = deque([start])
@@ -949,7 +947,7 @@ def _bfs_core(space, tup_b, tup_c, node_budget, space_cap):
     while queue and not found:
         node = queue.popleft()
         explored += 1
-        if explored > node_budget:
+        if explored > BFS_NODE_BUDGET:
             return BfsResult("budget", explored=explored), None
         for nxt in _bfs_neighbors(space, node):
             if nxt in parents:
@@ -1020,11 +1018,12 @@ def _bfs_neighbors(space, node):
 
 
 def all_orthogonal_bases(space: BilinearSpace):
-    """Every orthogonal basis vector-set of a small space (backtracking)."""
+    """Every orthogonal basis vector-set of a small space (backtracking);
+    ``BudgetExceededError`` above the search space cap (see ``bilinear``)."""
+    _check_search_space(space)
     ring = space.ring
     residue = ring.residue_of
-    vectors = itertools.product(range(ring.size), repeat=space.n)
-    aniso = [v for v in vectors if residue[_b(space, v, v)]]
+    aniso = [v for q, vs in space._vectors_by_q().items() if residue[q] for v in vs]
     results: list = []
 
     def extend(chosen, start_pool):

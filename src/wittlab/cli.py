@@ -93,7 +93,7 @@ COMMANDS = {
         ring_required=False,
     ),
     "gw": _group_command("Grothendieck-Witt group structure"),
-    "kmw": _group_command("Milnor-Witt K-group structure"),
+    "kmw": _Command("Milnor-Witt K-group structure"),
     "witt": _group_command("Witt group structure"),
     "compare": _group_command("comparison map K0MW -> GW with kernel"),
     "steinberg-check": _Command(

@@ -439,10 +439,6 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-_FULL_SEARCH_SPACE_CAP = 1 << 16
-_FULL_SEARCH_BUDGET = 400_000
-
-
 def _rank2_witness(cd, pa, pb, x, y) -> CongruenceWitness:
     """M with M^T diag(a, b) M = diag(c, d), given ax^2 + by^2 = c s^2:
     the columns are v = (x, y)/s and t(-by, ax)/s with t^2 = d/(abc)."""
@@ -484,7 +480,8 @@ def _tuple_classes(ring, m, stab):
     isometry at padding s extends to s+1 by adding a hyperbolic fixed line,
     so smaller paddings may decide pairs whose top level is out of search
     range).  Separation is by determinant class, by the exact q-value
-    distribution at the top level, or by an exhausted search there.
+    distribution at the top level, or by an exhausted search there.  Above
+    its limits the search answers "unknown" (see ``bilinear``).
     """
     cd = _class_data(ring)
     uf = _multiset_components(ring, m + stab)
@@ -504,15 +501,10 @@ def _tuple_classes(ring, m, stab):
         if cd.q_distribution(padded(a)) != cd.q_distribution(padded(b)):
             continue
         for s in range(stab + 1):
-            if ring.size ** (m + s) > _FULL_SEARCH_SPACE_CAP:
-                undecided.append((a, b))
-                break
             pa, pb = padded(a, s), padded(b, s)
             if s < stab and cd.q_distribution(pa) != cd.q_distribution(pb):
                 continue  # not isometric at this padding, maybe above
-            status = is_isometric(
-                cd.space_of(pa), cd.space_of(pb), budget=_FULL_SEARCH_BUDGET
-            ).status
+            status = is_isometric(cd.space_of(pa), cd.space_of(pb)).status
             if status == "isometric":
                 uf.union(padded(a), padded(b))
                 joined.append((a, b))

@@ -80,10 +80,10 @@ def vec_combo(vectors, coeffs):
 @pytest.fixture()
 def search_cap_one(monkeypatch):
     """A fresh ring registry, so every ring parsed in the test starts with
-    empty state, and an isometry-search cap of one vector, so every pair of
+    empty state, and a search space cap of one vector, so every pair of
     tuple classes that determinant class and q-distribution leave open is
     reported as undecided instead of searched."""
-    from wittlab import groups, rings
+    from wittlab import bilinear, rings
 
     monkeypatch.setattr(rings, "_parse_cache", {})
-    monkeypatch.setattr(groups, "_FULL_SEARCH_SPACE_CAP", 1)
+    monkeypatch.setattr(bilinear, "SEARCH_SPACE_CAP", 1)

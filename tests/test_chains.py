@@ -31,7 +31,7 @@ from wittlab import (
     standard_basis,
     verify_chain,
 )
-from wittlab import certify, chains
+from wittlab import bilinear, certify, chains
 from wittlab import matrices as mx
 from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement
 from wittlab.chains import ChainError, NotEqualModMError, NotOrthogonalOverResidueError
@@ -341,7 +341,8 @@ def test_orthogonal_unit_tuples_have_unit_determinant(spec, n):
     found = 0
     for gram in _implication_grams(ring, n):
         space = BilinearSpace(ring, gram)
-        aniso = [v for v in space.all_vectors() if space.eval_q(v).is_unit()]
+        vectors = itertools.product(tuple(ring.elements()), repeat=n)
+        aniso = [v for v in vectors if space.eval_q(v).is_unit()]
         stack = [((), aniso)]
         while stack:
             chosen, pool = stack.pop()
@@ -1036,7 +1037,33 @@ def test_bfs_space_cap():
     F9 = parse_ring("GF(9)")
     S = ident_space(F9, 6)
     with pytest.raises(BudgetExceededError):
-        bfs_chain_oracle(standard_basis(S), standard_basis(S), space_cap=1 << 10)
+        bfs_chain_oracle(standard_basis(S), standard_basis(S))
+
+
+def test_one_search_space_cap_limits_every_search(monkeypatch):
+    """Setting bilinear.SEARCH_SPACE_CAP reaches all three exhaustive
+    searches: above it the isometry search answers "unknown" without
+    enumerating R^n, and the other two raise BudgetExceededError."""
+    from wittlab import BudgetExceededError, is_isometric, rings
+
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    monkeypatch.setattr(bilinear, "SEARCH_SPACE_CAP", 8)
+    S = ident_space(parse_ring("GF(3)"), 2)
+    assert S.ring.size ** S.n > bilinear.SEARCH_SPACE_CAP
+    assert is_isometric(S, S).status == "unknown"
+    assert not any(key[0] == "vectors" for key in S.ring._state if isinstance(key, tuple))
+    with pytest.raises(BudgetExceededError, match="exceeds the search space cap 8"):
+        all_orthogonal_bases(S)
+    with pytest.raises(BudgetExceededError, match="exceeds the search space cap 8"):
+        bfs_chain_oracle(standard_basis(S), standard_basis(S))
+    # at the cap the search runs, on one enumeration of R^n per ring
+    monkeypatch.setattr(bilinear, "SEARCH_SPACE_CAP", 9)
+    H = BilinearSpace.hyperbolic(S.ring)
+    assert is_isometric(S, S).status == is_isometric(H, H).status == "isometric"
+    shared = {id(v) for v in S.ring._state[("vectors", 2)]}
+    for space in (S, H):
+        assert {id(v) for vs in space._vectors_by_q().values() for v in vs} == shared
+    assert len(shared) == 9
 
 
 def test_bases_on_different_spaces_are_rejected():
@@ -1208,10 +1235,10 @@ def test_chain_local_lifted_counterexample_is_unreachable(spec):
 
 @pytest.mark.parametrize("spec", ["GF(2)", "Z/4"])
 def test_chain_local_is_exact_over_residue_f2_above_the_bfs_space_cap(spec):
-    """<1>^18 has |R|^n above DEFAULT_BFS_SPACE_CAP; the residue bases of e
+    """<1>^18 has |R|^n above the search space cap; the residue bases of e
     and the lifted hat basis differ as sets, which proves unreachability."""
     S = ident_space(parse_ring(spec), 18)
-    assert S.ring.size ** S.n > chains.DEFAULT_BFS_SPACE_CAP
+    assert S.ring.size ** S.n > bilinear.SEARCH_SPACE_CAP
     E, H = standard_basis(S), lifted_hat_basis(S)
     for b, c in ((E, H), (H, E)):
         with pytest.raises(ChainUnreachableError, match="different chain components over F_2"):

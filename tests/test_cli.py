@@ -328,6 +328,7 @@ def test_single_command_parser_matches_full_parser(command, capsys):
     (["chain", "--ring", "GF(3)", "--gram", "[[1]]", "--from", "[[1]]", "--to", "[[2]]",
       "--bfs-budget", "5"], "unrecognized arguments: --bfs-budget 5"),
     (["gw", "--ring", "GF(3)", "--seed", "0"], "unrecognized arguments: --seed 0"),
+    (["kmw", "--ring", "GF(3)", "--rank-cap", "3"], "unrecognized arguments: --rank-cap 3"),
 ])
 def test_usage_error_texts(capsys, argv, error):
     code = run(argv)

@@ -101,8 +101,8 @@ CASES["compare_z81.json"] = ["compare", "--ring", "Z/81"]
 
 # ring-info, oracle and steinberg-check on a field and on a char-2 local ring
 # whose Steinberg consequences fail; the GF(2)[x]/(x^4) oracle runs at
-# --stab-cap 0, where its rank-3 classes take a third of a second instead of
-# forty seconds at the default stabilization
+# --stab-cap 0, which keeps the case to a third of a second (about 1 s at
+# the default stabilization)
 _INFO_RINGS = {"gf5": "GF(5)", "gf2x4": "GF(2)[x]/(x^4)"}
 CASES.update({
     f"{stem}_{tag}.json": [cmd, "--ring", spec]
