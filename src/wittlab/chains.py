@@ -8,11 +8,15 @@ field-level constructions.  A breadth-first oracle over all orthogonal
 bases stays beside them as an independent reference; no builder calls it.
 
 Every local ring takes one route, which never uses the size of the residue
-field: a residue chain, lifted step by step and spliced with equal-mod-m
-chains.  An orthogonal residue basis always lifts (each vector lies in the
-residue kernel of the echelon rows, so its pivot entries reduce correctly),
-and ``_equal_mod_m_core`` needs only that eps lies in m, so a raise there is
-a bug, reported as ``ChainError``.
+field: a residue chain, lifted in place, closed by one equal-mod-m chain.
+Each step keeps the current basis verbatim where the residue step does and
+lifts the <= 2 new vectors, one at a time, into the complement of the rest
+through one ``matrices.Echelon`` of their rows w^T A that grows by a row per
+lift.  By induction the current basis reduces positionally to the residue
+basis, so kept vectors need no re-lift.  An orthogonal residue basis always
+lifts (each new vector lies in the residue kernel of the echelon rows, so
+its pivot entries reduce correctly), and ``_equal_mod_m_core`` needs only
+that eps lies in m, so a raise there is a bug, reported as ``ChainError``.
 
 Over F_2 the chain lemma fails outright: every orthogonal basis is alone in
 its chain component.  If u and v are orthogonal with q(u) = q(v) = 1 (the
@@ -28,10 +32,6 @@ characteristics: it contracts the first target vector into the current
 tuple pair by pair, then recurses on its complement.  Characteristic 2
 adds a rescaling to q = 1 and the hat-basis escape; dimension 3 in
 characteristic 2 has its own construction.
-
-Residue bases are lifted one vector at a time into the orthogonal complement
-of the lifts before it, through one ``matrices.Echelon`` of their rows
-w^T A that grows by a row per lift instead of being eliminated afresh.
 
 Inside this module a vector is a tuple of carrier indices (see ``rings``):
 builders and checker compute on them through the ring's tables and
@@ -445,32 +445,34 @@ def lift_pair(space: BilinearSpace, bbar, cbar):
 
 def _lift_pair_core(space, bbar, cbar):
     """Lift tuples of the two residue bases; the lifts share every position
-    in which bbar and cbar agree.
+    in which bbar and cbar agree.  Each vector of bbar is lifted into the
+    orthogonal complement of the lifts before it; the second half is
+    ``_lift_step``, the step ``chain_local`` takes, from those lifts to cbar.
 
-    Each vector of bbar is lifted into the orthogonal complement of the
-    lifts before it, and each vector of cbar in a differing position into
-    the complement of the kept lifts and the new ones before it, through
-    one growing ``Echelon`` of the rows w^T A each.  These are the lifts of
+    Both grow an ``Echelon`` of the rows w^T A.  These are the lifts of
     solving over the residue field in the complement that
     ``orthogonal_complement`` returns: that complement is the kernel of the
     same echelon form, whose vector for free column f has 1 there and 0 on
     the other free columns, so the solution takes vbar[f] as its
     coefficient and exists iff every pivot entry of the lift reduces to
-    vbar[p], which ``_lift_into`` computes and checks.
-    """
-    diff = [i for i in range(len(bbar)) if bbar[i] != cbar[i]]
+    vbar[p], which ``_lift_into`` computes and checks."""
+    B = tuple(_lift_in_turn(space, Echelon(space.ring, space.n), bbar))
+    return B, _lift_step(space, B, bbar, cbar)
+
+
+def _lift_step(space, cur, prev, nxt):
+    """cur, kept verbatim where the residue tuples prev and nxt agree, with
+    each differing vector of nxt lifted into the complement of the kept
+    vectors and the new ones before it; cur must reduce positionally to prev."""
+    diff = [i for i in range(len(prev)) if prev[i] != nxt[i]]
     if len(diff) > 2:
         raise ChainError("residue bases differ in more than two places")
-    B = tuple(_lift_in_turn(space, Echelon(space.ring, space.n), bbar))
     if not diff:
-        return B, B
-    kept = (B[i] for i in range(len(bbar)) if i not in diff)
+        return cur
+    kept = (cur[i] for i in range(len(cur)) if i not in diff)
     ech = Echelon(space.ring, space.n, (_gram_row(space, w) for w in kept))
-    new = _lift_in_turn(space, ech, [cbar[d] for d in diff])
-    cvecs = list(B)
-    for pos, vec in zip(diff, new):
-        cvecs[pos] = vec
-    return B, tuple(cvecs)
+    new = iter(_lift_in_turn(space, ech, [nxt[d] for d in diff]))
+    return tuple(next(new) if i in diff else v for i, v in enumerate(cur))
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +854,8 @@ def _align_step(prev_tuple, next_set):
 def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     """Chain between two orthogonal bases over a finite local ring.
 
-    Compute the residue-field chain, lift it stepwise, and splice with
-    equal-mod-m chains.  Over residue F_2 (n >= 3) a chain exists iff the
+    Compute the residue-field chain, lift it in place, and close with one
+    equal-mod-m chain.  Over residue F_2 (n >= 3) a chain exists iff the
     residue bases agree as sets; otherwise ChainUnreachableError.
     """
     space = b.space
@@ -867,6 +869,8 @@ def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
 
 
 def _local_tuples(space, tup_b, tup_c):
+    """Index tuples from tup_b to tup_c: the aligned residue chain, each step
+    lifted in place from the basis before it, then one equal-mod-m chain."""
     if frozenset(tup_b) == frozenset(tup_c):
         return [tup_b]
     ring = space.ring
@@ -880,14 +884,10 @@ def _local_tuples(space, tup_b, tup_c):
         raise ChainError("field chain endpoint mismatch")
 
     pieces = [tup_b]
-    cur = tup_b
     for prev, nxt in zip(tups, tups[1:]):
-        lift_prev, lift_next = _lift_pair_core(space, prev, nxt)
-        pieces.extend(_equal_mod_m_core(space, cur, lift_prev))
-        pieces.append(lift_next)
-        cur = lift_next
-    # permute cur so its reduction matches c's positionally, then close up
-    by_reduction = {_residues(ring, v): v for v in cur}
+        pieces.append(_lift_step(space, pieces[-1], prev, nxt))
+    # permute the last lift to reduce to c positionally, then close up
+    by_reduction = {_residues(ring, v): v for v in pieces[-1]}
     arranged = tuple(by_reduction[_residues(ring, v)] for v in tup_c)
     pieces.extend(_equal_mod_m_core(space, arranged, tup_c))
     return _dedupe(pieces)

@@ -350,26 +350,24 @@ def _dispatch(args, out) -> int:
         out["diagnostic"] = msg
         return 0 if ok else 1
 
-    if cmd in ("gw", "kmw", "witt"):
+    if cmd in ("gw", "kmw", "witt", "compare"):
         if cmd == "gw":
-            structure = groups.gw_structure(ring, args.rank_cap)
+            out.update(groups.gw_structure(ring, args.rank_cap).to_json())
             notes = groups.gw_presentation(ring, args.rank_cap).notes
         elif cmd == "kmw":
-            structure = groups.kmw_structure(ring)
+            out.update(groups.kmw_structure(ring).to_json())
             notes = {}
+        elif cmd == "witt":
+            out.update(groups.witt_structure(ring, args.rank_cap).to_json())
+            notes = groups.witt_presentation(ring, args.rank_cap).notes
         else:
-            structure = groups.witt_structure(ring, args.rank_cap)
-            notes = {}
-        out.update(structure.to_json())
+            report = groups.comparison_map(ring, args.rank_cap)
+            out.update(report.to_json())
+            out["kmw"] = report.kmw.to_json()
+            out["gw"] = report.gw.to_json()
+            notes = report.notes
         if notes.get("undecided"):
             out["undecided_isometry_pairs"] = len(notes["undecided"])
-        return 0
-
-    if cmd == "compare":
-        report = groups.comparison_map(ring, args.rank_cap)
-        out.update(report.to_json())
-        out["kmw"] = report.kmw.to_json()
-        out["gw"] = report.gw.to_json()
         return 0
 
     if cmd == "steinberg-check":

@@ -727,6 +727,7 @@ class ComparisonReport:
     kernel_invariant_factors: tuple
     kernel_free_rank: int
     is_isomorphism: bool
+    notes: dict                     # the GW presentation's notes
 
     def to_json(self):
         return {
@@ -761,6 +762,7 @@ def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonRe
     pk = kmw_presentation(ring)
     sk = group_structure(pk)
     sg = gw_structure(ring, rank_cap)
+    notes = gw_presentation(ring, rank_cap).notes
 
     # matrix: image of each KMW coordinate basis vector inside GW coordinates
     dim_k = len(sk.invariant_factors) + sk.free_rank
@@ -778,7 +780,7 @@ def comparison_map(ring: LocalRing, rank_cap: int | None = None) -> ComparisonRe
     factors = tuple(d for d in form.diag if d >= 2)
     kernel_free = r - len(form.diag)
     is_iso = not factors and kernel_free == 0
-    return ComparisonReport(ring, sk, sg, matrix, factors, kernel_free, is_iso)
+    return ComparisonReport(ring, sk, sg, matrix, factors, kernel_free, is_iso, notes)
 
 
 # ---------------------------------------------------------------------------

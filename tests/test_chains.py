@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 import time
 import zlib
 from pathlib import Path
@@ -35,6 +36,7 @@ from wittlab import bilinear, certify, chains
 from wittlab import matrices as mx
 from wittlab.bilinear import NotInMaximalIdealError, orthogonal_complement
 from wittlab.chains import ChainError, NotEqualModMError, NotOrthogonalOverResidueError
+from wittlab.cli import run
 from wittlab.rings import RingError
 
 import elimination_reference as reference
@@ -43,6 +45,9 @@ from conftest import (
     vec_add, vec_combo, vec_scale,
 )
 from paper_data import f4_chain_certificate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import ringcheck  # noqa: E402
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -528,18 +533,43 @@ def _lift_one_from_scratch(space, chosen, vbar):
     return vec_combo(comp, tuple(ring.lift(c) for c in sol))
 
 
-def _lift_pair_from_scratch(space, bbar, cbar):
-    lifts: list = []
-    for vbar in bbar:
-        lifts.append(_lift_one_from_scratch(space, lifts, vbar))
+def _lift_step_from_scratch(space, cur, bbar, cbar):
+    """cur kept where bbar and cbar agree, each differing vector of cbar
+    lifted from scratch into the complement of the kept and new ones."""
     diff = [i for i in range(len(bbar)) if bbar[i] != cbar[i]]
-    cvecs = list(lifts)
-    kept = [lifts[i] for i in range(len(bbar)) if i not in diff]
+    cvecs = list(cur)
+    kept = [cur[i] for i in range(len(bbar)) if i not in diff]
     new: list = []
     for d in diff:
         new.append(_lift_one_from_scratch(space, kept + new, cbar[d]))
         cvecs[d] = new[-1]
-    return tuple(lifts), tuple(cvecs)
+    return tuple(cvecs)
+
+
+def _lift_pair_from_scratch(space, bbar, cbar):
+    lifts: list = []
+    for vbar in bbar:
+        lifts.append(_lift_one_from_scratch(space, lifts, vbar))
+    return tuple(lifts), _lift_step_from_scratch(space, lifts, bbar, cbar)
+
+
+def _perturbed(space, lifts, rng):
+    """Lifts moved by elementary moves with random eps in m: an orthogonal
+    basis equal to them mod m whose vectors are not canonical lifts."""
+    ideal = space.ring.maximal_ideal()
+    basis = OrthogonalBasis(space, lifts)
+    for _ in range(len(lifts)):
+        i, j = rng.sample(range(len(lifts)), 2)
+        basis = elementary_move(basis, ideal[rng.randrange(len(ideal))], i, j)
+    return basis.vectors
+
+
+def _lift_outcome(lift, *args):
+    """The lifts as element tuples, or the type of a residue rejection."""
+    try:
+        return lift(*args)
+    except NotOrthogonalOverResidueError as exc:
+        return type(exc)
 
 
 def _random_congruent_space(ring, n, rng):
@@ -600,29 +630,98 @@ def test_lift_pair_core_matches_lifting_from_scratch(spec):
     """The incremental lifts are the lifts of solving over the residue
     field in a freshly eliminated complement, and both reject the same
     inputs, on non-diagonal Gram matrices with rescaled, turned and
-    non-orthogonal residue neighbours."""
+    non-orthogonal residue neighbours.  So is the in-place step from a
+    basis whose kept vectors are not canonical lifts."""
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()))
-    outcomes = {"lifted": 0, "rejected": 0}
+    outcomes = {"lifted": 0, "rejected": 0, "perturbed": 0}
+
+    def pair_core(space, bbar, cbar):
+        return tuple(_els(ring, t) for t in chains._lift_pair_core(space, _idx(bbar), _idx(cbar)))
+
+    def step(space, cur, bbar, cbar):
+        return _els(ring, chains._lift_step(space, _idx(cur), _idx(bbar), _idx(cbar)))
+
     for n in (2, 3, 4):
         for _ in range(25):
             space = _random_congruent_space(ring, n, rng)
             rspace = space.reduce()
             bbar = random_orthogonal_basis(rspace, rng).vectors
+            fresh = _lift_pair_from_scratch(space, bbar, bbar)[0]
+            cur = _perturbed(space, fresh, rng)
+            outcomes["perturbed"] += cur != fresh
             for cbar in _residue_neighbours(rspace, bbar, rng):
-                try:
-                    expected = _lift_pair_from_scratch(space, bbar, cbar)
-                except NotOrthogonalOverResidueError as exc:
-                    expected = type(exc)
-                try:
-                    got = tuple(
-                        _els(ring, t) for t in chains._lift_pair_core(space, _idx(bbar), _idx(cbar))
-                    )
-                except NotOrthogonalOverResidueError as exc:
-                    got = type(exc)
-                assert got == expected, (n, bbar, cbar)
-                outcomes["rejected" if got is NotOrthogonalOverResidueError else "lifted"] += 1
-    assert outcomes["lifted"] >= 150 and outcomes["rejected"] >= 15, outcomes
+                for lift, reference_lift, args in (
+                    (pair_core, _lift_pair_from_scratch, (space, bbar, cbar)),
+                    (step, _lift_step_from_scratch, (space, cur, bbar, cbar)),
+                ):
+                    got = _lift_outcome(lift, *args)
+                    assert got == _lift_outcome(reference_lift, *args), (n, args)
+                    outcomes["rejected" if got is NotOrthogonalOverResidueError else "lifted"] += 1
+    assert outcomes["lifted"] >= 300 and outcomes["rejected"] >= 30, outcomes
+    assert outcomes["perturbed"] >= 50, outcomes
+
+
+def _aligned_residue_chain(b, c):
+    """The residue chain chain_local lifts, each basis aligned to differ
+    from the one before in <= 2 positions."""
+    tups = [_idx(b.reduce().vectors)]
+    for basis in chain_field(b.reduce(), c.reduce()).bases[1:]:
+        tups.append(chains._align_step(tups[-1], frozenset(basis.indices)))
+    return tups
+
+
+@pytest.mark.parametrize("spec", ["Z/9", "Z/27", "GF(3)[x]/(x^2)", "GF(4)[y]/(y^2)"])
+def test_chain_local_lifts_in_place_and_splices_once(spec, monkeypatch):
+    """chain_local never lifts a whole residue basis afresh: each basis
+    keeps its predecessor verbatim but for the <= 2 vectors the aligned
+    residue step changes, and the one equal-mod-m chain is the closing one."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 3)
+
+    def banned(*args):
+        raise AssertionError("residue basis lifted afresh")
+
+    splices = []
+    splice = chains._equal_mod_m_core
+
+    def recorded(space, cur, target):
+        steps = splice(space, cur, target)
+        if sys._getframe(1).f_code.co_name == "_local_tuples":
+            splices.append(steps)
+        return steps
+
+    monkeypatch.setattr(chains, "_lift_pair_core", banned)
+    monkeypatch.setattr(chains, "_equal_mod_m_core", recorded)
+    for n in (3, 4):
+        for _ in range(4):
+            S = random_diagonal_space(ring, n, rng)
+            b, c = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+            splices.clear()
+            chain = chain_local(b, c)
+            tups = _aligned_residue_chain(b, c)
+            assert len(splices) == 1
+            assert len(chain) <= len(tups) + len(splices[0])
+            lifted = [basis.indices for basis in chain.bases[:len(tups)]]
+            for k, (basis, residues) in enumerate(zip(lifted, tups)):
+                assert tuple(chains._residues(ring, v) for v in basis) == residues, k
+                if k:
+                    assert sum(u == v for u, v in zip(lifted[k - 1], basis)) >= n - 2, k
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in LIFT_SPECS if parse_ring(s).residue_field().size > 2]
+)
+def test_chain_local_on_congruent_spaces(spec):
+    """chain_local on non-diagonal Gram matrices M^T D M."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 4)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            S = _random_congruent_space(ring, n, rng)
+            b, c = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+            ok, msg = verify_chain(chain_local(b, c), b, c)
+            assert ok, msg
 
 
 @pytest.mark.parametrize("spec", ["Z/27", "GF(4)[y]/(y^2)"])
@@ -1462,6 +1561,23 @@ def test_golden_certificates_round_trip_byte_identically(name):
     doc = json.loads(text)
     doc["certificate"] = Chain.from_json(doc["certificate"]).to_json()
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize("name", ["chain_z9_n4.json", "chain_gf4y2_n4.json"])
+def test_golden_lifted_certificates_pass_verify_and_the_bench_checker(name, capsys):
+    """The lifted golden certificates (over rings the benchmark's checker
+    can spell) pass ``witt-lab verify`` and that independent checker,
+    against the endpoints their command was given."""
+    path = GOLDEN / name
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    config = doc["config"]
+    ring = ringcheck.Ring(config["ring"])
+    gram, start, end = (
+        ring.mat_from_json(json.loads(config[key])) for key in ("gram", "from-basis", "to-basis")
+    )
+    ringcheck.check_chain_certificate(ring, gram, start, end, doc["certificate"])
+    assert run(["verify", "--cert", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 def test_elements_of_another_ring_raise_at_every_entry_point():

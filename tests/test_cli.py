@@ -241,6 +241,15 @@ def test_gw_reports_undecided_isometry_pairs(capsys, search_cap_one):
     assert data["undecided_isometry_pairs"] == 1
 
 
+@pytest.mark.parametrize("command", ["gw", "witt", "compare"])
+def test_group_commands_report_the_same_undecided_pairs(command, capsys):
+    """32^4 exceeds the search space cap, so two rank-4 pairs stay open; W
+    and the comparison rest on the same GW rows and report them too."""
+    code, data = run_cli(capsys, command, "--ring", "Z/32", "--rank-cap", "4")
+    assert code == 0
+    assert data["undecided_isometry_pairs"] == 2
+
+
 def test_determinism_byte_identical(capsys):
     code1 = run(["gw", "--ring", "Z/9"])
     out1 = capsys.readouterr().out
