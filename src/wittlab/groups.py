@@ -8,14 +8,14 @@ square classes: a generating set of the relation lattice, not its full
 product closure.  The Steinberg-only quotient is not square-invariant and
 keeps one generator per unit.  GW adds rows for isometries of small diagonal
 forms, and every such row is backed by a proof that the relation lattice
-does not over-collapse.  Rank-2 rows come from a closed-form criterion:
+does not over-collapse.  Rank-2 rows come from a closed-form criterion alone:
 <a,b> and <c,d> are isometric iff ab = cd mod squares and <a,b> represents
 c.  The represented values are read off exact value tables, and every
 identification carries an explicit 2x2 congruence witness that is checked
-exactly.  One classifier of diagonal unit tuples serves both the GW rows and
-the stable isometry oracle: tuples of rank >= 3 are joined by verified
-two-entry rewrites or by an exhaustive isometry search, and pairs that no
-method decides are reported as undecided.
+exactly.  Above rank 2, GW adds only the pairs that the classifier of
+diagonal unit tuples joins by an exhaustive isometry search (its two-entry
+rewrites are sums of rank-2 rows); it also serves the stable isometry
+oracle, and reports pairs that no method decides as undecided.
 
 Group structure is computed by integer Smith normal form with retained
 transforms, which makes generator images, representative lifting, products,
@@ -149,9 +149,6 @@ class Presentation:
         if self.column_of is None:
             self.column_of = {g.data: i for i, g in enumerate(self.generators)}
 
-    def generator_index(self):
-        return self.column_of
-
     def check_rank_zero_rows(self):
         for row in self.rows:
             if sum(row) != 0:
@@ -258,8 +255,8 @@ def ktilde_presentation(ring: LocalRing) -> Presentation:
 
 def gw_presentation(ring: LocalRing, rank_cap: int | None = None) -> Presentation:
     """Rows generating the kernel of Z[R*/R*^2] -> GW(R): the Milnor-Witt rows
-    (those of kmw_presentation, which dedupe to the same list) plus rows
-    from verified isometries among diagonal forms of rank <= rank_cap.
+    (those of kmw_presentation, which dedupe to the same list) plus the
+    isometry rows of diagonal forms of rank <= rank_cap (_isometry_rows).
 
     For residue field != F_2 the rank-2 rows are provably sufficient, so
     rank_cap defaults to 2 there and to 3 for residue field F_2 (where no
@@ -473,7 +470,8 @@ def _tuple_classes(ring, m, stab):
     """Classes of rank-m class tuples up to isometry after padding both
     sides with <1>^stab, each class a sorted tuple and the classes ordered
     by least member; the pairs of class representatives joined by a search;
-    and the pairs that no method decides.
+    and the pairs that no method decides.  It serves the stable isometry
+    oracle, and the GW rows' search joins at rank >= 3.
 
     Identification is by verified two-entry rewrites at the top padding
     level, or by an explicit witness search at any padding s <= stab (an
@@ -520,23 +518,25 @@ def _tuple_classes(ring, m, stab):
 
 
 def _isometry_rows(ring, rank_cap):
-    """Rows <a_1>+..+<a_m> - <b_1>-..-<b_m>, 2 <= m <= rank_cap: each pair
-    joined by a search, then the first member of each isometry class of
-    rank-m tuples minus each other member, on the square class columns."""
+    """Rows <a_1>+..+<a_m> - <b_1>-..-<b_m> on the square class columns: for
+    rank_cap >= 2 the first member of each closed-form rank-2 class minus
+    each other member, then for 3 <= m <= rank_cap each pair a search joined.
+
+    These span the rows of every rank-m class, m <= rank_cap: a class is
+    connected by search joins and two-entry rewrites, and a rewrite
+    (x,y) -> (x',y') inside one rank-2 class has row row(x,y) - row(x',y'),
+    a difference of rank-2 rows.  snf.hnf_rows returns the reduced Hermite
+    basis, unique per lattice (Cohen 2.4.3), so all class rows give the same.
+    """
     cd = _class_data(ring)
-    rows = []
+    classes = sorted(set(cd.rank2_class.values())) if rank_cap >= 2 else []
+    pairs = [(base, other) for base, *others in classes for other in others]
     undecided = []
-    for m in range(2, rank_cap + 1):
-        classes, joined, open_pairs = _tuple_classes(ring, m, 0)
-        undecided.extend(open_pairs)
-        pairs = joined + [(base, other) for base, *others in classes for other in others]
-        for ta, tb in pairs:
-            r = [0] * cd.k
-            for c in ta:
-                r[c] += 1
-            for c in tb:
-                r[c] -= 1
-            rows.append(tuple(r))
+    for m in range(3, rank_cap + 1):
+        _, joined, open_pairs = _tuple_classes(ring, m, 0)
+        pairs += joined
+        undecided += open_pairs
+    rows = [tuple(ta.count(c) - tb.count(c) for c in range(cd.k)) for ta, tb in pairs]
     notes: dict = {"rank_cap": rank_cap}
     if undecided:
         notes["undecided"] = undecided
@@ -574,7 +574,7 @@ class AbelianGroupStructure:
         self._torsion_positions = [i for i, d in enumerate(form.diag) if d >= 2]
         self.invariant_factors = tuple(form.diag[i] for i in self._torsion_positions)
         self.free_rank = g - rank
-        self._index = presentation.generator_index()
+        self._index = presentation.column_of
         # rows of V restricted to the coordinate columns: torsion, then free
         kept = self._torsion_positions + list(range(rank, g))
         self._V_kept = [tuple(Vi[j] for j in kept) for Vi in form.V]
@@ -705,7 +705,7 @@ def augmentation_ideal(presentation: Presentation) -> AbelianGroupStructure:
     """
     presentation.check_rank_zero_rows()
     ring = presentation.ring
-    one = presentation.generator_index()[ring.one.data]
+    one = presentation.column_of[ring.one.data]
     keep = [i for i in range(len(presentation.generators)) if i != one]
     gens = tuple(presentation.generators[i] for i in keep)
     rows = tuple(tuple(r[i] for i in keep) for r in presentation.rows)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_kmw_presentation_f5_contains_square_row():
     the hyperbolic row <<2>>h = <1> + <4> - <2> - <3> is 2<1> - 2<2>."""
     F5 = parse_ring("GF(5)")
     p = kmw_presentation(F5)
-    idx = p.generator_index()
+    idx = p.column_of
     row = [0] * len(p.generators)
     row[idx[F5.one.data]] += 1
     row[idx[F5.from_int(4).data]] -= 1
@@ -84,7 +85,7 @@ def test_gw_presentation_contains_paper_row():
     x = R.element_from_json([0, 1])
     one = R.one
     p = gw_presentation(R)
-    idx = p.generator_index()
+    idx = p.column_of
     row = [0] * len(p.generators)
     row[idx[one.data]] += 1
     row[idx[(one + x).data]] += 1
@@ -103,7 +104,7 @@ def test_gw_presentation_square_rows_any_ring():
     has the column of its square class's representative."""
     Z9 = parse_ring("Z/9")
     p = gw_presentation(Z9)
-    idx = p.generator_index()
+    idx = p.column_of
     basis = snf.hnf_rows([list(r) for r in p.rows], len(p.generators))
     for u in Z9.units():
         for t in Z9.units():
@@ -125,7 +126,7 @@ def test_gw_presentation_f3_isometry_row():
         BilinearSpace.diagonal(F3, (two, two)),
     ).status == "isometric"
     p = gw_presentation(F3)
-    idx = p.generator_index()
+    idx = p.column_of
     row = [0] * 2
     row[idx[F3.one.data]] += 2
     row[idx[two.data]] -= 2
@@ -359,10 +360,18 @@ def test_cold_group_commands_skip_the_unit_product_table(spec, monkeypatch, caps
     assert len(witt_presentation(ring).rows) <= k * (gens + 1) + iso
 
 
-@pytest.mark.parametrize("spec", ["Z/729", "Z/2187", "GF(3)[x]/(x^7)"])
-def test_compare_on_large_rings(spec, monkeypatch, capsys):
-    """Cold compare on rings with hundreds of units: K0^MW = GW = Z + Z/2,
-    the comparison map is an isomorphism, and every unit has an image."""
+LARGE_COMPARE = [
+    ("Z/729", [2]), ("Z/2187", [2]), ("GF(3)[x]/(x^7)", [2]),
+    ("GF(4)[t]/(t^5)", [2] * 4), ("GF(32)[t]/(t^2)", [2] * 5),
+]
+
+
+@pytest.mark.parametrize("spec, torsion", LARGE_COMPARE, ids=[s for s, _ in LARGE_COMPARE])
+def test_compare_on_large_rings(spec, torsion, monkeypatch, capsys):
+    """Cold compare on rings with hundreds of units: K0^MW = GW = Z + torsion,
+    the comparison map is an isomorphism, and every unit has an image.  The
+    torsion order is the number of square classes, the bound the
+    determinant gives on its own."""
     import json
     from wittlab import rings
     from wittlab.cli import run
@@ -371,10 +380,53 @@ def test_compare_on_large_rings(spec, monkeypatch, capsys):
     assert run(["compare", "--ring", spec]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["is_isomorphism"]
-    units = len(parse_ring(spec).units())
+    ring = parse_ring(spec)
+    assert math.prod(torsion) == len(ring.square_classes())
     for kind in ("kmw", "gw"):
-        assert (out[kind]["free_rank"], out[kind]["invariant_factors"]) == (1, [2])
-        assert len(out[kind]["generator_images"]) == units
+        assert (out[kind]["free_rank"], out[kind]["invariant_factors"]) == (1, torsion)
+        assert len(out[kind]["generator_images"]) == len(ring.units())
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS + ["GF(4)[t]/(t^5)"])
+def test_default_cap_group_commands_never_search(spec, monkeypatch, capsys):
+    """Away from residue field F_2 the default cap is 2, and the closed-form
+    rank-2 classes give every isometry row: cold gw, witt and compare never
+    reach the tuple classifier, a q-value distribution or an isometry search."""
+    from wittlab import rings
+    from wittlab.cli import run
+
+    def no_search(*args):
+        pytest.fail(f"a search over {spec}")
+
+    for owner, name in ((groups, "_tuple_classes"), (groups, "_multiset_components"),
+                        (groups._ClassData, "q_distribution"), (groups, "is_isometric")):
+        monkeypatch.setattr(owner, name, no_search)
+    monkeypatch.setattr(rings, "_parse_cache", {})
+    for cmd in ("gw", "witt", "compare"):
+        assert run([cmd, "--ring", spec]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["Z/8", "Z/16", CEX, "GF(4)[y]/(y^2)", "GF(3)[x]/(x^2)"])
+def test_isometry_rows_span_the_rows_of_every_class(spec):
+    """At caps 1 to 4 the GW lattice basis is the reduced Hermite basis of
+    the Milnor-Witt rows plus, for each rank m from 2 to the cap, each
+    class's first member minus each other member and each joined pair of
+    _tuple_classes(ring, m, 0); at cap 1 the gw rows are the kmw rows."""
+    ring = parse_ring(spec)
+    k = len(ring.square_classes())
+
+    def row(ta, tb):
+        return [ta.count(c) - tb.count(c) for c in range(k)]
+
+    rows = [list(r) for r in kmw_presentation(ring).rows]
+    assert gw_presentation(ring, 1).rows == kmw_presentation(ring).rows
+    for cap in range(1, 5):
+        if cap >= 2:
+            classes, joined, _ = groups._tuple_classes(ring, cap, 0)
+            rows += [row(a, b) for a, b in joined]
+            rows += [row(base, other) for base, *others in classes for other in others]
+        assert snf.hnf_rows(rows, k) == gw_structure(ring, cap)._lattice_basis, cap
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
