@@ -2,11 +2,13 @@
 
 Builders construct certificates and this module judges them (McConnell,
 Mehlhorn, Näher and Schweitzer, "Certifying algorithms", 2011).  It imports
-``rings`` and ``matrices``' ``congruent`` and ``mat_det``, never a builder;
-the builders import from it the loops they share with the checks, ``_b``
-and ``int_mat_mul``.  A chain needs no determinant: for M with columns
-v_1..v_n, pairwise orthogonal with unit q-values, M^T A M is triangular with
-diagonal q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
+``rings`` and ``matrices``' ``mat_det``, never a builder; the builders
+import from it the loops they share with the checks, ``_b`` and
+``int_mat_mul``.  Like ``_b``, ``check_congruence`` works on carrier
+indices through the ring's tables, and with ``mat_det`` it costs O(n^3)
+lookups.  A chain needs no determinant: for M with columns v_1..v_n,
+pairwise orthogonal with unit q-values, M^T A M is triangular with diagonal
+q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import LocalRing
-from .matrices import congruent, mat_det
+from .matrices import mat_det
 
 
 def _b(space, x, y):
@@ -129,17 +131,39 @@ def verify_chain(chain, start, end):
 
 def check_congruence(ring: LocalRing, source, target, matrix):
     """(ok, message) for a witness M of source A and target B, all tuples of
-    row tuples: square of one size over ``ring``, M^T A M = B, det M a unit."""
+    row tuples: square of one size over ``ring``, M^T A M = B, det M a unit.
+
+    M^T A M is formed on carrier indices, a column of A M at a time: entry
+    (i, j) is column i of M dotted with column j of A M, each product
+    skipping the zero entries, so the check costs O(n^3) table lookups."""
     n = len(matrix)
     for grid in (source, target, matrix):
         if len(grid) != n or any(len(row) != n for row in grid):
             return False, "source, target and matrix must be square matrices of one size"
         ring.check_elements(e for row in grid for e in row)
-    if congruent(matrix, source) != target:
-        return False, "M^T A M differs from the target"
+    add, mul = ring.add, ring.mul
+    sparse_source = [[(k, mul[e.data]) for k, e in enumerate(row) if e.data] for row in source]
+    columns = [[e.data for e in column] for column in zip(*matrix)]
+    for j, column in enumerate(columns):
+        # column j of A M, as (row, product row) pairs of its nonzero entries
+        entries = (_sparse_dot(add, row, column) for row in sparse_source)
+        moved = [(k, mul[x]) for k, x in enumerate(entries) if x]
+        for i, other in enumerate(columns):
+            if _sparse_dot(add, moved, other) != target[i][j].data:
+                return False, "M^T A M differs from the target"
     if matrix and not mat_det(ring, matrix).is_unit():
         return False, "witness determinant is not a unit"
     return True, "ok"
+
+
+def _sparse_dot(add, sparse, y):
+    """sum g[y_k] over the (k, product row g) pairs of ``sparse``, as an index."""
+    acc = 0
+    for k, g in sparse:
+        yk = y[k]
+        if yk:
+            acc = add[acc][g[yk]]
+    return acc
 
 
 @dataclass

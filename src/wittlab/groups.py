@@ -794,11 +794,13 @@ def gw_class(space: BilinearSpace, structure: AbelianGroupStructure | None = Non
     if structure is None:
         structure = gw_structure(space.ring)
     units, r, _ = stable_diagonalize(space)
-    elt = GroupRingElement(space.ring)
+    ring = space.ring
+    coeffs = {ring.neg[1]: -r}
     for u in units:
-        elt = elt + GroupRingElement.generator(u)
-    elt = elt - GroupRingElement.generator(space.ring.minus_one).scale(r)
-    return structure.coords_of_group_ring(elt)
+        if not u.is_unit():
+            raise GroupsError(f"{u!r} is not a unit")
+        coeffs[u.data] = coeffs.get(u.data, 0) + 1
+    return structure.coords_of_group_ring(GroupRingElement(ring, coeffs))
 
 
 def product_table(structure: AbelianGroupStructure):

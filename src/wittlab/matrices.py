@@ -3,13 +3,15 @@
 Matrices are tuples of row tuples of RingElement.  Everything here relies
 on the local property: an invertible matrix always admits a unit pivot in
 every elimination step (otherwise its determinant would sit in the maximal
-ideal).  ``Echelon`` is the one elimination over the ring: a unit-pivot
-reduced echelon form on element data that grows a row at a time.
-mat_inverse, kernel_basis and solve_field are entry points over it, and the
-orthogonal complements of ``bilinear`` and the residue lifts of ``chains``
-use it directly.  Like ``_dot`` and ``mat_det``, it works on element data
-(carrier indices), its rows and kernel vectors alike: it indexes the ring's
-``add``/``mul`` tables and ``neg`` list directly (``rings``).
+ideal); ``mat_det`` eliminates on such pivots and expands over column
+subsets only what is left once a column has none.  ``Echelon`` is the
+elimination that solves: a unit-pivot reduced echelon form on element data
+that grows a row at a time.  mat_inverse, kernel_basis and solve_field are
+entry points over it, and the orthogonal complements of ``bilinear`` and
+the residue lifts of ``chains`` use it directly.  Like ``_dot`` and
+``mat_det``, it works on element data (carrier indices), its rows and
+kernel vectors alike: it indexes the ring's ``add``/``mul`` tables and
+``neg`` list directly (``rings``).
 """
 
 from __future__ import annotations
@@ -48,38 +50,67 @@ def _dot(xs, ys):
 
 
 def mat_det(ring: LocalRing, A) -> RingElement:
-    """Determinant by expansion over column subsets (exact over any ring)."""
+    """Determinant by unit-pivot elimination on carrier indices.
+
+    Over a local ring an entry is a unit iff its residue is nonzero, so
+    while every column has a unit pivot this is O(n^3) lookups: the
+    determinant is the signed product of the pivots, a row swap negates it
+    and r_i -= f * r_k keeps it.  When a column has no unit left below the
+    pivots, det A lies in the maximal ideal, and the rest of the matrix is
+    expanded exactly over column subsets (``_subset_det``)."""
     n = len(A)
-    if n == 0:
-        return ring.one
+    add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
+    rows = [[e.data for e in row] for row in A]
+    det = 1
+    for k in range(n):
+        for p in range(k, n):
+            if residue[rows[p][k]]:
+                break
+        else:
+            return ring.elems[mul[det][_subset_det(ring, [row[k:] for row in rows[k:]])]]
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = neg[det]
+        pivot = rows[k]
+        det = mul[det][pivot[k]]
+        inverse = None
+        for row in rows[k + 1:]:
+            a = row[k]
+            if a:
+                if inverse is None:
+                    inverse = mul[ring._rinv(pivot[k])]
+                scale = mul[neg[inverse[a]]]
+                for j in range(k + 1, n):
+                    row[j] = add[row[j]][scale[pivot[j]]]
+    return ring.elems[det]
+
+
+def _subset_det(ring: LocalRing, rows) -> int:
+    """The determinant of a square matrix of carrier indices, as an index,
+    by expansion over column subsets: O(2^n n), exact over any ring."""
+    n = len(rows)
     add, mul, neg = ring.add, ring.mul, ring.neg
-    # dp over (row index, frozenset of used columns) via bitmask layers, on
-    # element data
+    # row by row, the signed sum of the products that use each column set
+    # (a bitmask); choosing column j after the columns of ``mask`` adds one
+    # inversion for each used column to the right of j
     prev = {0: 1}
-    for row in A:
+    for row in rows:
         cur: dict = {}
         for mask, val in prev.items():
-            sign_base = 0
             prod = mul[val]
             for j, a in enumerate(row):
                 bit = 1 << j
-                if mask & bit:
-                    sign_base += 1
+                if mask & bit or not a:
                     continue
-                if not a.data:
-                    continue
-                term = prod[a.data]
-                if sign_base % 2:
+                term = prod[a]
+                if (mask >> (j + 1)).bit_count() % 2:
                     term = neg[term]
                 key = mask | bit
-                if key in cur:
-                    cur[key] = add[cur[key]][term]
-                else:
-                    cur[key] = term
+                cur[key] = add[cur[key]][term] if key in cur else term
         prev = cur
         if not prev:
-            return ring.zero
-    return ring.elems[prev.get((1 << n) - 1, 0)]
+            return 0
+    return prev.get((1 << n) - 1, 0)
 
 
 def congruent(M, A):

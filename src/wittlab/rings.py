@@ -21,11 +21,12 @@ order of the coefficients read from the highest degree down, zero is 0 and
 one is 1 in every ring, and equal data means equal elements.  Sums,
 products and negatives come from the kernel described at
 ``LocalRing.cached``.  Hot loops elsewhere index its tables directly:
-``certify._b`` (behind ``eval_b``), ``bilinear._gram_row`` and ``_lincomb``,
-``matrices.Echelon``, ``_dot``, ``mat_det`` and the chain engine, whose
-vectors are tuples of indices (``chains``).  An index carries no ring, so
-spaces, bases, witnesses and the public chain functions check the ring of
-the elements they take once, through ``LocalRing.check_elements``.
+``certify._b`` (behind ``eval_b``) and ``check_congruence``,
+``bilinear._gram_row`` and ``_lincomb``, ``matrices.Echelon``, ``_dot``,
+``mat_det`` and the chain engine, whose vectors are tuples of indices
+(``chains``).  An index carries no ring, so spaces, bases, witnesses and
+the public chain functions check the ring of the elements they take once,
+through ``LocalRing.check_elements``.
 """
 
 from __future__ import annotations
@@ -253,8 +254,9 @@ class LocalRing:
 
     def check_elements(self, elements):
         """RingError unless every one of ``elements`` belongs to this ring.
-        The data-level loops (``eval_b``, ``mat_mul``, ``mat_det``, ...) do
-        not check, so spaces, bases and witnesses check their entries here."""
+        The data-level loops (``eval_b``, ``check_congruence``, ``mat_det``,
+        ...) do not check, so spaces, bases and witnesses check their
+        entries here."""
         for e in elements:
             if e.ring is not self and e.ring != self:
                 raise RingError(f"elements of {self} and {e.ring} cannot be mixed")
@@ -758,6 +760,7 @@ def format_poly(base: LocalRing, coeffs, var: str) -> str:
 _GF_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)$")
 _ZMOD_RE = re.compile(r"^Z/(\d+)$")
 _QUOT_RE = re.compile(r"^(GF\(\d+(?:\^\d+)?\))\[([a-z])\]/\((.+)\)$")
+_TOKEN_RE = re.compile(r"\d+|[a-z]|\^|\*|\+|-|\(|\)")
 
 _parse_cache: dict = {}
 
@@ -816,7 +819,7 @@ class _PolyParser:
     """Recursive-descent parser for the POLY piece of the grammar."""
 
     def __init__(self, text: str, base: LocalRing, var: str, size_cap: int):
-        self.toks = re.findall(r"\d+|[a-z]|\^|\*|\+|-|\(|\)", text)
+        self.toks = _TOKEN_RE.findall(text)
         if "".join(self.toks) != text:
             raise RingSyntaxError(f"bad polynomial {text!r}")
         self.pos = 0
@@ -908,7 +911,7 @@ class _PolyParser:
 
 def parse_ring(spec: str, size_cap: int = DEFAULT_SIZE_CAP) -> LocalRing:
     """Parse a ring spec string; the registry keeps one ring per (spec, cap)."""
-    stripped = re.sub(r"\s+", "", spec)
+    stripped = "".join(spec.split())
     key = (stripped, size_cap)
     if key in _parse_cache:
         return _parse_cache[key]

@@ -25,6 +25,7 @@ from wittlab import (
 from wittlab import bilinear
 from wittlab.bilinear import BilinearError, NotInMaximalIdealError
 from wittlab import matrices as mx
+from wittlab.certify import check_congruence
 
 from conftest import seeded, vec_combo
 
@@ -595,3 +596,70 @@ def test_congruence_checker_rejects_single_entry_mutants(rings):
                         CongruenceWitness(ring, source, target, matrix)
                     assert str(exc.value) == f"invalid congruence witness: {expected}"
     assert outcomes["M^T A M differs from the target"] >= 400, outcomes
+
+
+def _random_square(ring, n, rng):
+    """A random n x n matrix, drawn so that its determinant is often not a
+    unit: uniform entries, entries in the maximal ideal or 1, or a last row
+    that is the sum of two rows plus a row of the maximal ideal."""
+    ideal = ring.maximal_ideal()
+    kind = rng.randrange(3)
+    if kind == 1:
+        pool = ideal + (ring.one,)
+        return tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
+    rows = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
+    if kind == 2 and n >= 2:
+        a, b = rng.randrange(n - 1), rng.randrange(n - 1)
+        rows[-1] = [x + y + rng.choice(ideal) for x, y in zip(rows[a], rows[b])]
+    return tuple(map(tuple, rows))
+
+
+def test_mat_det_matches_cofactor_expansion(rings):
+    """Unit-pivot elimination, with the column-subset expansion behind it,
+    gives the cofactor determinant exactly, units and non-units alike."""
+    rng = seeded(28)
+    units = {True: 0, False: 0}
+    for ring in rings.values():
+        for n in range(1, 7):
+            for _ in range(12 if n < 6 else 3):
+                M = _random_square(ring, n, rng)
+                expected = _ref_det(ring, M)
+                assert mx.mat_det(ring, M) == expected, (ring.spec, M)
+                units[expected.is_unit()] += 1
+    assert units[True] >= 200 and units[False] >= 400, units
+
+
+def test_congruence_checker_applies_the_determinant_rule(rings):
+    """With A = B = 0, M^T A M = B for every M, so the check accepts exactly
+    when det M is a unit and otherwise names the determinant."""
+    rng = seeded(29)
+    outcomes = {}
+    for ring in rings.values():
+        for n in range(1, 6):
+            zero = ((ring.zero,) * n,) * n
+            for _ in range(10):
+                M = _random_square(ring, n, rng)
+                if _ref_det(ring, M).is_unit():
+                    expected = (True, "ok")
+                else:
+                    expected = (False, "witness determinant is not a unit")
+                assert check_congruence(ring, zero, zero, M) == expected, (ring.spec, M)
+                outcomes[expected[0]] = outcomes.get(expected[0], 0) + 1
+    assert outcomes[True] >= 150 and outcomes[False] >= 300, outcomes
+
+
+def test_dense_rank_20_space_is_fast():
+    """A dense random rank-20 space over Z/9: the unit determinant, the
+    diagonalization and the stable diagonalization, each with its witness
+    checked, are cubic in the rank."""
+    ring = parse_ring("Z/9")
+    rng, n = seeded(30), 20
+    entries = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
+    gram = tuple(tuple(entries[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    start = time.monotonic()
+    space = BilinearSpace(ring, gram)
+    report, witness = diagonalize(space)
+    units, r, stable_witness = stable_diagonalize(space)
+    assert time.monotonic() - start < 1.0
+    assert report.l + 2 * report.r == n and len(units) == n + r
+    assert witness.check() == (True, "ok") and stable_witness.check() == (True, "ok")

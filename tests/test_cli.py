@@ -64,6 +64,13 @@ def test_diagonalize(capsys):
     assert len(data["blocks"]) == 1
 
 
+def test_diagonalize_reports_the_degenerate_determinant(capsys):
+    """det [[1, 1], [1, 7]] = 7 - 1 = 6 over Z/9, not its negative 3."""
+    code, data = run_cli(capsys, "diagonalize", "--ring", "Z/9", "--gram", "[[1,1],[1,7]]")
+    assert code == 2
+    assert data["error"] == "det = 6 is not a unit of Z/9"
+
+
 def test_chain_roundtrip_and_verify(tmp_path, capsys):
     gram = json.dumps([[1, 0], [0, 1]])
     frm = json.dumps([[1, 0], [0, 1]])

@@ -711,6 +711,26 @@ def test_gw_class_congruence_invariant_and_additive():
                 assert gw_class(S, s) == gw_class(S2, s), (spec, A, M)
 
 
+def test_gw_class_never_expands_over_column_subsets(monkeypatch):
+    """On nondegenerate forms every determinant on the gw_class route finds
+    a unit pivot in each column, so the column-subset fallback of mat_det,
+    made to fail here, is never reached."""
+    rng = seeded(28)
+    for spec in MATRIX_SPECS:
+        ring = parse_ring(spec)
+        s = gw_structure(ring)
+        spaces = [BilinearSpace(ring, _random_invertible(ring, n, rng, symmetric=True))
+                  for n in (1, 2, 3, 4, 6) for _ in range(4)]
+        with monkeypatch.context() as patch:
+            patch.setattr(mx, "_subset_det", _fail)
+            for space in spaces:
+                gw_class(space, s)
+
+
+def _fail(*args):
+    raise AssertionError("mat_det expanded over column subsets")
+
+
 def _random_invertible(ring, n, rng, symmetric=False):
     while True:
         A = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]

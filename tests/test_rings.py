@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import sys
 
 import pytest
@@ -90,6 +91,17 @@ def test_whitespace_insensitive_and_canonical_spec():
     assert R2.spec == "GF(2)[x]/(x^4)"
     assert parse_ring("Z/9").spec == "Z/9"
     assert parse_ring("GF(4)").spec == "GF(4)"
+
+
+def test_spec_whitespace_is_every_isspace_code_point():
+    """parse_ring strips with str.split(), which removes exactly what the
+    regex \\s+ removed: the code points whose isspace() is true."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(everything.split()) == re.sub(r"\s+", "", everything)
+    spaces = [c for c in everything if c.isspace()]
+    assert len(spaces) >= 25
+    for c in spaces:
+        assert parse_ring(f"{c}Z/{c}{c}9{c}") is parse_ring("Z/9")
 
 
 def test_mul_example_from_counterexample_ring():
