@@ -28,10 +28,9 @@ and otherwise ``ChainUnreachableError`` is a proof.  Over residue F_2 it is
 a proof too, since reduction maps a chain over R to a chain over F_2.
 
 Over a field other than F_2 one minimal-support loop serves both
-characteristics: it contracts the first target vector into the current
-tuple pair by pair, then recurses on its complement.  Characteristic 2
-adds a rescaling to q = 1 and the hat-basis escape; dimension 3 in
-characteristic 2 has its own construction.
+characteristics and every dimension: it contracts the first target vector
+into the current tuple pair by pair, then recurses on its complement.
+Characteristic 2 adds a rescaling to q = 1 and the hat-basis escape.
 
 Inside this module a vector is a tuple of carrier indices (see ``rings``):
 builders and checker compute on them through the ring's tables and
@@ -288,6 +287,9 @@ def elementary_move(basis: OrthogonalBasis, eps: RingElement, i: int, j: int) ->
     ring = space.ring
     if eps.is_unit():
         raise NotInMaximalIdealError("eps must lie in the maximal ideal")
+    n = len(basis.indices)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ChainError(f"positions must lie in range({n})")
     if i == j:
         raise ChainError("positions must differ")
     (e,) = _indices_of(ring, (eps,))
@@ -581,41 +583,32 @@ def find_nonvanishing_vector(field: LocalRing, forms):
         raise BadParametersError("forms must be nontrivial")
     add, mul = field.add, field.mul
 
-    def evaluate(f, v):
+    def value(f, v):
         acc = 0
         for c, x in zip(f, v):
             acc = add[acc][mul[mul[c][x]][x]]
         return acc
 
-    fns = [lambda v, f=f: evaluate(f, v) for f in forms]
-    return _elements(field, _find_nonvanishing_core(field, n, fns))
-
-
-def _find_nonvanishing_core(field, n, form_fns):
-    """Recursion from the epsilon-selection proof; forms are callables on index
-    tuples, additive under + (diagonalisable in characteristic 2)."""
-    elems = range(field.size)
-
-    def some_nonzero(fn):
-        for v in itertools.product(elems, repeat=n):
-            if fn(v):
-                return v
-        raise BadParametersError("form is trivial")
-
-    r = len(form_fns)
-    if r == 1:
-        return some_nonzero(form_fns[0])
-    v1 = _find_nonvanishing_core(field, n, form_fns[:-1])
-    last = form_fns[-1]
-    if last(v1):
-        return v1
-    v2 = some_nonzero(last)
-    mul = field.mul
-    forbidden = {mul[fn(v2)][field._rinv(fn(v1))] for fn in form_fns[:-1]}
-    eps = next((e for e in elems if mul[e][e] not in forbidden), None)
-    if eps is None:  # pragma: no cover - |F| >= r guarantees existence
-        raise FieldTooSmallError("no epsilon available")
-    return _lincomb(field, (v1, v2), (eps, 1))
+    # the epsilon-selection proof, one form at a time: in characteristic 2
+    # f(eps v + w) = eps^2 f(v) + f(w), so when f(v) = 0 the vector
+    # eps v + w, with f(w) != 0, keeps f nonzero and an earlier form g
+    # nonzero unless eps^2 = g(w) / g(v); squaring is a bijection and |F|
+    # is at least the number of forms, so some eps avoids every quotient
+    v = None
+    for r, f in enumerate(forms):
+        if v is not None and value(f, v):
+            continue
+        # e_j for the last j with f[j] != 0 is the lexicographically first
+        # vector on which f is nonzero
+        j = max(i for i, c in enumerate(f) if c)
+        w = tuple(int(i == j) for i in range(n))
+        if v is None:
+            v = w
+            continue
+        forbidden = {mul[value(g, w)][field._rinv(value(g, v))] for g in forms[:r]}
+        eps = next(e for e in range(field.size) if mul[e][e] not in forbidden)
+        v = _lincomb(field, (v, w), (eps, 1))
+    return _elements(field, v)
 
 
 def _rescale_steps(space, vectors):
@@ -691,7 +684,7 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
 
 def _field_chain_core(space, tup_a, tup_b):
     """Steps connecting two orthogonal tuples spanning the same subspace of
-    a space over a finite field.  Dispatches on dimension and characteristic."""
+    a space over a finite field; over F_2 only tuples equal as sets."""
     if frozenset(tup_a) == frozenset(tup_b):
         return [tup_a]
     k = len(tup_a)
@@ -700,8 +693,6 @@ def _field_chain_core(space, tup_a, tup_b):
     field = space.ring
     if field.size == 2:  # every basis is its own component (module docstring)
         raise ChainUnreachableError("endpoints lie in different chain components over F_2")
-    if field.size % 2 == 0 and k == 3:
-        return _field_chain_dim3_char2(space, tup_a, tup_b)
     return _field_chain_contract(space, tup_a, tup_b)
 
 
@@ -713,11 +704,17 @@ def _field_chain_contract(space, tup_a, tup_b):
     z = c_i u_i + c_j u_j of w1 is anisotropic by z and its complement in
     their plane, until w1 itself is in the tuple.  In odd characteristic
     such a pair always exists (on a support of size 2, z is w1), and a
-    support of size 1 takes one rescaling step.  In characteristic 2
-    (dimension >= 4) both tuples are first rescaled to q = 1 and every new
-    vector is normalized back to q = 1, so q(z) = (c_i + c_j)^2; when all
-    support coefficients agree, the hat basis of the support plus one more
-    vector contains w1.
+    support of size 1 takes one rescaling step.  In characteristic 2 both
+    tuples are first rescaled to q = 1 and every new vector is normalized
+    back to q = 1, so q(z) = (c_i + c_j)^2, and q(w1) = 1 gives
+    sum c_i = 1.  A support of size 1 then has c^2 = 1, so w1 is already in
+    the tuple; on a support of size 2, c_i + c_j = 1 and the pair
+    contracts.  When all support coefficients agree, the hat basis of the
+    support plus one more vector contains w1.  That support is never the
+    whole tuple: then w1 = sum u_i, every vector orthogonal to w1 has
+    coordinate sum 0 and so is isotropic, against the anisotropic
+    tup_b[1:].  So in dimension 3 some pair has c_i != c_j and the hat
+    escape never runs.
     """
     field = space.ring
     residue = field.residue_of
@@ -728,12 +725,14 @@ def _field_chain_contract(space, tup_a, tup_b):
         steps.extend(resc_a)
         resc_b, target = _rescale_steps(space, tup_b)
         normalize = functools.partial(_normalize_q1, space)
+        q_inverses = (field.one.data,) * len(cur)  # every vector of cur keeps q = 1
     else:
         resc_b, cur, target = [], tup_a, tup_b
         normalize = lambda v: v
+        q_inverses = None
     w1 = target[0]
     while w1 not in cur:
-        coords = _coords_in(space, cur, w1)
+        coords = _coords_in(space, cur, w1, q_inverses)
         supp = [i for i, c in enumerate(coords) if c]
         if len(supp) == 1:  # odd characteristic only: q = 1 forces w1 = cur[i]
             work = list(cur)
@@ -776,46 +775,6 @@ def _field_chain_contract(space, tup_a, tup_b):
         steps.append(t)
     if frozenset(steps[-1]) != frozenset(tup_b):
         steps.append(tup_b)
-    return steps
-
-
-def _field_chain_dim3_char2(space, tup_a, tup_b):
-    """Dimension 3 over a characteristic-2 field: pick a common head vector
-    avoiding the vanishing loci of both partial-sum families."""
-    field = space.ring
-    add, mul = field.add, field.mul
-
-    def partial_forms(tup):
-        qs = [_b(space, u, u) for u in tup]
-        q_inverses = [field._rinv(q) for q in qs]
-        fns = []
-        for r in (2, 3):
-            def fn(z, r=r):
-                coords = _coords_in(space, tup, z, q_inverses)
-                acc = 0
-                for i in range(r):
-                    acc = add[acc][mul[mul[coords[i]][coords[i]]][qs[i]]]
-                return acc
-            fns.append(fn)
-        return fns
-
-    fns = partial_forms(tup_a) + partial_forms(tup_b)
-    if field.size < len(fns):
-        raise FieldTooSmallError("field too small for the dimension-3 construction")
-    z = _find_nonvanishing_core(field, space.n, fns)
-    # z is expressed in ambient coordinates already
-    ca = _coords_in(space, tup_a, z)
-    cb = _coords_in(space, tup_b, z)
-    steps_a, ta = _extend_core(space, tup_a, ca)
-    steps_b, tb = _extend_core(space, tup_b, cb)
-    if ta[0] != tb[0]:  # pragma: no cover
-        raise ChainError("dimension-3 heads disagree")
-    steps = list(steps_a)
-    # reorder ta, tb head-first is already done by _extend_core
-    if frozenset(ta) != frozenset(tb):
-        steps.append(tb)
-    for t in reversed(steps_b[:-1]):
-        steps.append(t)
     return steps
 
 

@@ -4,7 +4,7 @@ Matrices are tuples of row tuples of RingElement.  Everything here relies
 on the local property: an invertible matrix always admits a unit pivot in
 every elimination step (otherwise its determinant would sit in the maximal
 ideal); ``mat_det`` eliminates on such pivots and expands over column
-subsets only what is left once a column has none.  ``Echelon`` is the
+subsets only what is left once no entry is a unit.  ``Echelon`` is the
 elimination that solves: a unit-pivot reduced echelon form on element data
 that grows a row at a time.  mat_inverse, kernel_basis and solve_field are
 entry points over it, and the orthogonal complements of ``bilinear`` and
@@ -54,10 +54,12 @@ def mat_det(ring: LocalRing, A) -> RingElement:
 
     Over a local ring an entry is a unit iff its residue is nonzero, so
     while every column has a unit pivot this is O(n^3) lookups: the
-    determinant is the signed product of the pivots, a row swap negates it
-    and r_i -= f * r_k keeps it.  When a column has no unit left below the
-    pivots, det A lies in the maximal ideal, and the rest of the matrix is
-    expanded exactly over column subsets (``_subset_det``)."""
+    determinant is the signed product of the pivots, a row or column swap
+    negates it and r_i -= f * r_k keeps it.  A column with no unit left
+    below the pivots trades places with a later column that has one; only
+    when no entry left is a unit is the rest of the matrix expanded exactly
+    over column subsets (``_subset_det``), where every product of more
+    entries than the nilpotency index of the maximal ideal vanishes."""
     n = len(A)
     add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
     rows = [[e.data for e in row] for row in A]
@@ -67,7 +69,10 @@ def mat_det(ring: LocalRing, A) -> RingElement:
             if residue[rows[p][k]]:
                 break
         else:
-            return ring.elems[mul[det][_subset_det(ring, [row[k:] for row in rows[k:]])]]
+            p = _swap_in_unit_column(residue, rows, k)
+            if p is None:
+                return ring.elems[mul[det][_subset_det(ring, [row[k:] for row in rows[k:]])]]
+            det = neg[det]
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
             det = neg[det]
@@ -85,6 +90,19 @@ def mat_det(ring: LocalRing, A) -> RingElement:
     return ring.elems[det]
 
 
+def _swap_in_unit_column(residue, rows, k):
+    """Swap column k of rows[k:] with the first later column that has a unit
+    there; the row of that unit, or None when rows[k:] has no unit at all."""
+    n = len(rows)
+    for j in range(k + 1, n):
+        for p in range(k, n):
+            if residue[rows[p][j]]:
+                for row in rows[k:]:
+                    row[k], row[j] = row[j], row[k]
+                return p
+    return None
+
+
 def _subset_det(ring: LocalRing, rows) -> int:
     """The determinant of a square matrix of carrier indices, as an index,
     by expansion over column subsets: O(2^n n), exact over any ring."""
@@ -92,7 +110,9 @@ def _subset_det(ring: LocalRing, rows) -> int:
     add, mul, neg = ring.add, ring.mul, ring.neg
     # row by row, the signed sum of the products that use each column set
     # (a bitmask); choosing column j after the columns of ``mask`` adds one
-    # inversion for each used column to the right of j
+    # inversion for each used column to the right of j.  Zero products are
+    # dropped, so on entries in the maximal ideal the sets die out within
+    # its nilpotency index
     prev = {0: 1}
     for row in rows:
         cur: dict = {}
@@ -100,9 +120,11 @@ def _subset_det(ring: LocalRing, rows) -> int:
             prod = mul[val]
             for j, a in enumerate(row):
                 bit = 1 << j
-                if mask & bit or not a:
+                if mask & bit:
                     continue
                 term = prod[a]
+                if not term:
+                    continue
                 if (mask >> (j + 1)).bit_count() % 2:
                     term = neg[term]
                 key = mask | bit

@@ -403,6 +403,16 @@ def test_elementary_move_rejects_unit_eps():
         elementary_move(B, Z9.one, 0, 1)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 2), (5, 0), (0, 3), (1, 1)])
+def test_elementary_move_rejects_positions_outside_the_basis(i, j):
+    # Python indexes with -1 too, so an unchecked (-1, 2) names u_2 twice
+    # and returns (1 - eps) u_2 in its slot instead of an elementary move
+    Z9 = parse_ring("Z/9")
+    B = standard_basis(BilinearSpace.diagonal(Z9, (Z9.one, Z9.from_int(2), Z9.one)))
+    with pytest.raises(ChainError, match="positions must"):
+        elementary_move(B, Z9.from_int(3), i, j)
+
+
 def test_chain_equal_mod_m_identity():
     Z9 = parse_ring("Z/9")
     B = standard_basis(ident_space(Z9, 3))
@@ -799,8 +809,8 @@ def test_chain_field_matrix_random():
 # ---------------------------------------------------------------------------
 # the single contraction loop against the two per-characteristic loops it
 # replaced, kept here as the reference (minus their unreachable guards), on
-# elements; the shared pieces it calls (_hat_core, the dimension-3 case) run
-# on index tuples and are read back as elements
+# elements, in every dimension >= 3; the one shared piece it calls,
+# _hat_core, runs on index tuples and is read back as elements
 # ---------------------------------------------------------------------------
 
 
@@ -841,9 +851,6 @@ def _ref_field_chain_core(space, tup_a, tup_b):
         return [tup_a, tup_b]
     if space.ring.size % 2:
         return _ref_field_chain_odd(space, tup_a, tup_b)
-    if k == 3:
-        steps = chains._field_chain_dim3_char2(space, _idx(tup_a), _idx(tup_b))
-        return [_els(space.ring, t) for t in steps]
     return _ref_field_chain_char2(space, tup_a, tup_b)
 
 
@@ -974,6 +981,60 @@ def test_contraction_loop_matches_per_characteristic_loops(spec, monkeypatch):
             m.setattr(chains, "_field_chain_core", ref_on_indices)
             want = _ref_field_chain_core(S, A.vectors, B.vectors)
         assert [_els(field, t) for t in got] == want
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(4)[y]/(y^2)", "GF(16)"])
+def test_char2_chains_never_search_for_a_nonvanishing_vector(spec, monkeypatch):
+    """Every dimension takes the contraction loop in characteristic 2, so a
+    chain is built with every nonvanishing-vector search in ``chains``
+    disabled."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a chain builder searched for a nonvanishing vector")
+
+    for name in dir(chains):
+        if "nonvanishing" in name:
+            monkeypatch.setattr(chains, name, disabled)
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()))
+    for n in (3, 4, 5):
+        S = random_diagonal_space(ring, n, rng)
+        chain_local(random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng))
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)"])
+def test_dimension_3_char2_contraction_on_all_basis_pairs(spec):
+    """The contraction loop joins every ordered pair of orthogonal bases of
+    <1,1,1> over GF(4) (all 270 bases), and over GF(8) every ordered pair
+    of a fixed sample of 40 bases, by a chain ``verify_chain`` accepts.
+
+    ``verify_chain`` checks each basis, each consecutive overlap and the
+    two endpoints, so a chain passes exactly when its endpoints hold the
+    vectors of A and B and ``verify_chain`` accepts each of its windows
+    of two bases (its one basis, if it has no step).  The chains share
+    most of their windows, so each distinct window is checked once."""
+    field = parse_ring(spec)
+    S = ident_space(field, 3)
+    if field.size == 4:
+        bases = [OrthogonalBasis._of(S, tuple(sorted(_idx(b)))) for b in all_orthogonal_bases(S)]
+        assert len(bases) == 270
+    else:
+        rng = seeded(8)
+        bases = [random_orthogonal_basis(S, rng) for _ in range(40)]
+    verdicts = {}
+
+    def verified(window):
+        if window not in verdicts:
+            chain = Chain(S, [OrthogonalBasis._of(S, t) for t in window])
+            verdicts[window] = verify_chain(chain, chain.bases[0], chain.bases[-1])
+        return verdicts[window]
+
+    for A, B in itertools.product(bases, repeat=2):
+        steps = chains._field_chain_core(S, A.indices, B.indices)
+        assert set(steps[0]) == set(A.indices) and set(steps[-1]) == set(B.indices), (A, B)
+        for window in zip(steps, steps[1:]) if len(steps) > 1 else [(steps[0],)]:
+            ok, msg = verified(window)
+            assert ok, (A, B, window, msg)
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(16)"])
@@ -1563,19 +1624,30 @@ def test_golden_certificates_round_trip_byte_identically(name):
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
-@pytest.mark.parametrize("name", ["chain_z9_n4.json", "chain_gf4y2_n4.json"])
+# GF(4) in the benchmark checker's grammar: its elements are coded as the
+# same coefficient lists over F_2
+_RINGCHECK_SPELLING = {"GF(4)": "GF(2)[x]/(x^2+x+1)"}
+
+
+@pytest.mark.parametrize(
+    "name", ["chain_z9_n4.json", "chain_gf4y2_n4.json", "chain_f4_hat_n4.json"]
+)
 def test_golden_lifted_certificates_pass_verify_and_the_bench_checker(name, capsys):
-    """The lifted golden certificates (over rings the benchmark's checker
-    can spell) pass ``witt-lab verify`` and that independent checker,
-    against the endpoints their command was given."""
+    """The lifted golden certificates, and the characteristic-2 field chain
+    e -> e-hat, pass ``witt-lab verify`` and the benchmark's independent
+    checker, against the endpoints their command was given."""
     path = GOLDEN / name
     doc = json.loads(path.read_text(encoding="utf-8"))
-    config = doc["config"]
-    ring = ringcheck.Ring(config["ring"])
+    config, certificate = doc["config"], doc["certificate"]
+    assert certificate["ring"] == config["ring"]
+    spec = _RINGCHECK_SPELLING.get(config["ring"], config["ring"])
+    if spec != config["ring"]:
+        certificate = dict(certificate, ring=spec)
+    ring = ringcheck.Ring(spec)
     gram, start, end = (
         ring.mat_from_json(json.loads(config[key])) for key in ("gram", "from-basis", "to-basis")
     )
-    ringcheck.check_chain_certificate(ring, gram, start, end, doc["certificate"])
+    ringcheck.check_chain_certificate(ring, gram, start, end, certificate)
     assert run(["verify", "--cert", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
 

@@ -71,6 +71,23 @@ def test_diagonalize_reports_the_degenerate_determinant(capsys):
     assert data["error"] == "det = 6 is not a unit of Z/9"
 
 
+def test_diagonalize_refuses_a_large_degenerate_gram_at_once(capsys):
+    """A 22 x 22 Gram over Z/9 whose first row and column lie in 3Z/9 is
+    degenerate; its determinant swaps a later unit column in rather than
+    expanding over 2^22 column subsets."""
+    rng = random.Random(22)
+    n = 22
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.choice((0, 3, 6)) if i == 0 else rng.randrange(9)
+    t0 = time.perf_counter()
+    code, data = run_cli(capsys, "diagonalize", "--ring", "Z/9", "--gram", json.dumps(gram))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert data["error"].startswith("det = ") and data["error"].endswith(" is not a unit of Z/9")
+
+
 def test_chain_roundtrip_and_verify(tmp_path, capsys):
     gram = json.dumps([[1, 0], [0, 1]])
     frm = json.dumps([[1, 0], [0, 1]])
