@@ -8,8 +8,10 @@ point that returns it; the private cores behind `diagonalize` and
 `resolve_block` return unchecked columns and matrices, so
 `stable_diagonalize` composes them and checks only its final witness.
 `certify._b` (behind `eval_b`), `_gram_row` and `_lincomb` work on vectors
-of carrier indices through the ring's tables (see `rings`), as do the
-recursion behind `diagonalize` and the chain engine (see `chains`).
+of carrier indices through the ring's tables (see `rings`), as do the chain
+engine (see `chains`) and the elimination behind `diagonalize`, which
+updates the Gram matrix of its current basis in place and so never
+evaluates b on ambient vectors.
 
 Exhaustive searches share one limit policy.  None runs where |R|^n exceeds
 `SEARCH_SPACE_CAP`: `is_isometric` answers "unknown" at once, and
@@ -301,73 +303,136 @@ def _complement_within(space, basis, chosen):
     return tuple(_lincomb(space.ring, basis, coeffs) for coeffs in kernel)
 
 
-def _find_anisotropic(space, basis):
-    """First vector of span(basis) with unit q-value in the order of a
-    carrier scan over coefficient tuples (the first coefficient most
-    significant, 0 and 1 the first carrier elements): a vector of `basis`,
-    else basis[a] + basis[j] for the first pair (a, j), a < j, with a unit
-    pairing when a and j both run downward.  Vectors are index tuples.
+def _anisotropic_pivot(ring, G):
+    """Positions of the basis vectors whose sum is the first vector of unit
+    q-value in the order of a carrier scan over coordinate tuples (the first
+    coordinate most significant, 0 and 1 the first carrier elements), for
+    the Gram matrix G of a basis in carrier indices: (i,) for the first i
+    with G_ii a unit, else (a, j) for the first pair a < j with G_aj a unit
+    when a and j both run downward; None when no vector has a unit q-value.
 
-    When every q(basis_i) is in the maximal ideal, q(sum c_i basis_i) is
-    2 * sum_{i<k} c_i c_k b(basis_i, basis_k) modulo the ideal.  In residue
-    characteristic 2 that is in the ideal, so no vector qualifies.  Otherwise
-    the first tuple's leading nonzero slot is the last a that pairs to a unit
-    with a later vector, and its only other nonzero slot is the last such j.
+    When every G_ii is in the maximal ideal, q(sum c_i v_i) is
+    2 * sum_{i<k} c_i c_k G_ik modulo the ideal.  In residue characteristic 2
+    that is in the ideal, so no vector qualifies.  Otherwise the first
+    tuple's leading nonzero slot is the last a that pairs to a unit with a
+    later vector, and its only other nonzero slot is the last such j.
     """
-    ring = space.ring
     residue = ring.residue_of
-    for v in basis:
-        if residue[_b(space, v, v)]:
-            return v
+    for i, row in enumerate(G):
+        if residue[row[i]]:
+            return (i,)
     if ring.residue_field().size % 2 == 0:
         return None
-    for a in reversed(range(len(basis))):
-        for j in reversed(range(a + 1, len(basis))):
-            if residue[_b(space, basis[a], basis[j])]:
-                return _lincomb(ring, (basis[a], basis[j]), (1, 1))
+    for a in reversed(range(len(G))):
+        row = G[a]
+        for j in reversed(range(a + 1, len(G))):
+            if residue[row[j]]:
+                return (a, j)
     return None
+
+
+def _eliminate(ring, G, basis, r):
+    """One congruence elimination step, in place on `basis` (ambient index
+    tuples v_f) and on G, its Gram matrix (lists of carrier indices).
+
+    r is the row (b(p, v_f))_f of a vector p of the span, with c its first
+    unit column: v_c goes, each other v_f becomes w_f = v_f - alpha_f v_c
+    with alpha = r / r_c, and G becomes the Gram matrix of the w_f, so
+    b(w_f, w_g) = G_fg - alpha_g G_fc - alpha_f G_cg + alpha_f alpha_g G_cc:
+    a row step R_f = G_f - alpha_f G_c, then a column step
+    R_fg - alpha_g R_fc.  Returns (b(w_f, v_c))_f, which is R_fc.
+    """
+    add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
+    c = next(f for f, x in enumerate(r) if residue[x])
+    scale = mul[ring._rinv(r[c])]
+    alpha = [scale[x] for x in r]
+    del alpha[c]
+    vc, gc = basis.pop(c), G.pop(c)
+    pivot_col = []
+    for f, a in enumerate(alpha):
+        row = G[f]
+        if a:
+            s = mul[neg[a]]
+            basis[f] = tuple([add[x][s[y]] for x, y in zip(basis[f], vc)])
+            row = [add[x][s[y]] for x, y in zip(row, gc)]
+        k = row.pop(c)
+        pivot_col.append(k)
+        if k:
+            s = mul[neg[k]]
+            row = [add[x][s[y]] for x, y in zip(row, alpha)]
+        G[f] = row
+    return pivot_col
 
 
 def _diagonalize(space: BilinearSpace):
     """Unchecked core of `diagonalize`: (units, blocks, unit_cols,
     block_cols), where unit_cols[i] has q-value units[i] and the pair
     block_cols[k] = (x, y) spans the block [[a,1],[1,b]] of blocks[k];
-    the columns are index tuples."""
-    ring = space.ring
-    residue, elems = ring.residue_of, ring.elems
-    unit_cols: list = []
-    block_cols: list = []
-    blocks: list = []
+    the columns are index tuples.
 
-    def rec(basis):
-        if not basis:
-            return
-        pivot = _find_anisotropic(space, basis)
+    Symmetric elimination on the current basis, starting from the standard
+    one, and on G, its Gram matrix in basis coordinates (`_eliminate`).  A
+    pivot p from `_anisotropic_pivot` is split off with the row r = G_i, or
+    G_a + G_j for p = v_a + v_j, and q(p) = r_i, or r_a + r_j.  When every
+    G_ii and (in odd residue characteristic) every G_aj is in the maximal
+    ideal, the first pair (i, j) in `combinations` order with G_ij a unit
+    gives x = v_i and y = v_j / G_ij, split off by two steps: on r = G_i,
+    then on the row of v_j over the new basis.  The first unit column of G_i
+    is j, since the pairs before (i, j) and G_ii are in the ideal.
+
+    Each step leaves the basis that ``Echelon(...).kernel()`` gives for the
+    rows of the chosen vectors on the current basis, which is the
+    orthogonal complement of those vectors inside its span.  For the one
+    row r, Echelon scales r by 1 / r_c at its first unit column c and gives,
+    for each free column f in increasing order, the vector with 1 at f, 0
+    at the other free columns and -r_f / r_c at c: the coordinates of w_f.
+    For the rows of x and y, a kernel vector of Echelon is the only vector
+    of the kernel with its coordinates on the free columns, since the
+    reduced rows fix those at the pivots.  The first step pivots on j; the
+    row of y reduced on it is, at f != j, (G_jf - alpha_f G_jj) / G_ij =
+    b(y, w_f), so the second step pivots where Echelon's second row does,
+    and its vectors lie in the kernel of both rows with 1 at f and 0 at the
+    other free columns.  So both give the same vectors in the same order.
+    """
+    ring = space.ring
+    add, mul, elems = ring.add, ring.mul, ring.elems
+    G = [[e.data for e in row] for row in space.gram]
+    basis = list(_standard_basis(space.n))
+    units: list = []
+    unit_cols: list = []
+    blocks: list = []
+    block_cols: list = []
+    while G:
+        pivot = _anisotropic_pivot(ring, G)
         if pivot is not None:
-            unit_cols.append(pivot)
-            rest = _complement_within(space, basis, (pivot,))
-            rec(rest)
-            return
-        # all q-values in the maximal ideal: split off a rank-2 block
+            if len(pivot) == 1:
+                i, = pivot
+                r, q, p = G[i], G[i][i], basis[i]
+            else:
+                a, j = pivot
+                r = [add[x][y] for x, y in zip(G[a], G[j])]
+                q, p = add[r[a]][r[j]], _lincomb(ring, (basis[a], basis[j]), (1, 1))
+            units.append(elems[q])
+            unit_cols.append(p)
+            _eliminate(ring, G, basis, r)
+            continue
+        # every q-value in the maximal ideal: split off a rank-2 block
         pair = next((
-            (i, j) for i, j in itertools.combinations(range(len(basis)), 2)
-            if residue[_b(space, basis[i], basis[j])]
+            (i, j) for i, j in itertools.combinations(range(len(G)), 2)
+            if ring.residue_of[G[i][j]]
         ), None)
         if pair is None:
             raise DegenerateError("no unit pairing found; form is degenerate")
-        x, w = basis[pair[0]], basis[pair[1]]
-        y = _lincomb(ring, (w,), (ring._rinv(_b(space, x, w)),))
-        blocks.append((elems[_b(space, x, x)], elems[_b(space, y, y)]))
+        i, j = pair
+        inv = ring._rinv(G[i][j])
+        x, y = basis[i], _lincomb(ring, (basis[j],), (inv,))
+        blocks.append((elems[G[i][i]], elems[mul[mul[inv][inv]][G[j][j]]]))
         block_cols.append((x, y))
-        rest = _complement_within(space, basis, (x, y))
-        rec(rest)
-
-    rec(_standard_basis(space.n))
+        _eliminate(ring, G, basis, _eliminate(ring, G, basis, G[i]))
     for a, b in blocks:
         if a.is_unit() or b.is_unit():
             raise BilinearError("residual block entries must be in the maximal ideal")
-    units = tuple(elems[_b(space, v, v)] for v in unit_cols)
-    return units, tuple(blocks), unit_cols, block_cols
+    return tuple(units), tuple(blocks), unit_cols, block_cols
 
 
 def diagonalize(space: BilinearSpace):

@@ -684,16 +684,22 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
 
 def _field_chain_core(space, tup_a, tup_b):
     """Steps connecting two orthogonal tuples spanning the same subspace of
-    a space over a finite field; over F_2 only tuples equal as sets."""
-    if frozenset(tup_a) == frozenset(tup_b):
-        return [tup_a]
-    k = len(tup_a)
-    if k <= 2:
-        return [tup_a, tup_b]
+    a space over a finite field; over F_2 only tuples equal as sets.  In
+    characteristic 2 both tuples are rescaled to q = 1 here, once, and the
+    contraction runs between the rescaled tuples."""
     field = space.ring
+    # the contraction returns at once on tuples equal as sets or of length <= 2
+    if field.size % 2 or len(tup_a) <= 2 or frozenset(tup_a) == frozenset(tup_b):
+        return _field_chain_contract(space, tup_a, tup_b)
     if field.size == 2:  # every basis is its own component (module docstring)
         raise ChainUnreachableError("endpoints lie in different chain components over F_2")
-    return _field_chain_contract(space, tup_a, tup_b)
+    resc_a, cur = _rescale_steps(space, tup_a)
+    resc_b, target = _rescale_steps(space, tup_b)
+    steps = [tup_a] + resc_a + _field_chain_contract(space, cur, target)[1:]
+    steps.extend(reversed(resc_b))
+    if frozenset(steps[-1]) != frozenset(tup_b):
+        steps.append(tup_b)
+    return steps
 
 
 def _field_chain_contract(space, tup_a, tup_b):
@@ -705,32 +711,34 @@ def _field_chain_contract(space, tup_a, tup_b):
     their plane, until w1 itself is in the tuple.  In odd characteristic
     such a pair always exists (on a support of size 2, z is w1), and a
     support of size 1 takes one rescaling step.  In characteristic 2 both
-    tuples are first rescaled to q = 1 and every new vector is normalized
-    back to q = 1, so q(z) = (c_i + c_j)^2, and q(w1) = 1 gives
-    sum c_i = 1.  A support of size 1 then has c^2 = 1, so w1 is already in
-    the tuple; on a support of size 2, c_i + c_j = 1 and the pair
-    contracts.  When all support coefficients agree, the hat basis of the
-    support plus one more vector contains w1.  That support is never the
-    whole tuple: then w1 = sum u_i, every vector orthogonal to w1 has
+    tuples have q = 1 (``_field_chain_core`` rescales them) and every new
+    vector is normalized back to q = 1, so q(z) = (c_i + c_j)^2: the pair
+    test is c_i != c_j, and z is formed for the chosen pair alone.  And
+    q(w1) = 1 gives sum c_i = 1.  A support of size 1 then has c^2 = 1, so
+    w1 is already in the tuple; on a support of size 2, c_i + c_j = 1 and
+    the pair contracts.  When all support coefficients agree, the hat basis
+    of the support plus one more vector contains w1.  That support is never
+    the whole tuple: then w1 = sum u_i, every vector orthogonal to w1 has
     coordinate sum 0 and so is isotropic, against the anisotropic
     tup_b[1:].  So in dimension 3 some pair has c_i != c_j and the hat
     escape never runs.
     """
+    if frozenset(tup_a) == frozenset(tup_b):
+        return [tup_a]
+    if len(tup_a) <= 2:
+        return [tup_a, tup_b]
     field = space.ring
     residue = field.residue_of
     char2 = field.size % 2 == 0
     steps = [tup_a]
+    cur = tup_a
     if char2:
-        resc_a, cur = _rescale_steps(space, tup_a)
-        steps.extend(resc_a)
-        resc_b, target = _rescale_steps(space, tup_b)
         normalize = functools.partial(_normalize_q1, space)
         q_inverses = (field.one.data,) * len(cur)  # every vector of cur keeps q = 1
     else:
-        resc_b, cur, target = [], tup_a, tup_b
         normalize = lambda v: v
         q_inverses = None
-    w1 = target[0]
+    w1 = tup_b[0]
     while w1 not in cur:
         coords = _coords_in(space, cur, w1, q_inverses)
         supp = [i for i, c in enumerate(coords) if c]
@@ -741,8 +749,9 @@ def _field_chain_contract(space, tup_a, tup_b):
             steps.append(cur)
             break
         parts = ((i, j, _lincomb(field, (cur[i], cur[j]), (coords[i], coords[j])))
-                 for i, j in itertools.combinations(supp, 2))
-        pair = next(((i, j, z) for i, j, z in parts if residue[_b(space, z, z)]), None)
+                 for i, j in itertools.combinations(supp, 2)
+                 if not char2 or coords[i] != coords[j])
+        pair = next(((i, j, z) for i, j, z in parts if char2 or residue[_b(space, z, z)]), None)
         if pair is not None:
             i, j, z = pair
             z = normalize(z)
@@ -769,12 +778,8 @@ def _field_chain_contract(space, tup_a, tup_b):
             raise ChainError("hat escape did not produce the target vector")
     # cur contains w1; recurse on its complement
     pos = cur.index(w1)
-    for t in _field_chain_core(space, cur[:pos] + cur[pos + 1:], target[1:])[1:]:
+    for t in _field_chain_contract(space, cur[:pos] + cur[pos + 1:], tup_b[1:])[1:]:
         steps.append((w1,) + t)
-    for t in reversed(resc_b):
-        steps.append(t)
-    if frozenset(steps[-1]) != frozenset(tup_b):
-        steps.append(tup_b)
     return steps
 
 

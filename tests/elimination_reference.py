@@ -5,8 +5,19 @@ first row at or below the current rank whose entry is a unit as its pivot,
 and columns without one are skipped.  Over a local ring the pivot set and
 the reduced form do not depend on the order of the rows, so this and the
 library's row-at-a-time echelon form must agree exactly.
+
+``diagonalize_core`` is the recursive diagonalization that the in-place
+elimination of ``bilinear._diagonalize`` replaced, kept as its reference:
+it evaluates b on ambient vectors and takes each orthogonal complement
+through ``bilinear._complement_within`` (and so ``Echelon``).
 """
 
+import itertools
+
+from wittlab.bilinear import (
+    BilinearError, DegenerateError, _complement_within, _lincomb, _standard_basis,
+)
+from wittlab.certify import _b
 from wittlab.matrices import SingularMatrixError, mat_identity, mat_mul
 
 
@@ -74,3 +85,61 @@ def orthogonal_complement(space, W):
     if not W:
         return space.standard_basis()
     return kernel_basis(space.ring, mat_mul(tuple(W), space.gram))[1]
+
+
+def _find_anisotropic(space, basis):
+    """First vector of span(basis) with unit q-value in the order of a
+    carrier scan over coefficient tuples: a vector of `basis`, else
+    basis[a] + basis[j] for the first pair (a, j), a < j, with a unit
+    pairing when a and j both run downward (none in residue
+    characteristic 2).  Vectors are index tuples."""
+    ring = space.ring
+    residue = ring.residue_of
+    for v in basis:
+        if residue[_b(space, v, v)]:
+            return v
+    if ring.residue_field().size % 2 == 0:
+        return None
+    for a in reversed(range(len(basis))):
+        for j in reversed(range(a + 1, len(basis))):
+            if residue[_b(space, basis[a], basis[j])]:
+                return _lincomb(ring, (basis[a], basis[j]), (1, 1))
+    return None
+
+
+def diagonalize_core(space):
+    """The recursive form of ``bilinear._diagonalize``: split off a pivot
+    or a block, then recurse on its orthogonal complement inside the
+    current basis, evaluating b on ambient vectors throughout."""
+    ring = space.ring
+    residue, elems = ring.residue_of, ring.elems
+    unit_cols: list = []
+    block_cols: list = []
+    blocks: list = []
+
+    def rec(basis):
+        if not basis:
+            return
+        pivot = _find_anisotropic(space, basis)
+        if pivot is not None:
+            unit_cols.append(pivot)
+            rec(_complement_within(space, basis, (pivot,)))
+            return
+        pair = next((
+            (i, j) for i, j in itertools.combinations(range(len(basis)), 2)
+            if residue[_b(space, basis[i], basis[j])]
+        ), None)
+        if pair is None:
+            raise DegenerateError("no unit pairing found; form is degenerate")
+        x, w = basis[pair[0]], basis[pair[1]]
+        y = _lincomb(ring, (w,), (ring._rinv(_b(space, x, w)),))
+        blocks.append((elems[_b(space, x, x)], elems[_b(space, y, y)]))
+        block_cols.append((x, y))
+        rec(_complement_within(space, basis, (x, y)))
+
+    rec(_standard_basis(space.n))
+    for a, b in blocks:
+        if a.is_unit() or b.is_unit():
+            raise BilinearError("residual block entries must be in the maximal ideal")
+    units = tuple(elems[_b(space, v, v)] for v in unit_cols)
+    return units, tuple(blocks), unit_cols, block_cols

@@ -27,7 +27,8 @@ from wittlab.bilinear import BilinearError, NotInMaximalIdealError
 from wittlab import matrices as mx
 from wittlab.certify import check_congruence
 
-from conftest import seeded, vec_combo
+import elimination_reference as reference
+from conftest import MATRIX_SPECS, seeded, vec_combo
 
 
 def ident(ring, n):
@@ -151,7 +152,7 @@ def _random_space(ring, n, rng, tries=50, diagonal=None):
 
 
 def _scan_find_anisotropic(space, basis):
-    """Reference for bilinear._find_anisotropic: a vector of `basis` with
+    """Reference for bilinear._anisotropic_pivot: a vector of `basis` with
     unit q-value, else the first such combination in a scan of every
     coefficient tuple over the carrier (none in residue characteristic 2)."""
     for v in basis:
@@ -168,26 +169,28 @@ def _scan_find_anisotropic(space, basis):
 
 
 def test_find_anisotropic_matches_carrier_scan(monkeypatch):
-    """The pair that _find_anisotropic returns is the first hit of the
-    carrier scan, on every call that diagonalize and stable_diagonalize
-    make over rings with odd and even residue characteristic."""
-    find = bilinear._find_anisotropic
+    """The pivot that _anisotropic_pivot picks on the tracked Gram matrix G
+    is the first hit of the carrier scan on BilinearSpace(ring, G), on every
+    step that diagonalize and stable_diagonalize make over rings with odd
+    and even residue characteristic."""
+    pivot = bilinear._anisotropic_pivot
     past_basis = []
 
-    def checked(space, basis):
-        # the private core runs on index tuples, the reference on elements
-        def elements(v):
-            return tuple(space.ring.elems[d] for d in v)
-
-        got = find(space, basis)
-        basis_elements = [elements(v) for v in basis]
-        want = _scan_find_anisotropic(space, basis_elements)
-        assert (None if got is None else elements(got)) == want
-        if not any(space.eval_q(v).is_unit() for v in basis_elements):
+    def checked(ring, G):
+        got = pivot(ring, G)
+        space = BilinearSpace(ring, [[ring.elems[d] for d in row] for row in G])
+        basis = space.standard_basis()
+        want = _scan_find_anisotropic(space, basis)
+        if got is None:
+            assert want is None
+        else:
+            assert vec_combo(basis, [ring.one if i in got else ring.zero
+                                     for i in range(len(G))]) == want
+        if not any(space.eval_q(v).is_unit() for v in basis):
             past_basis.append(got)
         return got
 
-    monkeypatch.setattr(bilinear, "_find_anisotropic", checked)
+    monkeypatch.setattr(bilinear, "_anisotropic_pivot", checked)
     rng = seeded(13)
     for spec in ["GF(3)", "GF(5)", "GF(9)", "Z/9", "Z/25", "GF(3)[x]/(x^2)", "Z/4",
                  "GF(4)[y]/(y^2)"]:
@@ -203,6 +206,91 @@ def test_find_anisotropic_matches_carrier_scan(monkeypatch):
                         diagonalize(S)
                         stable_diagonalize(S)
     assert sum(v is not None for v in past_basis) >= 200
+
+
+def _unchecked_space(ring, gram, monkeypatch):
+    """BilinearSpace(ring, gram), with the unit-determinant check skipped
+    when det(gram) is not a unit."""
+    if mx.mat_det(ring, gram).is_unit():
+        return BilinearSpace(ring, gram)
+    with monkeypatch.context() as m:
+        m.setattr(mx, "mat_det", lambda ring, A: ring.one)
+        return BilinearSpace(ring, gram)
+
+
+def test_in_place_elimination_matches_recursive_core(rings, monkeypatch):
+    """bilinear._diagonalize gives the (units, blocks, unit_cols,
+    block_cols) of the recursive core in tests/elimination_reference.py,
+    and the same exception on degenerate Grams, on random symmetric
+    matrices over every ring at n = 1..7; in every third draw the whole
+    diagonal comes from the maximal ideal, which sends the elimination to
+    pair pivots (odd residue characteristic) and blocks (even)."""
+    pivot = bilinear._anisotropic_pivot
+    seen = {"blocks": 0, "pair_pivots": 0, "degenerate": 0, "spaces": 0}
+
+    def counted(ring, G):
+        got = pivot(ring, G)
+        seen["pair_pivots"] += got is not None and len(got) == 2
+        return got
+
+    monkeypatch.setattr(bilinear, "_anisotropic_pivot", counted)
+
+    def outcome(core, space):
+        try:
+            return core(space)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    rng = seeded(30)
+    for spec, ring in rings.items():
+        ideal = ring.maximal_ideal()
+        for n in range(1, 8):
+            for k in range(30):
+                rows = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    if k % 3 == 0:
+                        rows[i][i] = rng.choice(ideal)
+                    for j in range(i):
+                        rows[i][j] = rows[j][i]
+                S = _unchecked_space(ring, rows, monkeypatch)
+                want = outcome(reference.diagonalize_core, S)
+                assert outcome(bilinear._diagonalize, S) == want, (spec, rows)
+                if isinstance(want[0], type):
+                    assert want[0] is bilinear.DegenerateError, (spec, rows, want)
+                    seen["degenerate"] += 1
+                else:
+                    seen["spaces"] += 1
+                    seen["blocks"] += len(want[1])
+    assert seen["spaces"] >= 1500 and seen["degenerate"] >= 1000, seen
+    assert seen["blocks"] >= 300 and seen["pair_pivots"] >= 400, seen
+
+
+def test_diagonalization_never_evaluates_b_on_ambient_vectors(monkeypatch):
+    """diagonalize, stable_diagonalize and gw_class run on the tracked Gram
+    matrix alone: with bilinear._b and bilinear._complement_within patched
+    to raise, they still answer over every MATRIX_SPECS ring."""
+    rng = seeded(31)
+    cases = []
+    for spec in MATRIX_SPECS:
+        ring = parse_ring(spec)
+        ideal = list(ring.maximal_ideal())
+        spaces = [S for n in (2, 3, 4, 5) for diagonal in (ideal, None)
+                  if (S := _random_space(ring, n, rng, diagonal=diagonal)) is not None]
+        cases.append((gw_structure(ring), spaces))
+
+    def disabled(*args):
+        raise AssertionError("the diagonalization evaluated b on ambient vectors")
+
+    monkeypatch.setattr(bilinear, "_b", disabled)
+    monkeypatch.setattr(bilinear, "_complement_within", disabled)
+    ran = 0
+    for structure, spaces in cases:
+        for S in spaces:
+            report, _ = diagonalize(S)
+            assert stable_diagonalize(S)[1] == report.r
+            gw_class(S, structure)
+            ran += 1
+    assert ran >= 70
 
 
 def test_diagonalize_hyperbolic_rank_8_is_fast():
