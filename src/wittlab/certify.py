@@ -6,9 +6,10 @@ Mehlhorn, Näher and Schweitzer, "Certifying algorithms", 2011).  It imports
 import from it the loops they share with the checks, ``_b`` and
 ``int_mat_mul``.  Like ``_b``, ``check_congruence`` works on carrier
 indices through the ring's tables, and with ``mat_det`` it costs O(n^3)
-lookups.  A chain needs no determinant: for M with columns v_1..v_n,
-pairwise orthogonal with unit q-values, M^T A M is triangular with diagonal
-q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
+lookups on a unit determinant; only a non-unit one costs O(n^4).  A chain
+needs no determinant: for M with columns v_1..v_n, pairwise orthogonal with
+unit q-values, M^T A M is triangular with diagonal q(v_1)..q(v_n), so
+det(M)^2 det(A) is a unit, and with it det(M).
 """
 
 from __future__ import annotations

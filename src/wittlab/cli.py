@@ -3,7 +3,8 @@
 Subcommands: ring-info, diagonalize, chain, verify, gw, kmw, witt, compare,
 steinberg-check, oracle.  Every run echoes its resolved configuration, and
 all output is deterministic for fixed flags.  Exit codes: 0 success or
-verified, 1 verification failure / unreachable endpoints, 2 usage errors.
+verified, 1 verification failure / unreachable endpoints / a closed
+stdout, 2 usage errors.
 
 Parsing: a canonical call (the command, then full flag names from the
 command table, each with one value that does not start with '-' or, for a
@@ -385,7 +386,15 @@ def _dispatch(args, out) -> int:
 
 
 def main():  # pragma: no cover - thin wrapper
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot raise again, and exit as on EPIPE (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,8 +3,8 @@
 Matrices are tuples of row tuples of RingElement.  Everything here relies
 on the local property: an invertible matrix always admits a unit pivot in
 every elimination step (otherwise its determinant would sit in the maximal
-ideal); ``mat_det`` eliminates on such pivots and expands over column
-subsets only what is left once no entry is a unit.  ``Echelon`` is the
+ideal); ``mat_det`` eliminates on such pivots and, once a column has
+none, finishes with a division-free determinant.  ``Echelon`` is the
 elimination that solves: a unit-pivot reduced echelon form on element data
 that grows a row at a time.  mat_inverse, kernel_basis and solve_field are
 entry points over it, and the orthogonal complements of ``bilinear`` and
@@ -54,12 +54,14 @@ def mat_det(ring: LocalRing, A) -> RingElement:
 
     Over a local ring an entry is a unit iff its residue is nonzero, so
     while every column has a unit pivot this is O(n^3) lookups: the
-    determinant is the signed product of the pivots, a row or column swap
-    negates it and r_i -= f * r_k keeps it.  A column with no unit left
-    below the pivots trades places with a later column that has one; only
-    when no entry left is a unit is the rest of the matrix expanded exactly
-    over column subsets (``_subset_det``), where every product of more
-    entries than the nilpotency index of the maximal ideal vanishes."""
+    determinant is the signed product of the pivots, a row swap negates it
+    and r_i -= f * r_k keeps it.  When column k has no unit at or below the
+    pivot row, the block S left below and right of the pivots is a Schur
+    complement and det A = (signed pivot product) * det S.  Then det A is
+    not a unit: were it one, S would be invertible mod m, and the first
+    column of S would hold a unit.  Such a value only names a degenerate
+    determinant, so S is finished as it stands by ``_division_free_det``,
+    O(n^4) lookups and exact over any commutative ring."""
     n = len(A)
     add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
     rows = [[e.data for e in row] for row in A]
@@ -69,10 +71,7 @@ def mat_det(ring: LocalRing, A) -> RingElement:
             if residue[rows[p][k]]:
                 break
         else:
-            p = _swap_in_unit_column(residue, rows, k)
-            if p is None:
-                return ring.elems[mul[det][_subset_det(ring, [row[k:] for row in rows[k:]])]]
-            det = neg[det]
+            return ring.elems[mul[det][_division_free_det(ring, [row[k:] for row in rows[k:]])]]
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
             det = neg[det]
@@ -90,49 +89,31 @@ def mat_det(ring: LocalRing, A) -> RingElement:
     return ring.elems[det]
 
 
-def _swap_in_unit_column(residue, rows, k):
-    """Swap column k of rows[k:] with the first later column that has a unit
-    there; the row of that unit, or None when rows[k:] has no unit at all."""
-    n = len(rows)
-    for j in range(k + 1, n):
-        for p in range(k, n):
-            if residue[rows[p][j]]:
-                for row in rows[k:]:
-                    row[k], row[j] = row[j], row[k]
-                return p
-    return None
-
-
-def _subset_det(ring: LocalRing, rows) -> int:
-    """The determinant of a square matrix of carrier indices, as an index,
-    by expansion over column subsets: O(2^n n), exact over any ring."""
+def _division_free_det(ring: LocalRing, rows) -> int:
+    """The determinant of a square matrix A of carrier indices, as an index,
+    with ring operations only (R. S. Bird, "A simple division-free algorithm
+    for computing determinants", IPL 111, 2011): X_1 = A, X_{k+1} =
+    mu(X_k) A, det A = (-1)^(n-1) (X_n)_11.  mu(X) keeps the strict upper
+    triangle of X, holds -(X_{i+1,i+1} + ... + X_nn) at (i, i) and is zero
+    below the diagonal.  O(n^4) lookups, skipping the zero entries of mu."""
     n = len(rows)
     add, mul, neg = ring.add, ring.mul, ring.neg
-    # row by row, the signed sum of the products that use each column set
-    # (a bitmask); choosing column j after the columns of ``mask`` adds one
-    # inversion for each used column to the right of j.  Zero products are
-    # dropped, so on entries in the maximal ideal the sets die out within
-    # its nilpotency index
-    prev = {0: 1}
-    for row in rows:
-        cur: dict = {}
-        for mask, val in prev.items():
-            prod = mul[val]
-            for j, a in enumerate(row):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                term = prod[a]
-                if not term:
-                    continue
-                if (mask >> (j + 1)).bit_count() % 2:
-                    term = neg[term]
-                key = mask | bit
-                cur[key] = add[cur[key]][term] if key in cur else term
-        prev = cur
-        if not prev:
-            return 0
-    return prev.get((1 << n) - 1, 0)
+    X = rows
+    for _ in range(n - 1):
+        product = []
+        trailing = 0
+        for i in range(n - 1, -1, -1):
+            # row i of mu(X) A; from column i on, row i of mu(X) is
+            # -trailing, then X[i][i+1:]
+            out = [0] * n
+            for j, f in enumerate([neg[trailing]] + X[i][i + 1:], i):
+                if f:
+                    scale = mul[f]
+                    out = [add[c][scale[a]] for c, a in zip(out, rows[j])]
+            trailing = add[trailing][X[i][i]]
+            product.append(out)
+        X = product[::-1]
+    return X[0][0] if n % 2 else neg[X[0][0]]
 
 
 def congruent(M, A):

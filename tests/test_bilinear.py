@@ -703,14 +703,14 @@ def _random_square(ring, n, rng):
 
 
 def test_mat_det_matches_cofactor_expansion(rings):
-    """Unit-pivot elimination, with the column swap and the column-subset
-    expansion behind it, gives the cofactor determinant exactly, units and
-    non-units alike.  Each matrix is checked again with its first column
-    redrawn from the maximal ideal, which often leaves a unit in a later
-    column to swap in."""
+    """Unit-pivot elimination, with the division-free determinant behind
+    it, gives the cofactor determinant exactly, units and non-units alike.
+    Each matrix is checked again with its first column redrawn from the
+    maximal ideal, which sends it to the fallback at once, often with a unit
+    left in a later column."""
     rng, column_rng = seeded(28), seeded(30)
     units = {True: 0, False: 0}
-    swaps = 0
+    units_beside = 0
     for ring in rings.values():
         ideal = ring.maximal_ideal()
         for n in range(1, 7):
@@ -721,9 +721,9 @@ def test_mat_det_matches_cofactor_expansion(rings):
                 units[expected.is_unit()] += 1
                 N = tuple((column_rng.choice(ideal),) + row[1:] for row in M)
                 assert mx.mat_det(ring, N) == _ref_det(ring, N), (ring.spec, N)
-                swaps += any(x.is_unit() for row in N for x in row[1:])
+                units_beside += any(x.is_unit() for row in N for x in row[1:])
     assert units[True] >= 200 and units[False] >= 400, units
-    assert swaps >= 300, swaps
+    assert units_beside >= 300, units_beside
 
 
 def test_congruence_checker_applies_the_determinant_rule(rings):

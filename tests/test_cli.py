@@ -73,8 +73,8 @@ def test_diagonalize_reports_the_degenerate_determinant(capsys):
 
 def test_diagonalize_refuses_a_large_degenerate_gram_at_once(capsys):
     """A 22 x 22 Gram over Z/9 whose first row and column lie in 3Z/9 is
-    degenerate; its determinant swaps a later unit column in rather than
-    expanding over 2^22 column subsets."""
+    degenerate; its first column holds no unit, so its determinant goes to
+    the division-free fallback at once, which is polynomial in n."""
     rng = random.Random(22)
     n = 22
     gram = [[0] * n for _ in range(n)]
@@ -491,6 +491,24 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_a_closed_stdout_exits_quietly():
+    """A reader that has gone (``witt-lab gw ... | head -1``) makes the
+    write fail with a broken pipe; the CLI exits 1 without a traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittlab.cli", "gw", "--ring", "Z/8"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
 
 @pytest.mark.parametrize("argv", [

@@ -711,10 +711,12 @@ def test_gw_class_congruence_invariant_and_additive():
                 assert gw_class(S, s) == gw_class(S2, s), (spec, A, M)
 
 
-def test_gw_class_never_expands_over_column_subsets(monkeypatch):
-    """On nondegenerate forms every determinant on the gw_class route finds
-    a unit pivot in each column, so the column-subset fallback of mat_det,
-    made to fail here, is never reached."""
+def test_gw_class_never_reaches_the_division_free_determinant(monkeypatch):
+    """On nondegenerate forms every determinant on the gw_class route is a
+    unit, so each column finds a unit pivot: a column without one would
+    leave a Schur complement that is singular mod m, and a non-unit
+    determinant.  The division-free fallback of mat_det, made to fail here,
+    is never reached."""
     rng = seeded(28)
     for spec in MATRIX_SPECS:
         ring = parse_ring(spec)
@@ -722,13 +724,13 @@ def test_gw_class_never_expands_over_column_subsets(monkeypatch):
         spaces = [BilinearSpace(ring, _random_invertible(ring, n, rng, symmetric=True))
                   for n in (1, 2, 3, 4, 6) for _ in range(4)]
         with monkeypatch.context() as patch:
-            patch.setattr(mx, "_subset_det", _fail)
+            patch.setattr(mx, "_division_free_det", _fail)
             for space in spaces:
                 gw_class(space, s)
 
 
 def _fail(*args):
-    raise AssertionError("mat_det expanded over column subsets")
+    raise AssertionError("mat_det fell back to the division-free determinant")
 
 
 def _random_invertible(ring, n, rng, symmetric=False):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import time
 import zlib
 
 import pytest
@@ -186,3 +187,58 @@ def test_elimination_edge_cases_over_z4():
     inverse = mx.mat_inverse(Z4, T)
     assert inverse == reference.mat_inverse(Z4, T)
     assert mx.mat_mul(T, inverse) == mx.mat_identity(Z4, 2)
+
+
+def test_mat_det_of_a_large_block_in_the_maximal_ideal_is_fast():
+    """With every entry of a 32 x 32 matrix over GF(2)[x]/(x^8) in the
+    maximal ideal, mat_det has no unit pivot at all and hands the whole
+    matrix to the division-free fallback, which is polynomial in n."""
+    ring = parse_ring("GF(2)[x]/(x^8)")
+    rng = seeded(1)
+    ideal = ring.maximal_ideal()
+    A = tuple(tuple(rng.choice(ideal) for _ in range(32)) for _ in range(32))
+    t0 = time.perf_counter()
+    assert mx.mat_det(ring, A) == ring.zero
+    assert time.perf_counter() - t0 < 1.0
+
+
+# entries of the maximal ideal whose product is nonzero, as JSON
+_NON_UNIT_DIAGONAL = {
+    "GF(3)[x]/(x^4)": ([0, 1],) * 3,
+    "Z/27": (3, 6),
+    "GF(2)[x]/(x^8)": ([0, 1],) * 7,
+}
+
+
+@pytest.mark.parametrize("spec", _NON_UNIT_DIAGONAL)
+def test_mat_det_of_l_d_u_is_the_product_of_d(monkeypatch, spec):
+    """det(L D U) = d_1 ... d_n for unitriangular L and U.  D holds the
+    given entries of the maximal ideal at seeded positions and units
+    elsewhere, so the determinant is a nonzero non-unit that only the
+    division-free fallback computes."""
+    ring = parse_ring(spec)
+    entries = _NON_UNIT_DIAGONAL[spec]
+    rng = seeded(zlib.crc32(spec.encode()))
+    n = 20
+    diagonal = [ring.random_unit(rng) for _ in range(n)]
+    for i, e in zip(rng.sample(range(n), len(entries)), entries):
+        diagonal[i] = ring.element_from_json(e)
+    L, U = ([[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+            for _ in range(2))
+    for i in range(n):
+        for j in range(i):
+            L[i][j], U[j][i] = ring.random_element(rng), ring.random_element(rng)
+    D = tuple(tuple(diagonal[i] if i == j else ring.zero for j in range(n)) for i in range(n))
+    A = mx.mat_mul(mx.mat_mul(L, D), U)
+    expected = functools.reduce(operator.mul, diagonal)
+    assert not expected.is_zero() and not expected.is_unit()
+    blocks = []
+    original = mx._division_free_det
+
+    def spy(ring, rows):
+        blocks.append(len(rows))
+        return original(ring, rows)
+
+    monkeypatch.setattr(mx, "_division_free_det", spy)
+    assert mx.mat_det(ring, A) == expected
+    assert len(blocks) == 1 and blocks[0] >= len(entries), blocks
