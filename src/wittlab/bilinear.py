@@ -3,10 +3,12 @@
 A space is a symmetric matrix with unit determinant.  Every structural
 statement made by this module is certified: congruences carry an explicit
 witness matrix M with M^T A M = B, which `certify.check_congruence` verifies
-by exact recomputation.  Each witness is checked once, at the public entry
-point that returns it; the private cores behind `diagonalize` and
-`resolve_block` return unchecked columns and matrices, so
-`stable_diagonalize` composes them and checks only its final witness.
+by exact recomputation on carrier indices.  Each witness is checked once, at
+the public entry point that returns it; the private cores behind
+`diagonalize` and `resolve_block` return unchecked columns and matrices, so
+`stable_diagonalize` composes them and checks only its final witness, made
+from its index grids by `CongruenceWitness._of` (as are those of
+`diagonalize` and `is_isometric`).
 `certify._b` (behind `eval_b`), `_gram_row` and `_lincomb` work on vectors
 of carrier indices through the ring's tables (see `rings`), as do the chain
 engine (see `chains`) and the elimination behind `diagonalize`, which
@@ -23,6 +25,7 @@ through this module, so patching `bilinear.SEARCH_SPACE_CAP` reaches all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -159,7 +162,7 @@ class BilinearSpace:
         return cls(ring, gram)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, BilinearSpace)
             and self.ring == other.ring
             and self.gram == other.gram
@@ -173,19 +176,49 @@ class BilinearSpace:
 
 
 class CongruenceWitness:
-    """Invertible M with M^T * source * M = target, checked exactly."""
+    """Invertible M with M^T * source * M = target, checked exactly.
+
+    The three grids are kept as tuples of row tuples of carrier indices,
+    the form ``certify.check_congruence`` checks.  ``source``, ``target``
+    and ``matrix`` read them as elements, built on first read for a witness
+    made from indices.  The constructor takes element grids and checks
+    their ring; ``_of`` takes the index grids the builders already hold.
+    Either way the witness is checked once, when it is made."""
 
     def __init__(self, ring: LocalRing, source, target, matrix):
-        self.ring = ring
-        self.source = tuple(tuple(r) for r in source)
-        self.target = tuple(tuple(r) for r in target)
-        self.matrix = tuple(tuple(r) for r in matrix)
+        grids = [tuple(tuple(row) for row in grid) for grid in (source, target, matrix)]
+        for grid in grids:
+            ring.check_elements(e for row in grid for e in row)
+        self.ring, self._grids = ring, grids
+        self._indices = tuple(_data(grid) for grid in grids)
         ok, msg = self.check()
         if not ok:
             raise BilinearError(f"invalid congruence witness: {msg}")
 
+    @classmethod
+    def _of(cls, ring: LocalRing, source, target, matrix) -> "CongruenceWitness":
+        """The witness of index grids (tuples of row tuples), checked."""
+        witness = cls.__new__(cls)
+        witness.ring, witness._grids = ring, [None] * 3
+        witness._indices = (source, target, matrix)
+        ok, msg = witness.check()
+        if not ok:
+            raise BilinearError(f"invalid congruence witness: {msg}")
+        return witness
+
+    def _grid(self, k):
+        grid = self._grids[k]
+        if grid is None:
+            elems = self.ring.elems
+            grid = self._grids[k] = tuple(tuple(elems[x] for x in row) for row in self._indices[k])
+        return grid
+
+    source = property(lambda self: self._grid(0))
+    target = property(lambda self: self._grid(1))
+    matrix = property(lambda self: self._grid(2))
+
     def check(self):
-        return check_congruence(self.ring, self.source, self.target, self.matrix)
+        return check_congruence(self.ring, *self._indices)
 
     def inverse(self) -> "CongruenceWitness":
         Minv = mx.mat_inverse(self.ring, self.matrix)
@@ -221,20 +254,19 @@ class DecompositionReport:
         return len(self.blocks)
 
 
-def _block_diagonal_gram(ring, units, blocks):
+def _block_diagonal_gram(units, blocks):
+    """diag(units) with trailing blocks [[a,1],[1,b]], as carrier indices,
+    for units and block entries given as elements."""
     n = len(units) + 2 * len(blocks)
-    z = ring.zero
-    one = ring.one
-    rows = [[z] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i, u in enumerate(units):
-        rows[i][i] = u
+        rows[i][i] = u.data
     off = len(units)
     for k, (a, b) in enumerate(blocks):
         i = off + 2 * k
-        rows[i][i] = a
-        rows[i][i + 1] = one
-        rows[i + 1][i] = one
-        rows[i + 1][i + 1] = b
+        rows[i][i] = a.data
+        rows[i][i + 1] = rows[i + 1][i] = 1
+        rows[i + 1][i + 1] = b.data
     return tuple(tuple(r) for r in rows)
 
 
@@ -251,9 +283,16 @@ def _gram_row(space: BilinearSpace, w):
     return acc
 
 
+@functools.cache
 def _standard_basis(n):
-    """The standard basis as index tuples (zero and one are 0 and 1)."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    """The standard basis as index tuples (zero and one are 0 and 1), built
+    once per n."""
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+
+
+def _data(grid):
+    """A grid of elements as a tuple of row tuples of carrier indices."""
+    return tuple(tuple(e.data for e in row) for row in grid)
 
 
 def _lincomb(ring, vectors, coeffs):
@@ -445,9 +484,8 @@ def diagonalize(space: BilinearSpace):
     ring = space.ring
     units, blocks, unit_cols, block_cols = _diagonalize(space)
     cols = unit_cols + [v for pair in block_cols for v in pair]
-    M = tuple(tuple(ring.elems[d] for d in row) for row in zip(*cols))
-    target = _block_diagonal_gram(ring, units, blocks)
-    witness = CongruenceWitness(ring, space.gram, target, M)
+    target = _block_diagonal_gram(units, blocks)
+    witness = CongruenceWitness._of(ring, _data(space.gram), target, tuple(zip(*cols)))
     return DecompositionReport(units, blocks, witness), witness
 
 
@@ -503,7 +541,6 @@ def stable_diagonalize(space: BilinearSpace):
     n = space.n
     units, blocks, unit_cols, block_cols = _diagonalize(space)
     r = len(blocks)
-    z, m1 = ring.zero, ring.minus_one
     pad = (0,) * r
     cols = [v + pad for v in unit_cols]
     diag_units = list(units)
@@ -513,12 +550,12 @@ def stable_diagonalize(space: BilinearSpace):
         e = (0,) * (n + k) + (1,) + (0,) * (r - k - 1)
         vecs = (x + pad, y + pad, e)
         cols.extend(_lincomb(ring, vecs, [c.data for c in coeffs]) for coeffs in zip(*B))
-    source = tuple(row + (z,) * r for row in space.gram) + tuple(
-        (z,) * (n + k) + (m1,) + (z,) * (r - k - 1) for k in range(r)
+    m1 = ring.neg[1]
+    source = tuple(row + pad for row in _data(space.gram)) + tuple(
+        (0,) * (n + k) + (m1,) + (0,) * (r - k - 1) for k in range(r)
     )
-    target = _block_diagonal_gram(ring, diag_units, ())
-    M = tuple(tuple(ring.elems[d] for d in row) for row in zip(*cols))
-    return tuple(diag_units), r, CongruenceWitness(ring, source, target, M)
+    target = _block_diagonal_gram(diag_units, ())
+    return tuple(diag_units), r, CongruenceWitness._of(ring, source, target, tuple(zip(*cols)))
 
 
 @dataclass
@@ -545,7 +582,7 @@ def is_isometric(s1: BilinearSpace, s2: BilinearSpace) -> IsometryResult:
         raise DimensionMismatchError("spaces must have equal dimension")
     n, ring = s1.n, s1.ring
     if n == 0:
-        return IsometryResult("isometric", CongruenceWitness(ring, (), (), ()))
+        return IsometryResult("isometric", CongruenceWitness._of(ring, (), (), ()))
     if ring.size ** n > SEARCH_SPACE_CAP:
         return IsometryResult("unknown")
     by_q = s2._vectors_by_q()
@@ -571,8 +608,8 @@ def is_isometric(s1: BilinearSpace, s2: BilinearSpace) -> IsometryResult:
 
     res = extend(0)
     if res == "found":
-        M = tuple(tuple(ring.elems[d] for d in row) for row in zip(*chosen))
-        return IsometryResult("isometric", CongruenceWitness(ring, s2.gram, s1.gram, M))
+        witness = CongruenceWitness._of(ring, _data(s2.gram), _data(s1.gram), tuple(zip(*chosen)))
+        return IsometryResult("isometric", witness)
     if res == "budget":
         return IsometryResult("unknown")
     return IsometryResult("not_isometric")

@@ -5,11 +5,15 @@ Mehlhorn, Näher and Schweitzer, "Certifying algorithms", 2011).  It imports
 ``rings`` and ``matrices``' ``mat_det``, never a builder; the builders
 import from it the loops they share with the checks, ``_b`` and
 ``int_mat_mul``.  Like ``_b``, ``check_congruence`` works on carrier
-indices through the ring's tables, and with ``mat_det`` it costs O(n^3)
-lookups on a unit determinant; only a non-unit one costs O(n^4).  A chain
-needs no determinant: for M with columns v_1..v_n, pairwise orthogonal with
-unit q-values, M^T A M is triangular with diagonal q(v_1)..q(v_n), so
-det(M)^2 det(A) is a unit, and with it det(M).
+indices through the ring's tables, on the three grids a witness keeps.
+It costs O(n^3) lookups, and it takes a determinant only when the target
+is not a diagonal of units; ``mat_det`` costs O(n^3) on a unit
+determinant and O(n^4) only on a non-unit one.  Once M^T A M = B is checked,
+det(M)^2 det(A) = det(B), so det(M) is a unit whenever det(B) is, and a
+diagonal B with unit entries has a unit determinant.  A chain needs no
+determinant by the same argument: for M with columns v_1..v_n, pairwise
+orthogonal with unit q-values, M^T A M is triangular with diagonal
+q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
 """
 
 from __future__ import annotations
@@ -132,29 +136,44 @@ def verify_chain(chain, start, end):
 
 def check_congruence(ring: LocalRing, source, target, matrix):
     """(ok, message) for a witness M of source A and target B, all tuples of
-    row tuples: square of one size over ``ring``, M^T A M = B, det M a unit.
+    row tuples of carrier indices of ``ring``: square of one size,
+    M^T A M = B, det M a unit.
 
-    M^T A M is formed on carrier indices, a column of A M at a time: entry
-    (i, j) is column i of M dotted with column j of A M, each product
-    skipping the zero entries, so the check costs O(n^3) table lookups."""
+    M^T A M is formed a column of A M at a time: entry (i, j) is column i
+    of M dotted with column j of A M, each product skipping the zero
+    entries, so the check costs O(n^3) table lookups.  ``mat_det`` runs
+    only when B is not a diagonal of units: once M^T A M = B holds,
+    det(M)^2 det(A) = det(B), so a unit det(B) makes det(M) a unit."""
     n = len(matrix)
     for grid in (source, target, matrix):
         if len(grid) != n or any(len(row) != n for row in grid):
             return False, "source, target and matrix must be square matrices of one size"
-        ring.check_elements(e for row in grid for e in row)
     add, mul = ring.add, ring.mul
-    sparse_source = [[(k, mul[e.data]) for k, e in enumerate(row) if e.data] for row in source]
-    columns = [[e.data for e in column] for column in zip(*matrix)]
+    sparse_source = [[(k, mul[x]) for k, x in enumerate(row) if x] for row in source]
+    columns = list(zip(*matrix))
     for j, column in enumerate(columns):
         # column j of A M, as (row, product row) pairs of its nonzero entries
         entries = (_sparse_dot(add, row, column) for row in sparse_source)
         moved = [(k, mul[x]) for k, x in enumerate(entries) if x]
         for i, other in enumerate(columns):
-            if _sparse_dot(add, moved, other) != target[i][j].data:
+            if _sparse_dot(add, moved, other) != target[i][j]:
                 return False, "M^T A M differs from the target"
-    if matrix and not mat_det(ring, matrix).is_unit():
+    if _is_unit_diagonal(ring, target):
+        return True, "ok"
+    elems = ring.elems
+    if not mat_det(ring, [[elems[x] for x in row] for row in matrix]).is_unit():
         return False, "witness determinant is not a unit"
     return True, "ok"
+
+
+def _is_unit_diagonal(ring, grid):
+    """Whether a square grid of carrier indices is diagonal with units on
+    its diagonal."""
+    residue = ring.residue_of
+    return all(
+        residue[row[i]] and not any(row[:i]) and not any(row[i + 1:])
+        for i, row in enumerate(grid)
+    )
 
 
 def _sparse_dot(add, sparse, y):

@@ -25,6 +25,8 @@ from wittlab import (
 from wittlab import bilinear
 from wittlab.bilinear import BilinearError, NotInMaximalIdealError
 from wittlab import matrices as mx
+from wittlab import certify
+from wittlab.bilinear import _data
 from wittlab.certify import check_congruence
 
 import elimination_reference as reference
@@ -686,6 +688,112 @@ def test_congruence_checker_rejects_single_entry_mutants(rings):
     assert outcomes["M^T A M differs from the target"] >= 400, outcomes
 
 
+def _index_witnesses(ring, rng):
+    """Witnesses made by CongruenceWitness._of: from stable_diagonalize on a
+    random space and on a plane with a residual block, from diagonalize on
+    both, and from is_isometric on a random plane and itself."""
+    space = _random_space(ring, 3, rng)
+    plane = BilinearSpace.hyperbolic(ring).orthogonal_sum(
+        BilinearSpace.diagonal(ring, (ring.random_unit(rng),))
+    )
+    witnesses = [stable_diagonalize(S)[2] for S in (space, plane)]
+    witnesses += [diagonalize(S)[1] for S in (space, plane)]
+    small = _random_space(ring, 2, rng)
+    witnesses.append(is_isometric(small, small).witness)
+    return witnesses
+
+
+def test_index_witness_checker_rejects_single_entry_mutants(rings):
+    """Change one carrier index of the source, target or matrix of a witness
+    the builders make from index grids, and make it again with
+    CongruenceWitness._of.  The check accepts exactly when the element-level
+    reference finds M^T A M = B with det M a unit, and otherwise raises the
+    message of the first failing condition; half the target mutants touch
+    the diagonal, so unit-diagonal targets lose a unit or gain an entry off
+    the diagonal."""
+    rng = seeded(32)
+    outcomes = {}
+    unit_diagonal = 0   # accepted mutants whose determinant the rule skipped
+    for ring in rings.values():
+        for witness in _index_witnesses(ring, rng):
+            n = len(witness.matrix)
+            for g in range(3):
+                for _ in range(4):
+                    grids = [[list(row) for row in grid] for grid in witness._indices]
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if g == 1 and rng.randrange(2):
+                        j = i
+                    old = grids[g][i][j]
+                    grids[g][i][j] = rng.choice([x for x in range(ring.size) if x != old])
+                    source, target, matrix = (tuple(map(tuple, grid)) for grid in grids)
+                    A, B, M = ([[ring.elems[x] for x in row] for row in grid]
+                               for grid in (source, target, matrix))
+                    if _ref_congruent(M, A) != tuple(map(tuple, B)):
+                        expected = "M^T A M differs from the target"
+                    elif not _ref_det(ring, M).is_unit():
+                        expected = "witness determinant is not a unit"
+                    else:
+                        expected = "ok"
+                    outcomes[expected] = outcomes.get(expected, 0) + 1
+                    if expected == "ok":
+                        made = CongruenceWitness._of(ring, source, target, matrix)
+                        assert made.check() == (True, "ok")
+                        unit_diagonal += certify._is_unit_diagonal(ring, target)
+                        continue
+                    with pytest.raises(BilinearError) as exc:
+                        CongruenceWitness._of(ring, source, target, matrix)
+                    assert str(exc.value) == f"invalid congruence witness: {expected}"
+    assert outcomes["M^T A M differs from the target"] >= 600, outcomes
+    assert unit_diagonal >= 3, (unit_diagonal, outcomes)
+
+
+def test_determinant_runs_only_off_a_unit_diagonal(monkeypatch):
+    """check_congruence skips mat_det for a target that is diagonal with
+    unit entries, and runs it for any other target, which still reports a
+    non-unit determinant."""
+    calls = []
+    det = certify.mat_det
+
+    def spy(ring, A):
+        calls.append(A)
+        return det(ring, A)
+
+    monkeypatch.setattr(certify, "mat_det", spy)
+    rng = seeded(33)
+    for spec in ["Z/9", "GF(2)[x]/(x^4)", "GF(5)"]:
+        ring = parse_ring(spec)
+        for n in (2, 3, 4):
+            space = _random_space(ring, n, rng)
+            units, r, witness = stable_diagonalize(space)
+            assert witness.check() == (True, "ok")
+        assert calls == [], spec
+    ring = parse_ring("Z/9")
+    x = ring.from_int(3)
+    I, H = _data(ident(ring, 2).gram), _data(BilinearSpace.hyperbolic(ring).gram)
+    D = _data(((ring.one, ring.zero), (ring.zero, x)))
+    xH = _data(((ring.zero, x), (x, ring.zero)))
+    xx = _data(((ring.one, ring.zero), (ring.zero, x * x)))
+    J, P = ((1, 1), (1, 1)), ((1, 1), (0, 0))          # P^T J P = J, det P = 0
+    not_unit = (False, "witness determinant is not a unit")
+    cases = [
+        (I, I, I, (True, "ok"), 0),                      # unit diagonal target
+        (I, H, I, (False, "M^T A M differs from the target"), 0),
+        (H, H, I, (True, "ok"), 1),                      # off the diagonal
+        (D, D, I, (True, "ok"), 1),                      # a non-unit on the diagonal
+        (H, xH, D, not_unit, 1),
+        (I, xx, D, not_unit, 1),
+        (I, I, D, (False, "M^T A M differs from the target"), 0),
+        (J, J, I, (True, "ok"), 1),                      # units on the diagonal, not only there
+        (J, J, P, not_unit, 1),
+    ]
+    for source, target, matrix, expected, runs in cases:
+        del calls[:]
+        assert check_congruence(ring, source, target, matrix) == expected
+        assert len(calls) == runs, (source, target, matrix)
+    with pytest.raises(BilinearError, match="witness determinant is not a unit"):
+        CongruenceWitness._of(ring, H, xH, D)
+
+
 def _random_square(ring, n, rng):
     """A random n x n matrix, drawn so that its determinant is often not a
     unit: uniform entries, entries in the maximal ideal or 1, or a last row
@@ -727,20 +835,21 @@ def test_mat_det_matches_cofactor_expansion(rings):
 
 
 def test_congruence_checker_applies_the_determinant_rule(rings):
-    """With A = B = 0, M^T A M = B for every M, so the check accepts exactly
-    when det M is a unit and otherwise names the determinant."""
+    """With A = B = 0, M^T A M = B for every M, so the check, on the carrier
+    indices of the grids, accepts exactly when det M is a unit and otherwise
+    names the determinant."""
     rng = seeded(29)
     outcomes = {}
     for ring in rings.values():
         for n in range(1, 6):
-            zero = ((ring.zero,) * n,) * n
+            zero = ((0,) * n,) * n
             for _ in range(10):
                 M = _random_square(ring, n, rng)
                 if _ref_det(ring, M).is_unit():
                     expected = (True, "ok")
                 else:
                     expected = (False, "witness determinant is not a unit")
-                assert check_congruence(ring, zero, zero, M) == expected, (ring.spec, M)
+                assert check_congruence(ring, zero, zero, _data(M)) == expected, (ring.spec, M)
                 outcomes[expected[0]] = outcomes.get(expected[0], 0) + 1
     assert outcomes[True] >= 150 and outcomes[False] >= 300, outcomes
 
