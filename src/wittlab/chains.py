@@ -3,20 +3,31 @@
 Two orthogonal bases of an inner product space are chain equivalent when a
 sequence of orthogonal bases connects them in which consecutive bases share
 all but at most two vectors.  This module builds such chains as verifiable
-certificates: the reduction from a local ring to its residue field and the
-field-level constructions.  A breadth-first oracle over all orthogonal
-bases stays beside them as an independent reference; no builder calls it.
+certificates: a contraction loop, and the lift of residue-field chains.  A
+breadth-first oracle over all orthogonal bases stays beside them as an
+independent reference; no builder calls it.
 
-Every local ring takes one route, which never uses the size of the residue
-field: a residue chain, lifted in place, closed by one equal-mod-m chain.
-Each step keeps the current basis verbatim where the residue step does and
-lifts the <= 2 new vectors, one at a time, into the complement of the rest
-through one ``matrices.Echelon`` of their rows w^T A that grows by a row per
-lift.  By induction the current basis reduces positionally to the residue
-basis, so kept vectors need no re-lift.  An orthogonal residue basis always
-lifts (each new vector lies in the residue kernel of the echelon rows, so
-its pivot entries reduce correctly), and ``_equal_mod_m_core`` needs only
-that eps lies in m, so a raise there is a bug, reported as ``ChainError``.
+Over a field other than F_2, and over any ring of odd residue
+characteristic, one minimal-support loop serves every dimension: it
+contracts the first target vector into the current tuple pair by pair, then
+recurses on its complement (``_field_chain_contract``), with at most
+n(n-1)/2 + 1 bases.  Where 2 is a unit a local ring behaves like its
+residue field (Baeza, *Quadratic Forms over Semilocal Rings*, LNM 655), so
+the loop runs over R itself.  Characteristic 2 adds a rescaling to q = 1
+and the hat-basis escape.
+
+A non-field ring of residue characteristic 2 takes the lift route: a
+residue chain, lifted in place, closed by one equal-mod-m chain.  Its units
+need not be squares, so the loop's normalization to q = 1 is not available
+over R, and over residue F_2 the set rule below must still apply.  Each step
+keeps the current basis verbatim where the residue step does and lifts the
+<= 2 new vectors, one at a time, into the complement of the rest through
+one ``matrices.Echelon`` of their rows w^T A that grows by a row per lift.
+By induction the current basis reduces positionally to the residue basis,
+so kept vectors need no re-lift.  An orthogonal residue basis always lifts
+(each new vector lies in the residue kernel of the echelon rows, so its
+pivot entries reduce correctly), and ``_equal_mod_m_core`` needs only that
+eps lies in m, so a raise there is a bug, reported as ``ChainError``.
 
 Over F_2 the chain lemma fails outright: every orthogonal basis is alone in
 its chain component.  If u and v are orthogonal with q(u) = q(v) = 1 (the
@@ -26,11 +37,6 @@ new ones in the plane of the old, so it gives back the same set.  Hence
 two bases over F_2 (n >= 3) are chain equivalent iff they agree as sets,
 and otherwise ``ChainUnreachableError`` is a proof.  Over residue F_2 it is
 a proof too, since reduction maps a chain over R to a chain over F_2.
-
-Over a field other than F_2 one minimal-support loop serves both
-characteristics and every dimension: it contracts the first target vector
-into the current tuple pair by pair, then recurses on its complement.
-Characteristic 2 adds a rescaling to q = 1 and the hat-basis escape.
 
 Inside this module a vector is a tuple of carrier indices (see ``rings``):
 builders and checker compute on them through the ring's tables and
@@ -336,7 +342,9 @@ def _equal_mod_m_core(space, cur, target):
     work = list(cur)
     if coords[0] != 1:  # eps_1 = coords[0] - 1 is not zero
         work[0] = _lincomb(ring, (work[0],), coords[:1])
-        steps.append(tuple(work))
+        # a later move replaces work[0] anyway, so the rescaling rides on it
+        if not any(coords[1:]):
+            steps.append(tuple(work))
     for i in range(1, k):
         eps = coords[i]
         if not eps:
@@ -684,14 +692,15 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
 
 def _field_chain_core(space, tup_a, tup_b):
     """Steps connecting two orthogonal tuples spanning the same subspace of
-    a space over a finite field; over F_2 only tuples equal as sets.  In
-    characteristic 2 both tuples are rescaled to q = 1 here, once, and the
+    a space over a finite field, or over a local ring of odd residue
+    characteristic; over F_2 only tuples equal as sets.  In characteristic 2
+    (fields only) both tuples are rescaled to q = 1 here, once, and the
     contraction runs between the rescaled tuples."""
-    field = space.ring
+    ring = space.ring
     # the contraction returns at once on tuples equal as sets or of length <= 2
-    if field.size % 2 or len(tup_a) <= 2 or frozenset(tup_a) == frozenset(tup_b):
+    if ring.size % 2 or len(tup_a) <= 2 or frozenset(tup_a) == frozenset(tup_b):
         return _field_chain_contract(space, tup_a, tup_b)
-    if field.size == 2:  # every basis is its own component (module docstring)
+    if ring.size == 2:  # every basis is its own component (module docstring)
         raise ChainUnreachableError("endpoints lie in different chain components over F_2")
     resc_a, cur = _rescale_steps(space, tup_a)
     resc_b, target = _rescale_steps(space, tup_b)
@@ -707,34 +716,48 @@ def _field_chain_contract(space, tup_a, tup_b):
     then recursion on the complement of w1.
 
     Each pass replaces the first pair (i, j) of support vectors whose part
-    z = c_i u_i + c_j u_j of w1 is anisotropic by z and its complement in
-    their plane, until w1 itself is in the tuple.  In odd characteristic
-    such a pair always exists (on a support of size 2, z is w1), and a
-    support of size 1 takes one rescaling step.  In characteristic 2 both
-    tuples have q = 1 (``_field_chain_core`` rescales them) and every new
-    vector is normalized back to q = 1, so q(z) = (c_i + c_j)^2: the pair
-    test is c_i != c_j, and z is formed for the chosen pair alone.  And
-    q(w1) = 1 gives sum c_i = 1.  A support of size 1 then has c^2 = 1, so
-    w1 is already in the tuple; on a support of size 2, c_i + c_j = 1 and
-    the pair contracts.  When all support coefficients agree, the hat basis
-    of the support plus one more vector contains w1.  That support is never
-    the whole tuple: then w1 = sum u_i, every vector orthogonal to w1 has
-    coordinate sum 0 and so is isotropic, against the anisotropic
-    tup_b[1:].  So in dimension 3 some pair has c_i != c_j and the hat
-    escape never runs.
+    z = c_i u_i + c_j u_j of w1 is anisotropic by z and its complement
+    s = c_j q_j u_i - c_i q_i u_j in their plane, until w1 itself is in the
+    tuple.  The argument is the same over a field of odd characteristic and
+    over a local ring R in which 2 is a unit (support means c_i != 0):
+    - w1 = sum c_i u_i holds exactly, as the u_i are orthogonal with unit q;
+    - q(s) = q_i q_j q(z) is a unit, and z, s span the plane of u_i, u_j
+      (the determinant of the change is -q(z));
+    - w1 has coordinate 1 on z and 0 on s, so its support shrinks by one;
+    - a pair exists on a support of size >= 2.  Write a_i = c_i^2 q_i mod m,
+      zero unless c_i is a unit; q(w1) = sum a_i is a unit, so some a_i is
+      not.  A pair with a_i != 0 = a_k works.  Otherwise every support
+      coefficient is a unit, and a pair fails only when a_i = -a_j: if all
+      failed, three of them would give 2 a_i = 0, and two would give
+      q(w1) = a_i + a_j = 0 mod m.
+    A support of size 1 takes one rescaling step (c is a unit).  Each level
+    of dimension k >= 3 therefore takes at most k - 1 steps, and dimension
+    <= 2 one step, so a chain has at most n(n-1)/2 + 1 bases.
+
+    In characteristic 2 (fields only) both tuples have q = 1
+    (``_field_chain_core`` rescales them) and every new vector is normalized
+    back to q = 1, so q(z) = (c_i + c_j)^2: the pair test is c_i != c_j, and
+    z is formed for the chosen pair alone.  And q(w1) = 1 gives sum c_i = 1.
+    A support of size 1 then has c^2 = 1, so w1 is already in the tuple; on
+    a support of size 2, c_i + c_j = 1 and the pair contracts.  When all
+    support coefficients agree, the hat basis of the support plus one more
+    vector contains w1.  That support is never the whole tuple: then
+    w1 = sum u_i, every vector orthogonal to w1 has coordinate sum 0 and so
+    is isotropic, against the anisotropic tup_b[1:].  So in dimension 3 some
+    pair has c_i != c_j and the hat escape never runs.
     """
     if frozenset(tup_a) == frozenset(tup_b):
         return [tup_a]
     if len(tup_a) <= 2:
         return [tup_a, tup_b]
-    field = space.ring
-    residue = field.residue_of
-    char2 = field.size % 2 == 0
+    ring = space.ring
+    residue = ring.residue_of
+    char2 = ring.size % 2 == 0
     steps = [tup_a]
     cur = tup_a
     if char2:
         normalize = functools.partial(_normalize_q1, space)
-        q_inverses = (field.one.data,) * len(cur)  # every vector of cur keeps q = 1
+        q_inverses = (ring.one.data,) * len(cur)  # every vector of cur keeps q = 1
     else:
         normalize = lambda v: v
         q_inverses = None
@@ -742,13 +765,13 @@ def _field_chain_contract(space, tup_a, tup_b):
     while w1 not in cur:
         coords = _coords_in(space, cur, w1, q_inverses)
         supp = [i for i, c in enumerate(coords) if c]
-        if len(supp) == 1:  # odd characteristic only: q = 1 forces w1 = cur[i]
+        if len(supp) == 1:  # only where 2 is a unit: in characteristic 2, q = 1 forces w1 = cur[i]
             work = list(cur)
             work[supp[0]] = w1
             cur = tuple(work)
             steps.append(cur)
             break
-        parts = ((i, j, _lincomb(field, (cur[i], cur[j]), (coords[i], coords[j])))
+        parts = ((i, j, _lincomb(ring, (cur[i], cur[j]), (coords[i], coords[j])))
                  for i, j in itertools.combinations(supp, 2)
                  if not char2 or coords[i] != coords[j])
         pair = next(((i, j, z) for i, j, z in parts if char2 or residue[_b(space, z, z)]), None)
@@ -761,8 +784,8 @@ def _field_chain_contract(space, tup_a, tup_b):
             cur = tuple(work)
             steps.append(cur)
             continue
-        if not char2:  # pragma: no cover - impossible in odd characteristic
-            raise ChainError("no contractible pair in odd characteristic")
+        if not char2:  # pragma: no cover - impossible where 2 is a unit
+            raise ChainError("no contractible pair where 2 is a unit")
         # all support coefficients are 1: the support has odd size and w1 is its sum
         if len(supp) == len(cur):  # pragma: no cover - contradicts orthogonality of tup_b
             raise ChainError("full-support hat case cannot occur")
@@ -803,7 +826,7 @@ def chain_field(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
 
 
 # ---------------------------------------------------------------------------
-# top-level: local ring -> residue field -> lift
+# top-level: contraction over R, or residue field -> lift
 # ---------------------------------------------------------------------------
 
 
@@ -818,14 +841,18 @@ def _align_step(prev_tuple, next_set):
 def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     """Chain between two orthogonal bases over a finite local ring.
 
-    Compute the residue-field chain, lift it in place, and close with one
-    equal-mod-m chain.  Over residue F_2 (n >= 3) a chain exists iff the
-    residue bases agree as sets; otherwise ChainUnreachableError.
+    A field, or a ring of odd residue characteristic, runs the contraction
+    loop over the ring itself: at most n(n-1)/2 + 1 bases.  A non-field ring
+    of residue characteristic 2 computes the residue-field chain, lifts it
+    in place, and closes with one equal-mod-m chain.  Over residue F_2
+    (n >= 3) a chain exists iff the residue bases agree as sets; otherwise
+    ChainUnreachableError.
     """
     space = b.space
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    if space.ring.is_field:
+    ring = space.ring
+    if ring.is_field or ring.size % 2:
         tuples = _dedupe(_field_chain_core(space, b.indices, c.indices))
     else:
         tuples = _local_tuples(space, b.indices, c.indices)
@@ -833,10 +860,13 @@ def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
 
 
 def _local_tuples(space, tup_b, tup_c):
-    """Index tuples from tup_b to tup_c: the aligned residue chain, each step
-    lifted in place from the basis before it, then one equal-mod-m chain."""
+    """Index tuples from tup_b to tup_c over a non-field ring of residue
+    characteristic 2: the aligned residue chain, each step lifted in place
+    from the basis before it, then one equal-mod-m chain."""
     if frozenset(tup_b) == frozenset(tup_c):
         return [tup_b]
+    if len(tup_b) <= 2:  # the overlap rule allows any replacement
+        return [tup_b, tup_c]
     ring = space.ring
     bbar = tuple(_residues(ring, v) for v in tup_b)
     cbar = tuple(_residues(ring, v) for v in tup_c)

@@ -447,6 +447,19 @@ def test_chain_equal_mod_m_random_perturbations():
             assert ok, msg
 
 
+def test_chain_equal_mod_m_folds_the_head_rescaling_into_the_first_move():
+    """The target's first vector is 4 e_1 + 3 e_2 over Z/9: the rescaling of
+    e_1 by 4 and the move by 3 e_2 are one step."""
+    Z9 = parse_ring("Z/9")
+    S = ident_space(Z9, 3)
+    E = standard_basis(S)
+    four, zero, one = Z9.from_int(4), Z9.zero, Z9.one
+    scaled = OrthogonalBasis(S, [(four, zero, zero), (zero, one, zero), (zero, zero, one)])
+    C = elementary_move(scaled, Z9.from_int(3), 0, 1)
+    assert len(chain_equal_mod_m(E, C)) == 2
+    assert len(chain_equal_mod_m(E, scaled)) == 2
+
+
 def test_chain_equal_mod_m_rejects_different_reductions():
     F3 = parse_ring("GF(3)")
     S = ident_space(F3, 3)
@@ -681,11 +694,12 @@ def _aligned_residue_chain(b, c):
     return tups
 
 
-@pytest.mark.parametrize("spec", ["Z/9", "Z/27", "GF(3)[x]/(x^2)", "GF(4)[y]/(y^2)"])
+@pytest.mark.parametrize("spec", ["GF(4)[y]/(y^2)", "GF(4)[y]/(y^3)"])
 def test_chain_local_lifts_in_place_and_splices_once(spec, monkeypatch):
-    """chain_local never lifts a whole residue basis afresh: each basis
-    keeps its predecessor verbatim but for the <= 2 vectors the aligned
-    residue step changes, and the one equal-mod-m chain is the closing one."""
+    """Over a non-field ring of residue characteristic 2, chain_local never
+    lifts a whole residue basis afresh: each basis keeps its predecessor
+    verbatim but for the <= 2 vectors the aligned residue step changes, and
+    the one equal-mod-m chain is the closing one."""
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()) + 3)
 
@@ -753,6 +767,93 @@ def test_chain_local_lifts_without_eliminating_afresh(spec, monkeypatch):
     for b, c in ends:
         chain = chain_local(b, c)
         assert verify_chain(chain, b, c)[0]
+
+
+ODD_RESIDUE_SPECS = ["Z/9", "Z/27", "GF(3)[x]/(x^2)"]
+
+
+@pytest.mark.parametrize("spec", ODD_RESIDUE_SPECS)
+def test_chain_local_contracts_over_odd_residue_rings_directly(spec, monkeypatch):
+    """Where 2 is a unit, chain_local runs the contraction loop over R
+    itself: no residue chain, no lift and no closing equal-mod-m splice."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 5)
+
+    def banned(*args):
+        raise AssertionError("odd-residue chain took the lift route")
+
+    for name in ("_local_tuples", "_lift_step", "_equal_mod_m_core"):
+        monkeypatch.setattr(chains, name, banned)
+    for n in (2, 3, 4):
+        for make_space in (random_diagonal_space, _random_congruent_space):
+            S = make_space(ring, n, rng)
+            for _ in range(3):
+                b, c = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+                assert verify_chain(chain_local(b, c), b, c)[0]
+
+
+BOUND_SPECS = [
+    "Z/9", "Z/25", "Z/27", "Z/81", "Z/243", "GF(3)[x]/(x^2)", "GF(3)[x]/(x^3)",
+    "GF(5)[x]/(x^2)", "GF(9)[y]/(y^2)",
+]
+
+
+@pytest.mark.parametrize("spec", BOUND_SPECS)
+def test_odd_residue_chains_have_at_most_n_choose_2_plus_one_bases(spec):
+    """Each contraction shrinks the support of the target vector by one, so
+    a chain over a ring of odd residue characteristic has at most
+    n(n-1)/2 + 1 bases, on diagonal and non-diagonal Gram matrices."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 6)
+    for n in (2, 3, 4, 5, 6, 8):
+        for make_space in (random_diagonal_space, _random_congruent_space):
+            S = make_space(ring, n, rng)
+            for _ in range(3):
+                b, c = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+                assert len(chain_local(b, c)) <= n * (n - 1) // 2 + 1, (n, make_space)
+
+
+def _gf5_orthogonal_bases_up_to_sign(diag):
+    """Every orthogonal basis of the diagonal form ``diag`` on GF(5)^3, as
+    sorted integer triples, each vector with first nonzero entry 1 or 2."""
+
+    def b(u, v):
+        return sum(d * x * y for d, x, y in zip(diag, u, v)) % 5
+
+    lines = [v for v in itertools.product(range(5), repeat=3)
+             if next((x for x in v if x), 0) in (1, 2) and b(v, v)]
+    return [t for t in itertools.combinations(lines, 3)
+            if not (b(t[0], t[1]) or b(t[0], t[2]) or b(t[1], t[2]))]
+
+
+def test_every_gf5_n3_diagonal_basis_is_reached_within_the_bound():
+    """From the standard basis to every orthogonal basis, up to sign, of
+    every diagonal form over GF(5) at n = 3: at most 3 * 2 / 2 + 1 bases."""
+    F5 = parse_ring("GF(5)")
+    reached = 0
+    for diag in itertools.product(range(1, 5), repeat=3):
+        S = BilinearSpace.diagonal(F5, tuple(map(F5.from_int, diag)))
+        E = standard_basis(S)
+        for t in _gf5_orthogonal_bases_up_to_sign(diag):
+            target = OrthogonalBasis(S, [tuple(map(F5.from_int, v)) for v in t])
+            assert len(chain_local(E, target)) <= 4, (diag, t)
+            reached += 1
+    # 1280 orthogonal bases per form, as all_orthogonal_bases counts them,
+    # in classes of 2^3 sign choices
+    assert reached == 64 * 160
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS + F2_RESIDUE_SPECS)
+def test_chains_in_dimension_at_most_2_take_one_step(spec):
+    """Consecutive bases of dimension <= 2 may differ in every vector, so a
+    chain there is one step on every route."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 7)
+    for n in (1, 2):
+        for _ in range(10):
+            S = random_diagonal_space(ring, n, rng)
+            b, c = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+            assert len(chain_local(b, c)) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,9 @@ _GF4Y2_TO = [
 ]
 
 # GF(5) and Z/9, n = 4: random_diagonal_space plus two random_orthogonal_basis
-# draws with random.Random(6) and random.Random(2); their residue-field chains
-# run the odd-characteristic contraction loop, 5 and 4 pair contractions, of
-# which 3 and 2 are on a support of size >= 3
+# draws with random.Random(6) and random.Random(2); both chains run the
+# odd-characteristic contraction loop, the Z/9 one over the ring itself: 5 pair
+# contractions each, of which 3 are on a support of size >= 3
 _ODD_CHAINS = {
     "gf5": ("GF(5)",
             [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]],
