@@ -16,6 +16,12 @@ residue field (Baeza, *Quadratic Forms over Semilocal Rings*, LNM 655), so
 the loop runs over R itself.  Characteristic 2 adds a rescaling to q = 1
 and the hat-basis escape.
 
+Builders evaluate b only for data they do not carry.  The contraction loop
+and ``_equal_mod_m_core`` keep the q-values of their current tuple, and the
+loop the coordinates of its target vector too, updated in closed form after
+each replacement: a chain over odd residue characteristic evaluates b
+n + sum_{k=3..n} k times, O(n^2).
+
 A non-field ring of residue characteristic 2 takes the lift route: a
 residue chain, lifted in place, closed by one equal-mod-m chain.  Its units
 need not be squares, so the loop's normalization to q = 1 is not available
@@ -58,7 +64,6 @@ intersection in the definition.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -307,13 +312,11 @@ def elementary_move(basis: OrthogonalBasis, eps: RingElement, i: int, j: int) ->
     return OrthogonalBasis(space, [_elements(ring, v) for v in u])
 
 
-def _coords_in(space, basis_vectors, z, q_inverses=None):
-    """Coordinates of z in an orthogonal tuple: c_i = b(z, u_i) / q(u_i).
-    ``q_inverses``, when given, are the 1 / q(u_i) already computed."""
+def _coords_in(space, basis_vectors, z, qs):
+    """Coordinates of z in an orthogonal tuple whose q-values are ``qs``:
+    c_i = b(z, u_i) / q_i, as a list."""
     ring = space.ring
-    if q_inverses is None:
-        q_inverses = [ring._rinv(_b(space, u, u)) for u in basis_vectors]
-    return tuple(ring.mul[_b(space, z, u)][qinv] for u, qinv in zip(basis_vectors, q_inverses))
+    return [ring.mul[_b(space, z, u)][ring._rinv(q)] for u, q in zip(basis_vectors, qs)]
 
 
 def chain_equal_mod_m(b1: OrthogonalBasis, b2: OrthogonalBasis) -> Chain:
@@ -329,39 +332,55 @@ def chain_equal_mod_m(b1: OrthogonalBasis, b2: OrthogonalBasis) -> Chain:
 
 
 def _equal_mod_m_core(space, cur, target):
-    k = len(cur)
+    """Steps from cur to target, orthogonal tuples equal componentwise mod m.
+
+    Level by level, target[0] = sum c_i u_i is reached from cur[0] by
+    rescaling it by c_0 and one elementary move per nonzero c_i (i >= 1);
+    the rest of the level becomes the next level's tuple.  The q-values are
+    evaluated once and carried: work[i] is still u_i, orthogonal to work[0],
+    until its move, so the move with eps and f = -eps q_i / q(work[0]) gives
+    q(work[0] + eps u_i) = q(work[0]) + eps^2 q_i and
+    q(u_i + f work[0]) = q_i + f^2 q(work[0])."""
     if cur == target:
         return [cur]
-    if k <= 2:
+    if len(cur) <= 2:
         return [cur, target]
     ring = space.ring
-    mul, residue = ring.mul, ring.residue_of
+    add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
     qs = [_b(space, u, u) for u in cur]
-    coords = _coords_in(space, cur, target[0], [ring._rinv(q) for q in qs])
     steps = [cur]
-    work = list(cur)
-    if coords[0] != 1:  # eps_1 = coords[0] - 1 is not zero
-        work[0] = _lincomb(ring, (work[0],), coords[:1])
-        # a later move replaces work[0] anyway, so the rescaling rides on it
-        if not any(coords[1:]):
-            steps.append(tuple(work))
-    for i in range(1, k):
-        eps = coords[i]
-        if not eps:
-            continue
-        if residue[eps]:
-            raise NotEqualModMError("coordinate outside the maximal ideal")
-        q0 = _b(space, work[0], work[0])
-        f = ring.neg[mul[mul[eps][qs[i]]][ring._rinv(q0)]]  # work[i] is still cur[i]
-        pair = (work[0], work[i])
-        work[0], work[i] = _lincomb(ring, pair, (1, eps)), _lincomb(ring, pair[::-1], (1, f))
-        steps.append(tuple(work))
-    if work[0] != target[0]:
-        raise ChainError("partial-sum recursion failed to reach the target vector")
-    sub = _equal_mod_m_core(space, tuple(work[1:]), tuple(target[1:]))
-    for t in sub[1:]:
-        steps.append((work[0],) + t)
-    return steps
+    head = ()  # the target vectors already in place
+    while True:
+        coords = _coords_in(space, cur, target[0], qs)
+        work = list(cur)
+        c0 = coords[0]
+        q0 = mul[mul[c0][c0]][qs[0]]
+        if c0 != 1:  # eps_1 = c0 - 1 is not zero
+            work[0] = _lincomb(ring, (work[0],), (c0,))
+            # a later move replaces work[0] anyway, so the rescaling rides on it
+            if not any(coords[1:]):
+                steps.append(head + tuple(work))
+        for i in range(1, len(cur)):
+            eps = coords[i]
+            if not eps:
+                continue
+            if residue[eps]:
+                raise NotEqualModMError("coordinate outside the maximal ideal")
+            qi = qs[i]  # work[i] is still cur[i]
+            f = neg[mul[mul[eps][qi]][ring._rinv(q0)]]
+            pair = (work[0], work[i])
+            work[0], work[i] = _lincomb(ring, pair, (1, eps)), _lincomb(ring, pair[::-1], (1, f))
+            q0, qs[i] = add[q0][mul[mul[eps][eps]][qi]], add[qi][mul[mul[f][f]][q0]]
+            steps.append(head + tuple(work))
+        if work[0] != target[0]:
+            raise ChainError("partial-sum recursion failed to reach the target vector")
+        head += (work[0],)
+        cur, target, qs = tuple(work[1:]), target[1:], qs[1:]
+        if cur == target:
+            return steps
+        if len(cur) <= 2:
+            steps.append(head + target)
+            return steps
 
 
 def _dedupe(steps):
@@ -704,16 +723,18 @@ def _field_chain_core(space, tup_a, tup_b):
         raise ChainUnreachableError("endpoints lie in different chain components over F_2")
     resc_a, cur = _rescale_steps(space, tup_a)
     resc_b, target = _rescale_steps(space, tup_b)
-    steps = [tup_a] + resc_a + _field_chain_contract(space, cur, target)[1:]
+    ones = (ring.one.data,) * len(cur)
+    steps = [tup_a] + resc_a + _field_chain_contract(space, cur, target, ones)[1:]
     steps.extend(reversed(resc_b))
     if frozenset(steps[-1]) != frozenset(tup_b):
         steps.append(tup_b)
     return steps
 
 
-def _field_chain_contract(space, tup_a, tup_b):
+def _field_chain_contract(space, tup_a, tup_b, qs=None):
     """Minimal-support contraction of w1 = tup_b[0] into the current tuple,
-    then recursion on the complement of w1.
+    then recursion on the complement of w1.  ``qs`` holds the q-values of
+    tup_a (evaluated here when not given).
 
     Each pass replaces the first pair (i, j) of support vectors whose part
     z = c_i u_i + c_j u_j of w1 is anisotropic by z and its complement
@@ -735,9 +756,12 @@ def _field_chain_contract(space, tup_a, tup_b):
     <= 2 one step, so a chain has at most n(n-1)/2 + 1 bases.
 
     In characteristic 2 (fields only) both tuples have q = 1
-    (``_field_chain_core`` rescales them) and every new vector is normalized
-    back to q = 1, so q(z) = (c_i + c_j)^2: the pair test is c_i != c_j, and
-    z is formed for the chosen pair alone.  And q(w1) = 1 gives sum c_i = 1.
+    (``_field_chain_core`` rescales them), so q(c_i u_i + c_j u_j) =
+    (c_i + c_j)^2: the pair test is c_i != c_j.  With t = c_i + c_j, the
+    pair is replaced by z = (c_i u_i + c_j u_j) / t and
+    s = (c_j u_i + c_i u_j) / t, the complement above scaled to q = 1;
+    both have q = 1, and w1 has coordinate t on z and 0 on s.  And
+    q(w1) = 1 gives sum c_i = 1.
     A support of size 1 then has c^2 = 1, so w1 is already in the tuple; on
     a support of size 2, c_i + c_j = 1 and the pair contracts.  When all
     support coefficients agree, the hat basis of the support plus one more
@@ -745,25 +769,28 @@ def _field_chain_contract(space, tup_a, tup_b):
     w1 = sum u_i, every vector orthogonal to w1 has coordinate sum 0 and so
     is isotropic, against the anisotropic tup_b[1:].  So in dimension 3 some
     pair has c_i != c_j and the hat escape never runs.
+
+    The loop carries the q-values of the current tuple and the coordinates
+    of w1 on it, updated by the closed forms above; b is evaluated for the
+    coordinates once per level (again after a hat escape) and for the
+    q-values once per call from ``_field_chain_core``, so a chain over odd
+    residue characteristic evaluates b n + sum_{k=3..n} k times.
     """
     if frozenset(tup_a) == frozenset(tup_b):
         return [tup_a]
     if len(tup_a) <= 2:
         return [tup_a, tup_b]
     ring = space.ring
-    residue = ring.residue_of
+    add, mul, residue = ring.add, ring.mul, ring.residue_of
     char2 = ring.size % 2 == 0
+    qs = [_b(space, u, u) for u in tup_a] if qs is None else list(qs)
     steps = [tup_a]
     cur = tup_a
-    if char2:
-        normalize = functools.partial(_normalize_q1, space)
-        q_inverses = (ring.one.data,) * len(cur)  # every vector of cur keeps q = 1
-    else:
-        normalize = lambda v: v
-        q_inverses = None
     w1 = tup_b[0]
+    coords = None
     while w1 not in cur:
-        coords = _coords_in(space, cur, w1, q_inverses)
+        if coords is None:
+            coords = _coords_in(space, cur, w1, qs)
         supp = [i for i, c in enumerate(coords) if c]
         if len(supp) == 1:  # only where 2 is a unit: in characteristic 2, q = 1 forces w1 = cur[i]
             work = list(cur)
@@ -771,16 +798,31 @@ def _field_chain_contract(space, tup_a, tup_b):
             cur = tuple(work)
             steps.append(cur)
             break
-        parts = ((i, j, _lincomb(ring, (cur[i], cur[j]), (coords[i], coords[j])))
-                 for i, j in itertools.combinations(supp, 2)
-                 if not char2 or coords[i] != coords[j])
-        pair = next(((i, j, z) for i, j, z in parts if char2 or residue[_b(space, z, z)]), None)
+        if char2:
+            pairs = (p for p in itertools.combinations(supp, 2) if coords[p[0]] != coords[p[1]])
+        else:
+            a = [mul[mul[c][c]][q] for c, q in zip(coords, qs)]  # q(c_i u_i)
+            pairs = (p for p in itertools.combinations(supp, 2) if residue[add[a[p[0]]][a[p[1]]]])
+        pair = next(pairs, None)
         if pair is not None:
-            i, j, z = pair
-            z = normalize(z)
-            s = normalize(_complement_in_plane(space, z, cur[i], cur[j]))
+            i, j = pair
+            ci, cj = coords[i], coords[j]
+            if char2:
+                t = add[ci][cj]
+                tinv = ring._rinv(t)
+                z_coeffs = (mul[ci][tinv], mul[cj][tinv])
+                s_coeffs = z_coeffs[::-1]
+                coords[i] = t
+            else:
+                qz = add[a[i]][a[j]]
+                z_coeffs = (ci, cj)
+                s_coeffs = (mul[cj][qs[j]], ring.neg[mul[ci][qs[i]]])
+                qs[i], qs[j] = qz, mul[mul[qs[i]][qs[j]]][qz]
+                coords[i] = 1
+            coords[j] = 0
+            plane = (cur[i], cur[j])
             work = list(cur)
-            work[i], work[j] = z, s
+            work[i], work[j] = _lincomb(ring, plane, z_coeffs), _lincomb(ring, plane, s_coeffs)
             cur = tuple(work)
             steps.append(cur)
             continue
@@ -796,19 +838,16 @@ def _field_chain_contract(space, tup_a, tup_b):
         for t in hat_steps[1:]:
             steps.append(t + rest)
         cur = hat + rest
+        coords = None  # the hat vectors keep q = 1
         # w1 = hat vector omitting the appended index, i.e. hat[-1]
         if cur[len(sub) - 1] != w1:  # pragma: no cover
             raise ChainError("hat escape did not produce the target vector")
     # cur contains w1; recurse on its complement
     pos = cur.index(w1)
-    for t in _field_chain_contract(space, cur[:pos] + cur[pos + 1:], tup_b[1:])[1:]:
+    rest_qs = qs[:pos] + qs[pos + 1:]
+    for t in _field_chain_contract(space, cur[:pos] + cur[pos + 1:], tup_b[1:], rest_qs)[1:]:
         steps.append((w1,) + t)
     return steps
-
-
-def _normalize_q1(space, v):
-    field = space.ring
-    return _lincomb(field, (v,), (field._rinv(_field_sqrt(field, _b(space, v, v))),))
 
 
 def chain_field(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:

@@ -1056,23 +1056,28 @@ def _ref_field_chain_char2(space, tup_a, tup_b):
 
 
 @pytest.mark.parametrize(
-    "spec", ["GF(3)", "GF(5)", "GF(7)", "GF(9)", "GF(4)", "GF(8)", "GF(16)"]
+    "spec",
+    ["GF(3)", "GF(5)", "GF(7)", "GF(9)", "GF(4)", "GF(8)", "GF(16)",
+     "Z/9", "Z/25", "Z/27", "GF(3)[x]/(x^2)", "GF(5)[x]/(x^2)", "GF(3)[x]/(x^3)"],
 )
 def test_contraction_loop_matches_per_characteristic_loops(spec, monkeypatch):
-    field = parse_ring(spec)
+    """Step for step, on fields and on rings of odd residue characteristic,
+    which take the loop over R itself; the odd reference evaluates every
+    q-value and coordinate afresh, so it also checks the carried ones."""
+    ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()))
     pairs = []
     for n in (3, 4, 5, 6):
         for _ in range(4):
-            S = random_diagonal_space(field, n, rng)
+            S = random_diagonal_space(ring, n, rng)
             pairs.append((S, random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)))
-        if field.size % 2 == 0 and n % 2 == 0:
+        if ring.size % 2 == 0 and n % 2 == 0:
             # e -> e-hat takes the hat escape
-            S = ident_space(field, n)
+            S = ident_space(ring, n)
             pairs.append((S, standard_basis(S), hat_basis(S)))
 
     def ref_on_indices(space, tup_a, tup_b):
-        steps = _ref_field_chain_core(space, _els(field, tup_a), _els(field, tup_b))
+        steps = _ref_field_chain_core(space, _els(ring, tup_a), _els(ring, tup_b))
         return [_idx(t) for t in steps]
 
     for S, A, B in pairs:
@@ -1081,7 +1086,39 @@ def test_contraction_loop_matches_per_characteristic_loops(spec, monkeypatch):
             # _hat_core's inner chain runs the reference too
             m.setattr(chains, "_field_chain_core", ref_on_indices)
             want = _ref_field_chain_core(S, A.vectors, B.vectors)
-        assert [_els(field, t) for t in got] == want
+        assert [_els(ring, t) for t in got] == want
+
+
+@pytest.mark.parametrize(
+    "spec", ["GF(3)", "GF(5)", "GF(9)", "Z/9", "Z/25", "Z/27", "GF(3)[x]/(x^2)", "GF(4)", "GF(8)"]
+)
+def test_contraction_loop_evaluates_b_only_for_data_it_does_not_carry(spec, monkeypatch):
+    """The loop carries the q-values of its tuple and the coordinates of the
+    target vector, so a chain evaluates b at most 2n + n(n+1)/2 times.
+    Over odd residue characteristic that is n q-values once and k
+    coordinates per level of dimension k >= 3; in characteristic 2 at n = 3
+    (no hat escape) it is the rescaling of both tuples and one level."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(spec.encode()) + 7)
+    pairs = []
+    for n in (3,) if ring.size % 2 == 0 else range(3, 9):
+        for make_space in (random_diagonal_space, _random_congruent_space):
+            S = make_space(ring, n, rng)
+            for _ in range(2):
+                pairs.append((S, random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)))
+    calls = []
+
+    def counted(space, x, y):
+        calls.append(None)
+        return certify._b(space, x, y)
+
+    monkeypatch.setattr(chains, "_b", counted)
+    for S, A, B in pairs:
+        n = S.n
+        calls.clear()
+        chains._field_chain_core(S, A.indices, B.indices)
+        carried = 2 * n + 3 if ring.size % 2 == 0 else n + sum(range(3, n + 1))
+        assert len(calls) <= carried <= 2 * n + n * (n + 1) // 2, (n, len(calls))
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(4)[y]/(y^2)", "GF(16)"])
@@ -1147,7 +1184,8 @@ def test_char2_pair_test_is_unequal_coefficients(spec):
     rng = seeded(zlib.crc32(spec.encode()))
     S = random_diagonal_space(field, 3, rng)
     basis = random_orthogonal_basis(S, rng)
-    u = _els(field, [chains._normalize_q1(S, v) for v in basis.indices])
+    _, rescaled = chains._rescale_steps(S, basis.indices)
+    u = _els(field, rescaled)
     assert list(u) == [_ref_normalize_q1(S, v) for v in basis.vectors]
     for ui, uj in ((u[0], u[1]), (u[1], u[2])):
         assert S.eval_q(ui) == S.eval_q(uj) == field.one
