@@ -18,9 +18,10 @@ evaluates b on ambient vectors.
 Exhaustive searches share one limit policy.  None runs where |R|^n exceeds
 `SEARCH_SPACE_CAP`: `is_isometric` answers "unknown" at once, and
 `chains.bfs_chain_oracle` and `chains.all_orthogonal_bases` raise
-`BudgetExceededError`.  Running out of a step budget (`ISOMETRY_BUDGET`,
-`chains.BFS_NODE_BUDGET`) is "unknown" too, never a "no".  The cap is read
-through this module, so patching `bilinear.SEARCH_SPACE_CAP` reaches all.
+`BudgetExceededError`.  Running out of a budget of candidate vectors
+(`ISOMETRY_BUDGET`, `chains.BFS_CANDIDATE_BUDGET`) is "unknown" too, never
+a "no".  The cap is read through this module, so patching
+`bilinear.SEARCH_SPACE_CAP` reaches all.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ diagonal B with unit entries has a unit determinant.  A chain needs no
 determinant by the same argument: for M with columns v_1..v_n, pairwise
 orthogonal with unit q-values, M^T A M is triangular with diagonal
 q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
+
+``verify_chain`` keeps no state but the vector set of the basis before:
+a basis is judged only after that one passed, so it skips the q-values and
+the pairs of distinct vectors the two share (``_check_orthobasis``), and a
+later basis costs at most 2n - 1 evaluations of b, the first n(n+1)/2.
 """
 
 from __future__ import annotations
@@ -41,33 +46,19 @@ def _b(space, x, y):
     return acc
 
 
-class _CertificateChecks:
-    """What the bases of one certificate have established so far: an id for
-    each distinct vector, given the first time the vector is seen and keyed
-    by its index tuple; the ids whose q-value is checked; and the unordered
-    id pairs checked orthogonal."""
-
-    __slots__ = ("ids", "checked", "pairs")
-
-    def __init__(self):
-        self.ids, self.checked, self.pairs = {}, set(), set()
-
-    def id_list(self, vectors):
-        ids = self.ids
-        return [ids.setdefault(v, len(ids)) for v in vectors]
-
-
-def _check_orthobasis(space, basis, checks=None):
+def _check_orthobasis(space, basis, prev=frozenset()):
     """(ok, message) for one ordered basis: n vectors of length n over the
     space's ring, each with unit q, pairwise orthogonal.
 
     The length and ring of each vector are checked in turn, so a wrong
     length is reported before a later vector's foreign entry raises
-    RingError.  ``checks``, shared by the bases of one certificate, skips
-    every q-value and every pair an earlier basis already passed.  The
-    remaining checks run in the order of a full check, and what is skipped
-    has passed, so the first failure and its message are the same with or
-    without ``checks``.
+    RingError.  ``prev`` is the vector set of a basis that passed: each of
+    its vectors has a unit q-value, and any two distinct ones are
+    orthogonal.  So the q-value of a vector in ``prev`` and the pair of two
+    distinct vectors both in ``prev`` are skipped; a repeated vector is
+    still paired with itself, and fails since q(v) is a unit.  The other
+    checks run in the order of a full check, and what is skipped has
+    passed, so the first failure and its message do not depend on ``prev``.
     """
     n, ring = space.n, space.ring
     from_elements = basis._indices is None
@@ -80,56 +71,49 @@ def _check_orthobasis(space, basis, checks=None):
         if from_elements:
             ring.check_elements(v)
     indices = basis.indices
-    checks = checks or _CertificateChecks()
-    ids = checks.id_list(indices)
-    checked, pairs, residue = checks.checked, checks.pairs, ring.residue_of
-    for i in range(n):
-        a, v = ids[i], indices[i]
-        if a not in checked:
-            if not residue[_b(space, v, v)]:
-                return False, f"vector {i} is not anisotropic"
-            checked.add(a)
+    residue = ring.residue_of
+    for i, v in enumerate(indices):
+        kept = v in prev
+        if not kept and not residue[_b(space, v, v)]:
+            return False, f"vector {i} is not anisotropic"
         for j in range(i + 1, n):
-            b = ids[j]
-            pair = (a, b) if a <= b else (b, a)
-            if pair not in pairs:
-                # a repeated vector makes the pair (a, a): b(v, v) = q(v) is a unit
-                if _b(space, v, indices[j]):
-                    return False, f"vectors {i} and {j} are not orthogonal"
-                pairs.add(pair)
+            w = indices[j]
+            if kept and w in prev and w != v:
+                continue
+            if _b(space, v, w):
+                return False, f"vectors {i} and {j} are not orthogonal"
     return True, "ok"
 
 
 def verify_chain(chain, start, end):
     """Full certificate check; returns (ok, diagnostic).
 
-    Every basis must be an orthogonal basis of the chain's space, each
-    distinct vector and pair checked once per certificate (see
-    ``_check_orthobasis``); consecutive bases must share at least n-2
-    vectors, and the first and last bases must hold the vectors of start and
-    end, on the chain's space.  The overlap and endpoint tests compare sets
-    of vector ids.
+    Every basis must be an orthogonal basis of the chain's space, checked
+    against the basis before it (see ``_check_orthobasis``); consecutive
+    bases must share at least n-2 vectors, and the first and last bases must
+    hold the vectors of start and end, on the chain's space.  The overlap
+    and endpoint tests compare sets of index tuples.
     """
     space = chain.space
     n = space.n
-    checks = _CertificateChecks()
+    sets = []
     for idx, basis in enumerate(chain.bases):
         if basis.space != space:
             return False, f"basis {idx} lives on a different space"
-        ok, msg = _check_orthobasis(space, basis, checks)
+        ok, msg = _check_orthobasis(space, basis, sets[-1] if sets else frozenset())
         if not ok:
             return False, f"basis {idx}: {msg}"
-    id_sets = [frozenset(checks.id_list(basis.indices)) for basis in chain.bases]
-    for idx in range(len(id_sets) - 1):
-        overlap = len(id_sets[idx] & id_sets[idx + 1])
+        sets.append(frozenset(basis.indices))
+    for idx in range(len(sets) - 1):
+        overlap = len(sets[idx] & sets[idx + 1])
         if overlap < n - 2:
             return False, (
                 f"step {idx} -> {idx + 1} replaces more than two vectors "
                 f"(overlap {overlap} < {n - 2})"
             )
-    for ids, basis, which in ((id_sets[0], start, "start"), (id_sets[-1], end, "end")):
+    for vectors, basis, which in ((sets[0], start, "start"), (sets[-1], end, "end")):
         # index tuples alone cannot tell an endpoint on another space apart
-        if basis.space != space or ids != frozenset(checks.id_list(basis.indices)):
+        if basis.space != space or vectors != frozenset(basis.indices):
             return False, f"chain does not {which} at the requested basis"
     return True, "ok"
 

@@ -5,7 +5,8 @@ sequence of orthogonal bases connects them in which consecutive bases share
 all but at most two vectors.  This module builds such chains as verifiable
 certificates: a contraction loop, and the lift of residue-field chains.  A
 breadth-first oracle over all orthogonal bases stays beside them as an
-independent reference; no builder calls it.
+independent reference; no builder calls it.  Its budget counts the
+candidate vectors it forms, since the cost of a node grows with |R|^2.
 
 Over a field other than F_2, and over any ring of odd residue
 characteristic, one minimal-support loop serves every dimension: it
@@ -55,7 +56,11 @@ Builders assemble their chains as index tuples through private cores and
 wrap them in unchecked bases.  ``verify_chain``, from the checker module
 ``certify``, is the sole judge of chain certificates: every public builder
 runs it exactly once, on the chain it returns, through this module's name,
-and nothing inside a builder re-checks intermediate pieces.
+and nothing inside a builder re-checks intermediate pieces.  Only
+``_certified``, which verifies, and ``Chain.from_json``, whose chain the
+caller judges, construct a ``Chain``.  The checker judges each basis
+against the one before it, so a valid chain of k bases costs it at most
+n(n+1)/2 + (k-1)(2n-1) evaluations of b.
 
 Chain entries are stored as ordered tuples; the overlap condition and
 endpoint identity are evaluated on vector *sets*, matching the set
@@ -931,7 +936,7 @@ def _local_tuples(space, tup_b, tup_c):
 # ---------------------------------------------------------------------------
 
 
-BFS_NODE_BUDGET = 200_000
+BFS_CANDIDATE_BUDGET = 500_000
 
 
 @dataclass
@@ -949,7 +954,9 @@ def bfs_chain_oracle(b: OrthogonalBasis, c: OrthogonalBasis) -> BfsResult:
     most two vectors.  "unreachable" is only reported after the full
     component of the start basis has been explored.  Limits as in
     ``bilinear``: ``BudgetExceededError`` above the search space cap, and
-    status "budget" after ``BFS_NODE_BUDGET`` expanded basis sets.
+    status "budget" before the candidate vectors formed would pass
+    ``BFS_CANDIDATE_BUDGET``.  A node's cost grows with |R|^2, so the budget
+    counts candidates, not nodes; ``explored`` counts nodes.
     """
     space = b.space
     if c.space != space:
@@ -975,12 +982,17 @@ def _bfs_core(space, tup_b, tup_c):
     start, goal = frozenset(tup_b), frozenset(tup_c)
     parents: dict = {start: None}
     queue = deque([start])
-    explored = 0
+    n, ring = space.n, space.ring
+    # the candidates _bfs_neighbors forms per node: each unit multiple of the
+    # n one-vector complements, and each (c1, c2) of the n(n-1)/2 planes
+    per_node = n * len(ring.units()) + n * (n - 1) // 2 * ring.size ** 2
+    explored = candidates = 0
     found = start == goal
     while queue and not found:
         node = queue.popleft()
         explored += 1
-        if explored > BFS_NODE_BUDGET:
+        candidates += per_node
+        if candidates > BFS_CANDIDATE_BUDGET:
             return BfsResult("budget", explored=explored), None
         for nxt in _bfs_neighbors(space, node):
             if nxt in parents:

@@ -325,6 +325,44 @@ def test_incremental_check_agrees_with_the_full_check_on_random_mutants(spec):
     assert len(verdicts) >= 5, verdicts
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("spec", MATRIX_SPECS + F2_RESIDUE_SPECS)
+def test_verify_chain_checks_each_basis_against_the_one_before(spec, n, monkeypatch):
+    """The checker's cost per basis: b runs at most n(n+1)/2 times on the
+    first basis and at most 2n - 1 times on each later one, which keeps
+    n - 2 vectors of the basis before it.  Over residue F_2, random
+    endpoints are kept where a chain joins them."""
+    ring = parse_ring(spec)
+    rng = seeded(zlib.crc32(f"{spec} {n}".encode()))
+    S = random_diagonal_space(ring, n, rng)
+    built = []
+    for _ in range(6):
+        A, B = random_orthogonal_basis(S, rng), random_orthogonal_basis(S, rng)
+        try:
+            built.append((chain_local(A, B), A, B))
+        except ChainUnreachableError:
+            continue
+    assert built
+    costs = []
+
+    def counted_b(*args, _original=certify._b):
+        costs[-1] += 1
+        return _original(*args)
+
+    def per_basis(*args, _original=certify._check_orthobasis):
+        costs.append(0)
+        return _original(*args)
+
+    monkeypatch.setattr(certify, "_b", counted_b)
+    monkeypatch.setattr(certify, "_check_orthobasis", per_basis)
+    for chain, A, B in built:
+        costs.clear()
+        assert verify_chain(chain, A, B) == (True, "ok")
+        assert len(costs) == len(chain)
+        assert costs[0] <= n * (n + 1) // 2, costs
+        assert max(costs[1:], default=0) <= 2 * n - 1, costs
+
+
 def _implication_grams(ring, n):
     """Gram matrices <1, u>, the hyperbolic plane and [[1, 1], [1, 0]], each
     padded to size n by <u>."""
@@ -1339,6 +1377,21 @@ def test_bfs_space_cap():
         bfs_chain_oracle(standard_basis(S), standard_basis(S))
 
 
+def test_bfs_budget_counts_candidate_vectors(monkeypatch):
+    """A node over Z/16 at n = 4 forms 4 * 8 + 6 * 16^2 = 1568 candidate
+    vectors, so a budget of 5,000 candidates ends the search at its fourth
+    node; as many nodes would take minutes.  The residue bases of e and
+    the lifted hat basis differ as sets, so no chain joins them."""
+    monkeypatch.setattr(chains, "BFS_CANDIDATE_BUDGET", 5_000)
+    S = ident_space(parse_ring("Z/16"), 4)
+    assert S.ring.size ** S.n == bilinear.SEARCH_SPACE_CAP
+    E, H = standard_basis(S), lifted_hat_basis(S)
+    began = time.perf_counter()
+    res = bfs_chain_oracle(E, H)
+    assert time.perf_counter() - began < 1.0
+    assert (res.status, res.explored, res.chain) == ("budget", 4, None)
+
+
 def test_one_search_space_cap_limits_every_search(monkeypatch):
     """Setting bilinear.SEARCH_SPACE_CAP reaches all three exhaustive
     searches: above it the isometry search answers "unknown" without
@@ -1789,6 +1842,71 @@ def test_golden_lifted_certificates_pass_verify_and_the_bench_checker(name, caps
     ringcheck.check_chain_certificate(ring, gram, start, end, certificate)
     assert run(["verify", "--cert", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+_F4_ENTRIES = ([], [1], [0, 1], [1, 1])
+_FOREIGN_VALUES = ("a", True, 1.5, [[1]])
+
+
+def _f4_certificate_mutants(count, seed):
+    """``count`` seeded single mutations of the paper's F_4 certificate, as
+    JSON text: one coefficient list changed, a vector dropped or repeated,
+    a basis dropped or two swapped, a foreign JSON value as an entry or
+    inside one, or another ring named."""
+    rng = seeded(seed)
+    kinds = ("entry", "drop vector", "repeat vector", "drop basis", "swap bases",
+             "foreign value", "ring")
+    mutants = []
+    for _ in range(count):
+        cert = json.loads(json.dumps(f4_chain_certificate()))
+        bases = cert["bases"]
+        b = rng.randrange(len(bases))
+        basis = bases[b]
+        v, e = rng.randrange(len(basis)), rng.randrange(4)
+        kind = rng.choice(kinds)
+        if kind == "entry":
+            basis[v][e] = rng.choice([c for c in _F4_ENTRIES if c != basis[v][e]])
+        elif kind == "drop vector":
+            del basis[v]
+        elif kind == "repeat vector":  # in place of another vector, or beside it
+            if rng.random() < 0.5:
+                basis[rng.choice([w for w in range(len(basis)) if w != v])] = basis[v]
+            else:
+                basis.insert(rng.randrange(len(basis) + 1), basis[v])
+        elif kind == "drop basis":
+            del bases[b]
+        elif kind == "swap bases":
+            c = rng.choice([k for k in range(len(bases)) if k != b])
+            bases[b], bases[c] = bases[c], bases[b]
+        elif kind == "foreign value":
+            bad = rng.choice(_FOREIGN_VALUES)
+            basis[v][e] = bad if rng.random() < 0.5 else [bad] + basis[v][e][1:]
+        else:
+            cert["ring"] = rng.choice(("GF(2)", "GF(8)", "Z/4"))
+        mutants.append(json.dumps(cert))
+    return mutants
+
+
+def test_verify_cli_on_mutants_of_the_paper_certificate(capsys):
+    """300 single mutations of the paper's F_4 certificate through
+    ``witt-lab verify``: each exits 0, 1 or 2 with one JSON object on
+    stdout and no traceback, and each verdict (exit 0 or 1) is the full
+    check's on the decoded chain between its own first and last bases."""
+    codes = set()
+    for k, text in enumerate(_f4_certificate_mutants(300, 8)):
+        code = run(["verify", "--cert", text])
+        out = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in out.err, (k, text, out.err)
+        data = json.loads(out.out)  # one JSON value, nothing after it
+        assert isinstance(data, dict), (k, text)
+        codes.add(code)
+        if code == 2:
+            assert data["error"], (k, text)
+            continue
+        chain = Chain.from_json(json.loads(text))
+        ok, msg = reference_verify(chain, chain.bases[0], chain.bases[-1])
+        assert (code, data["valid"], data["diagnostic"]) == (0 if ok else 1, ok, msg), (k, text)
+    assert codes == {0, 1, 2}
 
 
 def test_elements_of_another_ring_raise_at_every_entry_point():

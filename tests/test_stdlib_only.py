@@ -153,3 +153,72 @@ def test_no_check_body_is_left_beside_its_builder():
         assert target in called, (cls_name, meth)
         assert target in checker_names or (name, cls_name, target) in DELEGATES, (cls_name, meth)
         assert not called & check_steps, (cls_name, meth, called & check_steps)
+
+
+# ---------------------------------------------------------------------------
+# chains: the library makes a Chain only to verify it, or to decode one
+# ---------------------------------------------------------------------------
+
+CHAIN_MAKERS = {("chains.py", "_certified"), ("chains.py", "Chain.from_json")}
+
+
+def chain_constructions(source: str):
+    """The qualified names of the functions in a source that construct a
+    ``Chain``: by a call of ``Chain`` or ``<module>.Chain``, or of ``cls``
+    in a method of the class ``Chain``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "Chain" or (name == "cls" and scope[:1] == ("Chain",)):
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def unchecked_chain_constructions(name: str, source: str):
+    """The functions of module ``name`` that construct a ``Chain`` other
+    than the certifying wrapper and the decoder."""
+    return [f for f in chain_constructions(source) if (name, f) not in CHAIN_MAKERS]
+
+
+def test_the_chain_guard_sees_a_builder_that_skips_the_check():
+    source = (
+        "class Chain:\n"
+        "    @classmethod\n"
+        "    def from_json(cls, obj):\n"
+        "        return cls(obj['space'], obj['bases'])\n"
+        "def _certified(space, tuples, start, end):\n"
+        "    return Chain(space, tuples).verify(start, end)\n"
+        "def chain_shortcut(space, bases):\n"
+        "    return Chain(space, bases)\n"
+        "def via_module(space, bases):\n"
+        "    return chains.Chain(space, bases)\n"
+        "def other_class(cls, space):\n"
+        "    return cls(space, ())\n"
+    )
+    assert chain_constructions(source) == [
+        "Chain.from_json", "_certified", "chain_shortcut", "via_module",
+    ]
+    assert unchecked_chain_constructions("chains.py", source) == ["chain_shortcut", "via_module"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_certifying_wrapper_and_the_decoder_construct_a_chain(path):
+    source = path.read_text(encoding="utf-8")
+    assert unchecked_chain_constructions(path.name, source) == []
+    if path.name == "chains.py":
+        assert set(chain_constructions(source)) == {f for _, f in CHAIN_MAKERS}
+        certified = next(
+            node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == "_certified"
+        )
+        assert "verify" in _called_names(certified)
