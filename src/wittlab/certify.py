@@ -70,7 +70,9 @@ def _check_orthobasis(space, basis, prev=frozenset()):
             return False, "vector length does not match the space dimension"
         if from_elements:
             ring.check_elements(v)
-    indices = basis.indices
+    if from_elements:  # their ring is checked: fill the index tuples here
+        basis._indices = tuple(tuple(e.data for e in v) for v in vectors)
+    indices = basis._indices
     residue = ring.residue_of
     for i, v in enumerate(indices):
         kept = v in prev

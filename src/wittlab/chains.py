@@ -3,38 +3,27 @@
 Two orthogonal bases of an inner product space are chain equivalent when a
 sequence of orthogonal bases connects them in which consecutive bases share
 all but at most two vectors.  This module builds such chains as verifiable
-certificates: a contraction loop, and the lift of residue-field chains.  A
-breadth-first oracle over all orthogonal bases stays beside them as an
-independent reference; no builder calls it.  Its budget counts the
-candidate vectors it forms, since the cost of a node grows with |R|^2.
+certificates with one construction, a contraction loop.  A breadth-first
+oracle over all orthogonal bases stays beside it as an independent
+reference; no builder calls it.  Its budget counts the candidate vectors it
+forms, since the cost of a node grows with |R|^2.
 
-Over a field other than F_2, and over any ring of odd residue
-characteristic, one minimal-support loop serves every dimension: it
-contracts the first target vector into the current tuple pair by pair, then
-recurses on its complement (``_field_chain_contract``), with at most
-n(n-1)/2 + 1 bases.  Where 2 is a unit a local ring behaves like its
-residue field (Baeza, *Quadratic Forms over Semilocal Rings*, LNM 655), so
-the loop runs over R itself.  Characteristic 2 adds a rescaling to q = 1
-and the hat-basis escape.
+Over any finite local ring whose residue field is not F_2, one
+minimal-support loop serves every dimension: it contracts the first target
+vector into the current tuple pair by pair, then recurses on its complement
+(``_contraction_loop``).  Its closed forms hold over any commutative ring,
+so it runs over R itself.  Only the existence of a contractible pair
+depends on 2.  Where 2 is a unit a pair always exists, as over the residue
+field (Baeza, *Quadratic Forms over Semilocal Rings*, LNM 655), and a chain
+has at most n(n-1)/2 + 1 bases.  In residue characteristic 2 one rotation
+of two vectors makes a pair where none exists, and a chain has at most
+n(n-1)/2 + 1 + 2(n-3) bases (n >= 3).  No square roots, hat basis or lift
+are needed.
 
 Builders evaluate b only for data they do not carry.  The contraction loop
 and ``_equal_mod_m_core`` keep the q-values of their current tuple, and the
 loop the coordinates of its target vector too, updated in closed form after
-each replacement: a chain over odd residue characteristic evaluates b
-n + sum_{k=3..n} k times, O(n^2).
-
-A non-field ring of residue characteristic 2 takes the lift route: a
-residue chain, lifted in place, closed by one equal-mod-m chain.  Its units
-need not be squares, so the loop's normalization to q = 1 is not available
-over R, and over residue F_2 the set rule below must still apply.  Each step
-keeps the current basis verbatim where the residue step does and lifts the
-<= 2 new vectors, one at a time, into the complement of the rest through
-one ``matrices.Echelon`` of their rows w^T A that grows by a row per lift.
-By induction the current basis reduces positionally to the residue basis,
-so kept vectors need no re-lift.  An orthogonal residue basis always lifts
-(each new vector lies in the residue kernel of the echelon rows, so its
-pivot entries reduce correctly), and ``_equal_mod_m_core`` needs only that
-eps lies in m, so a raise there is a bug, reported as ``ChainError``.
+each replacement: a chain evaluates b n + sum_{k=3..n} k times, O(n^2).
 
 Over F_2 the chain lemma fails outright: every orthogonal basis is alone in
 its chain component.  If u and v are orthogonal with q(u) = q(v) = 1 (the
@@ -43,7 +32,13 @@ vectors of their plane.  A step that replaces one or two vectors puts the
 new ones in the plane of the old, so it gives back the same set.  Hence
 two bases over F_2 (n >= 3) are chain equivalent iff they agree as sets,
 and otherwise ``ChainUnreachableError`` is a proof.  Over residue F_2 it is
-a proof too, since reduction maps a chain over R to a chain over F_2.
+a proof too, since reduction maps a chain over R to a chain over F_2.  When
+the residue bases do agree as sets, a permutation and one equal-mod-m chain
+(``_equal_mod_m_core``) join the bases.
+
+``lift_pair`` and ``lift_basis`` lift residue bases to R, one vector at a
+time into the complement of the lifts before it, through one
+``matrices.Echelon`` of their rows w^T A that grows by a row per lift.
 
 Inside this module a vector is a tuple of carrier indices (see ``rings``):
 builders and checker compute on them through the ring's tables and
@@ -481,7 +476,7 @@ def _lift_pair_core(space, bbar, cbar):
     """Lift tuples of the two residue bases; the lifts share every position
     in which bbar and cbar agree.  Each vector of bbar is lifted into the
     orthogonal complement of the lifts before it; the second half is
-    ``_lift_step``, the step ``chain_local`` takes, from those lifts to cbar.
+    ``_lift_step``, from those lifts to cbar.
 
     Both grow an ``Echelon`` of the rows w^T A.  These are the lifts of
     solving over the residue field in the complement that
@@ -510,16 +505,8 @@ def _lift_step(space, cur, prev, nxt):
 
 
 # ---------------------------------------------------------------------------
-# field-level chains
+# element chains and the contraction loop
 # ---------------------------------------------------------------------------
-
-
-def _field_sqrt(field: LocalRing, c: int) -> int:
-    """Square root c^(2^(k-1)) in a field of order 2^k (Frobenius inverse)."""
-    mul = field.mul
-    for _ in range(field.size.bit_length() - 2):
-        c = mul[c][c]
-    return c
 
 
 def _complement_in_plane(space, z, p, q):
@@ -643,59 +630,6 @@ def find_nonvanishing_vector(field: LocalRing, forms):
     return _elements(field, v)
 
 
-def _rescale_steps(space, vectors):
-    """Chain steps rescaling every vector to q = 1 (char-2 fields only).
-
-    Scalings are paired two per step so each step stays within the
-    two-replacement budget.
-    """
-    field = space.ring
-    work = list(vectors)
-    scale_at = []
-    for i, v in enumerate(work):
-        qv = _b(space, v, v)
-        if qv == 1:
-            continue
-        scale_at.append((i, field._rinv(_field_sqrt(field, qv))))
-    steps = []
-    for chunk_start in range(0, len(scale_at), 2):
-        for i, lam in scale_at[chunk_start:chunk_start + 2]:
-            work[i] = _lincomb(field, (work[i],), (lam,))
-        steps.append(tuple(work))
-    return steps, tuple(work)
-
-
-def _hat_core(space, sub):
-    """Chain from (p_1..p_m) to (p-hat_1..p-hat_m) inside their span.
-
-    Requires m even >= 4, all q(p_i) = 1, characteristic 2, |F| > 2.
-    Returns (steps, hat_tuple).
-    """
-    field = space.ring
-    m = len(sub)
-    # any two distinct units have a nonzero sum in characteristic 2
-    b1, bn = (u.data for u in field.units()[:2])
-
-    hat = tuple(_lincomb(field, sub[:k] + sub[k + 1:], (1,) * (m - 1)) for k in range(m))
-
-    # e-side: v_1 = b_n p_1 + (b_1+b_n)(p_2+..+p_{m-1}) + b_1 p_m
-    bmid = field.add[b1][bn]
-    coeffs_e = (bn,) + (bmid,) * (m - 2) + (b1,)
-    steps_u, ut = _extend_core(space, sub, coeffs_e)
-    # hat-side: v_1 = b_1 hat_1 + b_n hat_m
-    coeffs_h = (b1,) + (0,) * (m - 2) + (bn,)
-    steps_v, vt = _extend_core(space, hat, coeffs_h)
-    if ut[0] != vt[0]:  # pragma: no cover - identity checked in tests
-        raise ChainError("hat construction misaligned")
-    middle = _field_chain_core(space, ut[1:], vt[1:])
-    steps = list(steps_u)
-    for t in middle[1:]:
-        steps.append((ut[0],) + t)
-    for t in reversed(steps_v[:-1]):
-        steps.append(t)
-    return steps, hat
-
-
 def hat_chain(n: int, field: LocalRing) -> Chain:
     """Chain on <1>^n from the standard basis e to the hat basis
     (hat_e_r = sum of all e_i, i != r); n even >= 4, char 2, F != F_2."""
@@ -705,152 +639,141 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
         raise BadParametersError("field must have characteristic 2 and more than 2 elements")
     space = BilinearSpace.diagonal(field, (field.one,) * n)
     e = _standard_basis(n)
-    steps, hat = _hat_core(space, e)
+    hat = tuple(tuple(int(i != r) for i in range(n)) for r in range(n))
     return _certified(
         space,
-        _dedupe([e] + steps),
+        _dedupe(_chain_core(space, e, hat)),
         OrthogonalBasis._of(space, e),
         OrthogonalBasis._of(space, hat),
     )
 
 
-def _field_chain_core(space, tup_a, tup_b):
-    """Steps connecting two orthogonal tuples spanning the same subspace of
-    a space over a finite field, or over a local ring of odd residue
-    characteristic; over F_2 only tuples equal as sets.  In characteristic 2
-    (fields only) both tuples are rescaled to q = 1 here, once, and the
-    contraction runs between the rescaled tuples."""
+def _chain_core(space, tup_a, tup_b):
+    """Steps connecting two orthogonal tuples spanning the same subspace:
+    the contraction loop where the residue field is not F_2; over residue
+    F_2 (length >= 3) the set rule of the module docstring, then a
+    permutation and one equal-mod-m chain."""
     ring = space.ring
-    # the contraction returns at once on tuples equal as sets or of length <= 2
-    if ring.size % 2 or len(tup_a) <= 2 or frozenset(tup_a) == frozenset(tup_b):
-        return _field_chain_contract(space, tup_a, tup_b)
-    if ring.size == 2:  # every basis is its own component (module docstring)
+    # the loop returns at once on tuples equal as sets or of length <= 2
+    if ring.residue_field().size > 2 or len(tup_a) <= 2 or frozenset(tup_a) == frozenset(tup_b):
+        return _contraction_loop(space, tup_a, tup_b)
+    residues_a = [_residues(ring, v) for v in tup_a]
+    if frozenset(residues_a) != frozenset(_residues(ring, v) for v in tup_b):
         raise ChainUnreachableError("endpoints lie in different chain components over F_2")
-    resc_a, cur = _rescale_steps(space, tup_a)
-    resc_b, target = _rescale_steps(space, tup_b)
-    ones = (ring.one.data,) * len(cur)
-    steps = [tup_a] + resc_a + _field_chain_contract(space, cur, target, ones)[1:]
-    steps.extend(reversed(resc_b))
-    if frozenset(steps[-1]) != frozenset(tup_b):
-        steps.append(tup_b)
-    return steps
+    by_reduction = dict(zip(residues_a, tup_a))
+    arranged = tuple(by_reduction[_residues(ring, v)] for v in tup_b)
+    return [tup_a] + _equal_mod_m_core(space, arranged, tup_b)
 
 
-def _field_chain_contract(space, tup_a, tup_b, qs=None):
+def _contraction_loop(space, tup_a, tup_b, qs=None):
     """Minimal-support contraction of w1 = tup_b[0] into the current tuple,
-    then recursion on the complement of w1.  ``qs`` holds the q-values of
-    tup_a (evaluated here when not given).
+    then recursion on the complement of w1; the residue field must not be
+    F_2.  ``qs`` holds the q-values of tup_a (evaluated here when not given).
 
     Each pass replaces the first pair (i, j) of support vectors whose part
     z = c_i u_i + c_j u_j of w1 is anisotropic by z and its complement
     s = c_j q_j u_i - c_i q_i u_j in their plane, until w1 itself is in the
-    tuple.  The argument is the same over a field of odd characteristic and
-    over a local ring R in which 2 is a unit (support means c_i != 0):
+    tuple (support means c_i != 0).  These closed forms hold over any
+    commutative ring:
     - w1 = sum c_i u_i holds exactly, as the u_i are orthogonal with unit q;
     - q(s) = q_i q_j q(z) is a unit, and z, s span the plane of u_i, u_j
       (the determinant of the change is -q(z));
-    - w1 has coordinate 1 on z and 0 on s, so its support shrinks by one;
-    - a pair exists on a support of size >= 2.  Write a_i = c_i^2 q_i mod m,
-      zero unless c_i is a unit; q(w1) = sum a_i is a unit, so some a_i is
-      not.  A pair with a_i != 0 = a_k works.  Otherwise every support
-      coefficient is a unit, and a pair fails only when a_i = -a_j: if all
-      failed, three of them would give 2 a_i = 0, and two would give
-      q(w1) = a_i + a_j = 0 mod m.
-    A support of size 1 takes one rescaling step (c is a unit).  Each level
-    of dimension k >= 3 therefore takes at most k - 1 steps, and dimension
-    <= 2 one step, so a chain has at most n(n-1)/2 + 1 bases.
+    - w1 has coordinate 1 on z and 0 on s, so its support shrinks by one.
+    A support of size 1 takes one rescaling step (c is a unit).
 
-    In characteristic 2 (fields only) both tuples have q = 1
-    (``_field_chain_core`` rescales them), so q(c_i u_i + c_j u_j) =
-    (c_i + c_j)^2: the pair test is c_i != c_j.  With t = c_i + c_j, the
-    pair is replaced by z = (c_i u_i + c_j u_j) / t and
-    s = (c_j u_i + c_i u_j) / t, the complement above scaled to q = 1;
-    both have q = 1, and w1 has coordinate t on z and 0 on s.  And
-    q(w1) = 1 gives sum c_i = 1.
-    A support of size 1 then has c^2 = 1, so w1 is already in the tuple; on
-    a support of size 2, c_i + c_j = 1 and the pair contracts.  When all
-    support coefficients agree, the hat basis of the support plus one more
-    vector contains w1.  That support is never the whole tuple: then
-    w1 = sum u_i, every vector orthogonal to w1 has coordinate sum 0 and so
-    is isotropic, against the anisotropic tup_b[1:].  So in dimension 3 some
-    pair has c_i != c_j and the hat escape never runs.
+    Only the existence of a pair depends on 2.  Write a_i = c_i^2 q_i mod m,
+    zero unless c_i is a unit; q(w1) = sum a_i is a unit, so some a_i is
+    not.  A pair with a_i != 0 = a_k works.  Otherwise every support
+    coefficient is a unit, and a pair fails only when a_i = -a_j.  Where 2
+    is a unit, if all failed, three of them would give 2 a_i = 0, and two
+    would give q(w1) = a_i + a_j = 0 mod m; so each level of dimension
+    d >= 3 takes at most d - 1 steps, dimension <= 2 one step, and a chain
+    at most n(n-1)/2 + 1 bases.
+
+    In residue characteristic 2 every pair fails exactly when all a_i on
+    the support equal one a.  Then a != 0 and the support size r is odd,
+    since r a = q(w1) mod m.  The support is not the whole tuple: then for
+    v = sum d_i u_i orthogonal to w1, sum d_i c_i q_i = 0 gives
+    sum d_i / c_i = 0 mod m (c_i q_i = a / c_i mod m), and
+    q(v) = a sum (d_i / c_i)^2 = a (sum d_i / c_i)^2 = 0 mod m, so every
+    vector orthogonal to w1 would be isotropic, against the anisotropic
+    tup_b[1:].  So r >= 3 and d >= 4.  Then one rotation makes a pair:
+    - take i the first support position, k the first one outside it, and
+      lambda the first unit with q_i + lambda^2 q_k a unit (squaring is a
+      bijection of the residue field, which has more than 2 elements);
+    - replace (u_i, u_k) by z = u_i + lambda u_k and
+      s = lambda q_k u_i - q_i u_k, the closed forms with coefficients
+      (1, lambda); w1 has coordinates c_i q_i / q(z) on z and
+      c_i lambda / q(z) on s, of values a_z = a q_i / q(z) and a - a_z,
+      neither 0 nor a;
+    - two a-vectors still fail, and an a-vector with one of the two rotated
+      vectors passes: its contraction has the value of the other, so the
+      shape is kept.  The two rotated vectors are not contracted with each
+      other while a-vectors remain, which would bring back the all-equal
+      case; after r - 1 steps only they remain, and they contract to w1.
+    A level with a rotation takes at most d - r contractions before it and
+    1 + r steps from it, d + 1 in all, so a chain has at most
+    n(n-1)/2 + 1 + 2(n-3) bases (n >= 3).  Where 2 is a unit no rotation
+    happens.
 
     The loop carries the q-values of the current tuple and the coordinates
     of w1 on it, updated by the closed forms above; b is evaluated for the
-    coordinates once per level (again after a hat escape) and for the
-    q-values once per call from ``_field_chain_core``, so a chain over odd
-    residue characteristic evaluates b n + sum_{k=3..n} k times.
+    coordinates once per level and for the q-values once per call from
+    ``_chain_core``, so a chain evaluates b n + sum_{d=3..n} d times.
     """
     if frozenset(tup_a) == frozenset(tup_b):
         return [tup_a]
     if len(tup_a) <= 2:
         return [tup_a, tup_b]
     ring = space.ring
-    add, mul, residue = ring.add, ring.mul, ring.residue_of
-    char2 = ring.size % 2 == 0
+    add, mul, neg, residue = ring.add, ring.mul, ring.neg, ring.residue_of
     qs = [_b(space, u, u) for u in tup_a] if qs is None else list(qs)
     steps = [tup_a]
-    cur = tup_a
+    cur = list(tup_a)
     w1 = tup_b[0]
     coords = None
+    held = ()  # the two rotated positions, once a rotation has run
     while w1 not in cur:
         if coords is None:
             coords = _coords_in(space, cur, w1, qs)
         supp = [i for i, c in enumerate(coords) if c]
-        if len(supp) == 1:  # only where 2 is a unit: in characteristic 2, q = 1 forces w1 = cur[i]
-            work = list(cur)
-            work[supp[0]] = w1
-            cur = tuple(work)
-            steps.append(cur)
+        if len(supp) == 1:
+            cur[supp[0]] = w1
+            steps.append(tuple(cur))
             break
-        if char2:
-            pairs = (p for p in itertools.combinations(supp, 2) if coords[p[0]] != coords[p[1]])
-        else:
-            a = [mul[mul[c][c]][q] for c, q in zip(coords, qs)]  # q(c_i u_i)
-            pairs = (p for p in itertools.combinations(supp, 2) if residue[add[a[p[0]]][a[p[1]]]])
+        a = [mul[mul[c][c]][q] for c, q in zip(coords, qs)]  # q(c_i u_i)
+        pairs = (p for p in itertools.combinations(supp, 2) if residue[add[a[p[0]]][a[p[1]]]])
+        if held and len(supp) > 2:
+            pairs = (p for p in pairs if p != held)
         pair = next(pairs, None)
-        if pair is not None:
+        if pair is None:  # the rotation
+            i, j = supp[0], coords.index(0)
+            qi, qj = qs[i], qs[j]
+            x = 1
+            for y in (u.data for u in ring.units()):
+                qz = add[qi][mul[mul[y][y]][qj]]
+                if residue[qz]:
+                    break
+            zinv, ci = ring._rinv(qz), coords[i]
+            coords[i], coords[j] = mul[mul[ci][qi]][zinv], mul[mul[ci][y]][zinv]
+            held = tuple(sorted((i, j)))
+        else:
             i, j = pair
-            ci, cj = coords[i], coords[j]
-            if char2:
-                t = add[ci][cj]
-                tinv = ring._rinv(t)
-                z_coeffs = (mul[ci][tinv], mul[cj][tinv])
-                s_coeffs = z_coeffs[::-1]
-                coords[i] = t
-            else:
-                qz = add[a[i]][a[j]]
-                z_coeffs = (ci, cj)
-                s_coeffs = (mul[cj][qs[j]], ring.neg[mul[ci][qs[i]]])
-                qs[i], qs[j] = qz, mul[mul[qs[i]][qs[j]]][qz]
-                coords[i] = 1
-            coords[j] = 0
-            plane = (cur[i], cur[j])
-            work = list(cur)
-            work[i], work[j] = _lincomb(ring, plane, z_coeffs), _lincomb(ring, plane, s_coeffs)
-            cur = tuple(work)
-            steps.append(cur)
-            continue
-        if not char2:  # pragma: no cover - impossible where 2 is a unit
-            raise ChainError("no contractible pair where 2 is a unit")
-        # all support coefficients are 1: the support has odd size and w1 is its sum
-        if len(supp) == len(cur):  # pragma: no cover - contradicts orthogonality of tup_b
-            raise ChainError("full-support hat case cannot occur")
-        sub_idx = supp + [next(i for i in range(len(cur)) if i not in supp)]
-        sub = tuple(cur[i] for i in sub_idx)
-        rest = tuple(cur[i] for i in range(len(cur)) if i not in sub_idx)
-        hat_steps, hat = _hat_core(space, sub)
-        for t in hat_steps[1:]:
-            steps.append(t + rest)
-        cur = hat + rest
-        coords = None  # the hat vectors keep q = 1
-        # w1 = hat vector omitting the appended index, i.e. hat[-1]
-        if cur[len(sub) - 1] != w1:  # pragma: no cover
-            raise ChainError("hat escape did not produce the target vector")
+            qi, qj = qs[i], qs[j]
+            x, y = coords[i], coords[j]
+            qz = add[a[i]][a[j]]
+            coords[i], coords[j] = 1, 0
+            if held:  # the contracted vector takes the place of the rotated one it met
+                held = tuple(sorted((i, held[0] if held[1] in pair else held[1])))
+        plane = (cur[i], cur[j])
+        cur[i] = _lincomb(ring, plane, (x, y))
+        cur[j] = _lincomb(ring, plane, (mul[y][qj], neg[mul[x][qi]]))
+        qs[i], qs[j] = qz, mul[mul[qi][qj]][qz]
+        steps.append(tuple(cur))
     # cur contains w1; recurse on its complement
     pos = cur.index(w1)
-    rest_qs = qs[:pos] + qs[pos + 1:]
-    for t in _field_chain_contract(space, cur[:pos] + cur[pos + 1:], tup_b[1:], rest_qs)[1:]:
+    rest = tuple(cur[:pos] + cur[pos + 1:])
+    for t in _contraction_loop(space, rest, tup_b[1:], qs[:pos] + qs[pos + 1:])[1:]:
         steps.append((w1,) + t)
     return steps
 
@@ -861,74 +784,25 @@ def chain_field(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     Over F_2 (n >= 3) bases that differ as sets raise ChainUnreachableError:
     each basis is alone in its chain component.
     """
-    space = b.space
-    if not space.ring.is_field:
+    if not b.space.ring.is_field:
         raise ChainError("chain_field requires a field")
-    if c.space != space:
-        raise ChainError("bases live on different spaces")
-    return _certified(space, _dedupe(_field_chain_core(space, b.indices, c.indices)), b, c)
-
-
-# ---------------------------------------------------------------------------
-# top-level: contraction over R, or residue field -> lift
-# ---------------------------------------------------------------------------
-
-
-def _align_step(prev_tuple, next_set):
-    """Order next_set so it differs from prev_tuple in <= 2 positions."""
-    prev_set = frozenset(prev_tuple)
-    shared = prev_set & next_set
-    inc = iter(sorted(next_set - prev_set))
-    return tuple(v if v in shared else next(inc) for v in prev_tuple)
+    return chain_local(b, c)
 
 
 def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     """Chain between two orthogonal bases over a finite local ring.
 
-    A field, or a ring of odd residue characteristic, runs the contraction
-    loop over the ring itself: at most n(n-1)/2 + 1 bases.  A non-field ring
-    of residue characteristic 2 computes the residue-field chain, lifts it
-    in place, and closes with one equal-mod-m chain.  Over residue F_2
-    (n >= 3) a chain exists iff the residue bases agree as sets; otherwise
+    Where the residue field is not F_2 the contraction loop runs over the
+    ring itself: at most n(n-1)/2 + 1 bases where 2 is a unit, and
+    n(n-1)/2 + 1 + 2(n-3) in residue characteristic 2 (n >= 3).  Over
+    residue F_2 (n >= 3) a chain exists iff the residue bases agree as
+    sets, and is then one equal-mod-m chain; otherwise
     ChainUnreachableError.
     """
     space = b.space
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    ring = space.ring
-    if ring.is_field or ring.size % 2:
-        tuples = _dedupe(_field_chain_core(space, b.indices, c.indices))
-    else:
-        tuples = _local_tuples(space, b.indices, c.indices)
-    return _certified(space, tuples, b, c)
-
-
-def _local_tuples(space, tup_b, tup_c):
-    """Index tuples from tup_b to tup_c over a non-field ring of residue
-    characteristic 2: the aligned residue chain, each step lifted in place
-    from the basis before it, then one equal-mod-m chain."""
-    if frozenset(tup_b) == frozenset(tup_c):
-        return [tup_b]
-    if len(tup_b) <= 2:  # the overlap rule allows any replacement
-        return [tup_b, tup_c]
-    ring = space.ring
-    bbar = tuple(_residues(ring, v) for v in tup_b)
-    cbar = tuple(_residues(ring, v) for v in tup_c)
-    # align: make consecutive residue bases differ positionally in <= 2 slots
-    tups = [bbar]
-    for t in _dedupe(_field_chain_core(space.reduce(), bbar, cbar))[1:]:
-        tups.append(_align_step(tups[-1], frozenset(t)))
-    if frozenset(tups[-1]) != frozenset(cbar):  # pragma: no cover
-        raise ChainError("field chain endpoint mismatch")
-
-    pieces = [tup_b]
-    for prev, nxt in zip(tups, tups[1:]):
-        pieces.append(_lift_step(space, pieces[-1], prev, nxt))
-    # permute the last lift to reduce to c positionally, then close up
-    by_reduction = {_residues(ring, v): v for v in pieces[-1]}
-    arranged = tuple(by_reduction[_residues(ring, v)] for v in tup_c)
-    pieces.extend(_equal_mod_m_core(space, arranged, tup_c))
-    return _dedupe(pieces)
+    return _certified(space, _dedupe(_chain_core(space, b.indices, c.indices)), b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +891,14 @@ def _bfs_core(space, tup_b, tup_c):
     return BfsResult("found", explored=explored, component=()), tuples
 
 
+def _align_step(prev_tuple, next_set):
+    """Order next_set so it differs from prev_tuple in <= 2 positions."""
+    prev_set = frozenset(prev_tuple)
+    shared = prev_set & next_set
+    inc = iter(sorted(next_set - prev_set))
+    return tuple(v if v in shared else next(inc) for v in prev_tuple)
+
+
 def _canonical_tuple(node):
     """The vectors of a node in index order; also the order of nodes."""
     return tuple(sorted(node))
@@ -1032,9 +914,9 @@ def _bfs_neighbors(space, node):
     # replace one vector
     for i in range(n):
         kept = vectors[:i] + vectors[i + 1:]
+        # the line orthogonal to `kept` is the one of the removed vector, so
+        # g is a unit multiple of it and anisotropic
         g = _complement(space, kept)[0]
-        if not residue[_b(space, g, g)]:
-            continue
         for u in units:
             nxt = frozenset(kept) | {_lincomb(ring, (g,), (u,))}
             if nxt != node:
