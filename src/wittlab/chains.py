@@ -972,7 +972,11 @@ def all_orthogonal_bases(space: BilinearSpace):
 # ---------------------------------------------------------------------------
 
 
-def random_orthogonal_basis(space: BilinearSpace, rng, attempts: int = 2000) -> OrthogonalBasis:
+# random vectors tried for each basis position before backtracking
+RANDOM_BASIS_ATTEMPTS = 2000
+
+
+def random_orthogonal_basis(space: BilinearSpace, rng) -> OrthogonalBasis:
     """A random orthogonal basis of a space that admits one.
 
     Backtracking rejection sampling: pick random anisotropic vectors whose
@@ -984,7 +988,7 @@ def random_orthogonal_basis(space: BilinearSpace, rng, attempts: int = 2000) -> 
     def pick(basis_vectors):
         if not basis_vectors:
             return []
-        for _ in range(attempts):
+        for _ in range(RANDOM_BASIS_ATTEMPTS):
             coeffs = [rng.randrange(ring.size) for _ in basis_vectors]
             v = _lincomb(ring, basis_vectors, coeffs)
             if not residue[_b(space, v, v)]:

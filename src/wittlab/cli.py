@@ -177,16 +177,28 @@ def parse_args(argv) -> argparse.Namespace:
 def _load_payload(text: str):
     """Inline JSON, or a path to a JSON file."""
     try:
-        return json.loads(text)
+        return _decode(text, "inline JSON")
     except json.JSONDecodeError:
         pass
     if os.path.exists(text):
         try:
             with open(text, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                content = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {text!r} as a UTF-8 JSON file: {exc}") from None
+        return _decode(content, repr(text))
     raise UsageError(f"cannot parse {text!r} as JSON and no such file exists")
+
+
+def _decode(text: str, source: str):
+    """``json.loads(text)``; UsageError when the JSON nests past the
+    recursion limit or spells an integer too long for ``int``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise UsageError(f"cannot decode {source}: {exc}") from None
 
 
 # exception class -> exit code; the first matching class wins

@@ -18,8 +18,9 @@ An element's data is its index in the carrier, an int in [0, |R|): the
 residue itself for ``Z/N``, and sum c_i q^i for the element sum c_i x^i of
 ``GF(q)[x]/(f)``, each c_i the index of a coefficient.  Index order is the
 order of the coefficients read from the highest degree down, zero is 0 and
-one is 1 in every ring, and equal data means equal elements.  Sums,
-products and negatives come from the kernel described at
+one is 1 in every ring, and equal data means equal elements.  A family
+supplies sums and products (``LocalRing``), negatives and inverses are
+derived from products, and all of it is the kernel described at
 ``LocalRing.cached``.  Hot loops elsewhere index its tables directly:
 ``certify._b`` (behind ``eval_b``) and ``check_congruence``,
 ``bilinear._gram_row`` and ``_lincomb``, ``matrices.Echelon``, ``_dot``,
@@ -189,11 +190,11 @@ class _Computed(dict):
 class LocalRing:
     """Common behaviour of the concrete finite local rings below.
 
-    Subclasses provide the arithmetic kernel's builders (``_add_row``,
-    ``_mul_row``, ``_add_op``, ``_mul_op``, ``_neg_list``,
-    ``_residue_list``, ``_inverse``), formatting and JSON, and call
-    ``_build_kernel`` once their size is known.
-    """
+    A family sets ``spec``, ``size``, ``is_field`` and ``_residue``,
+    provides ``_add_row``, ``_mul_row``, ``_add_op``, ``_mul_op``,
+    ``_residue_list``, ``from_int``, JSON and formatting, and calls
+    ``_build_kernel`` once its size is known.  The negative of a is (-1)·a,
+    filled lazily, and the inverse of a unit is a^(|R*|-1) (Lagrange)."""
 
     spec: str
     size: int
@@ -209,15 +210,15 @@ class LocalRing:
         This is the one owner of per-ring state, the arithmetic kernel
         included, which ``_build_kernel`` makes with the ring:
         ``elements``, one interned ``RingElement`` per index (``elems``);
-        the lists ``neg`` and ``residue_of`` (the index of each element's
-        image in the residue field, 0 exactly on the maximal ideal); and the
-        row tables ``add`` and ``mul``, indexed as ``add[a][b]``, whose rows
-        are made on first use.  When |R| <= TABLE_SIZE_BOUND a row is a list
-        of |R| indices, built by table lookups alone (native ints for
-        ``Z/N``; for a polynomial quotient, sums digit by digit and products
-        by the shift-and-add recurrence at ``PolyQuotient._mul_row``).  Above
-        the bound a row computes each entry when it is looked up, so every
-        ring is indexed through the same code.  A ring from a fresh
+        ``residue_of`` (the index of each element's image in the residue
+        field, 0 exactly on the maximal ideal); and the tables ``add``,
+        ``mul`` (``add[a][b]``) and ``neg`` (``neg[a] = mul[-1][a]``), whose
+        rows and entries are made on first use.  When |R| <= TABLE_SIZE_BOUND
+        a row is a list of |R| indices, built by table lookups alone (native
+        ints for ``Z/N``; for a polynomial quotient, sums digit by digit and
+        products by the shift-and-add recurrence at ``PolyQuotient._mul_row``).
+        Above the bound a row computes each entry when it is looked up, so
+        every ring is indexed through the same code.  A ring from a fresh
         ``parse_ring`` registry starts with all of it empty."""
         try:
             return self._state[key]
@@ -234,7 +235,6 @@ class LocalRing:
 
         self.elems = self.cached("elements", lambda: tuple(map(interned, range(self.size))))
         self.zero, self.one = self.elems[0], self.elems[1]
-        self.neg = self.cached("neg", self._neg_list)
         self.residue_of = self.cached("residue_of", self._residue_list)
         if self.size <= TABLE_SIZE_BOUND:
             add_row, mul_row = self._add_row, self._mul_row
@@ -242,14 +242,18 @@ class LocalRing:
             add_row, mul_row = (partial(_Computed, op=op) for op in (self._add_op, self._mul_op))
         self.add = self.cached("add", lambda: _Rows(add_row))
         self.mul = self.cached("mul", lambda: _Rows(mul_row))
+        m1 = self.from_int(-1).data
+        self.neg = self.cached("neg", lambda: _Rows(lambda a: self.mul[m1][a]))
 
     def _rinv(self, a):
-        """Index of the inverse of the unit with index a, memoized."""
+        """Index of the inverse of the unit with index a, memoized: a^(|R*|-1)
+        by Lagrange's theorem, where |R*| = |R| - |m| and |m| = |R| / |F|."""
         if not self.residue_of[a]:
             raise NonUnitError(f"{self.format_element(a)} is not a unit of {self.spec}")
         inverses = self.cached("inverses", dict)
         if a not in inverses:
-            inverses[a] = self._inverse(a)
+            order = self.size - self.size // self._residue.size
+            inverses[a] = (self.elems[a] ** (order - 1)).data
         return inverses[a]
 
     def check_elements(self, elements):
@@ -428,15 +432,8 @@ class Zmod(LocalRing):
     def _mul_op(self, a, b):
         return a * b % self.size
 
-    def _neg_list(self):
-        N = self.size
-        return [-a % N for a in range(N)]
-
     def _residue_list(self):
         return range(self.size) if self.is_field else [a % self.p for a in range(self.size)]
-
-    def _inverse(self, a):
-        return pow(a, -1, self.size)
 
     def _rjson(self, a):
         return a
@@ -495,26 +492,20 @@ def _pmul(base, a, b):
     return _ptrim(out)
 
 
-def _pdivmod(base, a, m):
-    """Divide by a monic polynomial m over the base field."""
+def _pmod(base, a, m):
+    """Remainder of a by a monic polynomial m over the base field."""
     add, mul, neg = base.add, base.mul, base.neg
     a = list(a)
     dm = len(m) - 1
-    quo = [0] * max(0, len(a) - dm)
     while len(a) > dm:
         lead = a[-1]
-        shift = len(a) - 1 - dm
         if lead:
-            quo[shift] = lead
+            shift = len(a) - 1 - dm
             row = mul[neg[lead]]
             for i in range(dm + 1):
                 a[shift + i] = add[a[shift + i]][row[m[i]]]
         a.pop()
-    return _ptrim(quo), _ptrim(a)
-
-
-def _pmod(base, a, m):
-    return _pdivmod(base, a, m)[1]
+    return _ptrim(a)
 
 
 def _pmonic(base, a):
@@ -523,22 +514,6 @@ def _pmonic(base, a):
         return a
     row = base.mul[base._rinv(lead)]
     return tuple(row[c] for c in a)
-
-
-def _pxgcd(base, a, b):
-    """Extended gcd over base[x]; returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        m = _pmonic(base, r1)
-        lead_inv = base.mul[base._rinv(r1[-1])]
-        q, r = _pdivmod(base, r0, m)
-        q = tuple(lead_inv[c] for c in q)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(base, s0, _pneg(base, _pmul(base, q, s1)))
-        t0, t1 = t1, _padd(base, t0, _pneg(base, _pmul(base, q, t1)))
-    return r0, s0, t0
 
 
 def _min_degree_factor(base, f):
@@ -691,13 +666,6 @@ class PolyQuotient(LocalRing):
         C = self._coeffs
         return self._index(_pmod(self.base, _pmul(self.base, C[a], C[b]), self.modulus))
 
-    def _neg_list(self):
-        q, low = self.base.size, self.base.neg
-        out = [0] * self.size
-        for a in range(1, self.size):
-            out[a] = low[a % q] + q * out[a // q]
-        return out
-
     def _residue_list(self):
         """Horner's rule: a reduces to a_0 + r (a' reduced), with r the root
         of g in the residue field (the class of x)."""
@@ -709,12 +677,6 @@ class PolyQuotient(LocalRing):
         for a in range(1, self.size):
             out[a] = F.add[a % q][step[out[a // q]]]
         return out
-
-    def _inverse(self, a):
-        """Inverse by the extended gcd with the modulus."""
-        g, s, _ = _pxgcd(self.base, self._coeffs[a], self.modulus)
-        row = self.base.mul[self.base._rinv(g[0])]
-        return self._index(_pmod(self.base, tuple(row[c] for c in s), self.modulus))
 
     def _rjson(self, a):
         return [self.base._rjson(c) for c in self._coeffs[a]]

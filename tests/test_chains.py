@@ -757,9 +757,11 @@ def test_chain_local_on_congruent_spaces(spec):
 
 
 @pytest.mark.parametrize("spec", ["Z/27", "GF(4)[y]/(y^2)"])
-def test_chain_local_lifts_without_eliminating_afresh(spec, monkeypatch):
-    """chain_local over a residue field other than F_2 never eliminates a
-    complement from scratch or solves over the residue field."""
+def test_chain_local_calls_no_kernel_or_field_solve(spec, monkeypatch):
+    """chain_local over a residue field other than F_2 calls neither
+    ``Echelon.kernel``, ``kernel_basis`` nor ``solve_field``: the contraction
+    loop writes each complement in closed form in the plane of two vectors
+    of the basis it carries."""
     ring = parse_ring(spec)
     rng = seeded(23)
     space = random_diagonal_space(ring, 4, rng)

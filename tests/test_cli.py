@@ -188,6 +188,39 @@ def test_unreadable_payload_files_are_usage_errors(tmp_path, capsys, argv, make_
     assert "Traceback" not in out.err
 
 
+_DEEP = "[" * 100000
+_LONG_GRID = "[[" + "9" * 5000 + "]]"
+
+
+@pytest.mark.parametrize("in_file", [False, True], ids=["inline", "file"])
+@pytest.mark.parametrize("payload, error", [
+    (_DEEP, "maximum recursion depth exceeded"),
+    (_LONG_GRID, "Exceeds the limit (4300 digits)"),
+], ids=["deep", "long-int"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cert"],
+    ["diagonalize", "--ring", "GF(3)", "--gram"],
+    ["chain", "--ring", "GF(3)", "--gram", "[[1]]", "--to", "[[1]]", "--from"],
+    ["chain", "--ring", "GF(3)", "--gram", "[[1]]", "--from", "[[1]]", "--to"],
+], ids=["cert", "gram", "from", "to"])
+def test_json_past_the_decoder_limits_is_a_usage_error(tmp_path, capsys, argv, payload,
+                                                       error, in_file):
+    """JSON nested deeper than the recursion limit, or with an integer
+    literal too long for ``int``, exits 2 with a JSON error, inline or in a
+    file."""
+    if in_file:
+        path = tmp_path / "payload.json"
+        path.write_text(payload)
+        payload = str(path)
+    code = run(argv + [payload])
+    out = capsys.readouterr()
+    assert code == 2
+    message = json.loads(out.out)["error"]
+    assert message.startswith("cannot decode") and error in message
+    assert len(message) < 300
+    assert "Traceback" not in out.err
+
+
 def test_verify_congruence_witness(capsys):
     witness = {
         "source": [[2, 0], [0, 4]],

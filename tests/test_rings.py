@@ -127,13 +127,15 @@ def test_inverses():
             assert u * u.inv() == R.one
 
 
-# Rings whose inverses all come from the memoized xgcd: every residue field
-# of the shared test rings, the GF(4) coefficient field of GF(4)[y]/(y^2), and
-# GF(2)[x]/(x^11), whose 2048 elements parse without a pairwise check.
+# Rings whose every inverse a^(|R*|-1) is checked: every residue field of the
+# shared test rings, the GF(4) coefficient field of GF(4)[y]/(y^2),
+# GF(2)[x]/(x^11), whose 2048 elements parse without a pairwise check, and
+# Z/1024, a Z/N above the table bound.
 INVERSE_RINGS = {f"residue of {spec}": parse_ring(spec).residue_field()
                  for spec in MATRIX_SPECS + F2_RESIDUE_SPECS}
 INVERSE_RINGS["base of GF(4)[y]/(y^2)"] = parse_ring("GF(4)[y]/(y^2)").base
 INVERSE_RINGS["GF(2)[x]/(x^11)"] = parse_ring("GF(2)[x]/(x^11)")
+INVERSE_RINGS["Z/1024"] = parse_ring("Z/1024")
 
 
 @pytest.mark.parametrize("label", list(INVERSE_RINGS))
@@ -147,6 +149,100 @@ def test_inverses_exhaustive(label):
                 with pytest.raises(NonUnitError) as info:
                     x.inv()
                 assert str(info.value) == f"{x!r} is not a unit of {ring.spec}"
+
+
+class _TableRing(rings.LocalRing):
+    """A ring given by literal tables of sums and products: it defines only
+    the family methods, and no inverse or negation of its own."""
+
+    def __init__(self, spec, add, mul, characteristic, residue, residue_map):
+        super().__init__()
+        self.spec, self.size, self.is_field = spec, len(add), residue is None
+        self._residue = self if residue is None else residue
+        self._tables, self._residue_map = (add, mul), residue_map
+        self._characteristic = characteristic
+        self._build_kernel()
+
+    def _add_row(self, a):
+        return list(self._tables[0][a])
+
+    def _mul_row(self, a):
+        return list(self._tables[1][a])
+
+    def _add_op(self, a, b):
+        return self._tables[0][a][b]
+
+    def _mul_op(self, a, b):
+        return self._tables[1][a][b]
+
+    def _residue_list(self):
+        return [self._residue_map(a) for a in range(self.size)]
+
+    def from_int(self, n):
+        return self.elems[n % self._characteristic]
+
+    def _rjson(self, a):
+        return a
+
+    def element_from_json(self, obj):
+        return self.elems[obj]
+
+    def format_element(self, a):
+        return str(a)
+
+
+def _table_gf4():
+    """GF(4) = {0, 1, a, a+1} at indices 0..3: sums are XOR, a^2 = a + 1."""
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    return _TableRing("GF(4) by tables", [[a ^ b for b in range(4)] for a in range(4)],
+                      mul, 2, None, lambda a: a)
+
+
+def _table_gf3_xy():
+    """GF(3)[x,y]/(x^2, xy, y^2), whose maximal ideal (x, y) is not
+    principal: c + u x + v y at index c + 3u + 9v."""
+    def split(a):
+        return a % 3, a // 3 % 3, a // 9
+
+    def index(c, u, v):
+        return c % 3 + 3 * (u % 3) + 9 * (v % 3)
+
+    add = [[index(*(s + t for s, t in zip(split(a), split(b)))) for b in range(27)]
+           for a in range(27)]
+    mul = []
+    for a in range(27):
+        c, u, v = split(a)
+        mul.append([index(c * d, c * s + u * d, c * t + v * d)
+                    for d, s, t in map(split, range(27))])
+    return _TableRing("GF(3)[x,y]/(x^2,xy,y^2)", add, mul, 3, parse_ring("GF(3)"),
+                      lambda a: a % 3)
+
+
+def test_a_ring_given_by_tables_derives_inverses_and_negatives():
+    """LocalRing derives inversion as a^(|R*|-1) and negation as (-1)·a from
+    a family's products alone."""
+    F4 = _table_gf4()
+    one, a, a1 = F4.elems[1:]
+    assert [u.inv() for u in (one, a, a1)] == [one, a1, a]
+    assert [-x for x in F4.elems] == list(F4.elems)
+    assert F4.units() == (one, a, a1)
+    assert F4.square_classes().reps == (one,)
+    with pytest.raises(NonUnitError):
+        F4.zero.inv()
+
+    R = _table_gf3_xy()
+    assert len(R.units()) == 18 and len(R.maximal_ideal()) == 9
+    for e in R.elems:
+        c, u, v = e.data % 3, e.data // 3 % 3, e.data // 9
+        assert (-e).data == (-c) % 3 + 3 * ((-u) % 3) + 9 * ((-v) % 3)
+        assert e + (-e) == R.zero and -e == R.minus_one * e
+        if e.is_unit():
+            # (c + n)(c - n) = c^2 - n^2 = 1, as n^2 = 0 and c = ±1
+            assert e.inv().data == c + 3 * ((-u) % 3) + 9 * ((-v) % 3)
+    # the squares are 1 + (x, y), so the classes are those of 1 and 2 = -1
+    sc = R.square_classes()
+    assert [r.data for r in sc.reps] == [1, 2]
+    assert sorted(s.data for s in sc.squares) == [1 + 3 * k for k in range(9)]
 
 
 def test_ring_state_is_built_once():
