@@ -13,7 +13,8 @@ from its index grids by `CongruenceWitness._of` (as are those of
 of carrier indices through the ring's tables (see `rings`), as do the chain
 engine (see `chains`) and the elimination behind `diagonalize`, which
 updates the Gram matrix of its current basis in place and so never
-evaluates b on ambient vectors.
+evaluates b on ambient vectors.  `_b` and `_gram_row` make one pass over
+the space's nonzero Gram entries.
 
 Exhaustive searches share one limit policy.  None runs where |R|^n exceeds
 `SEARCH_SPACE_CAP`: `is_isometric` answers "unknown" at once, and
@@ -77,11 +78,12 @@ class BilinearSpace:
         if self.n and not self.det.is_unit():
             raise DegenerateError(f"det = {self.det!r} is not a unit of {ring.spec}")
         self._q_buckets = self._reduced = None
-        # the nonzero Gram entries of each row, as (column, product row)
-        # pairs: mul[g] of the entry g, so that mul[g][y] is g * y
+        # the nonzero Gram entries, as (row, column, product row) triples:
+        # mul[g] of the entry g, so that mul[g][y] is g * y
         mul = ring.mul
-        self._sparse_rows = tuple(
-            tuple((j, mul[g.data]) for j, g in enumerate(row) if g.data) for row in self.gram
+        self._gram_entries = tuple(
+            (i, j, mul[g.data])
+            for i, row in enumerate(self.gram) for j, g in enumerate(row) if g.data
         )
 
     # -- constructors -------------------------------------------------------
@@ -273,14 +275,13 @@ def _block_diagonal_gram(units, blocks):
 
 def _gram_row(space: BilinearSpace, w):
     """The row w^T A as a list of carrier indices, for a vector w of carrier
-    indices, in one pass over the nonzero Gram entries of each row of A."""
+    indices, in one pass over the nonzero Gram entries of A."""
     add = space.ring.add
     acc = [0] * space.n
-    for wd, row in zip(w, space._sparse_rows):
-        if not wd:
-            continue
-        for j, g in row:
-            acc[j] = add[acc[j]][g[wd]]
+    for i, j, g in space._gram_entries:
+        wi = w[i]
+        if wi:
+            acc[j] = add[acc[j]][g[wi]]
     return acc
 
 

@@ -15,10 +15,13 @@ determinant by the same argument: for M with columns v_1..v_n, pairwise
 orthogonal with unit q-values, M^T A M is triangular with diagonal
 q(v_1)..q(v_n), so det(M)^2 det(A) is a unit, and with it det(M).
 
+``_b`` is one pass over the nonzero Gram entries, n on a diagonal space.
 ``verify_chain`` keeps no state but the vector set of the basis before:
 a basis is judged only after that one passed, so it skips the q-values and
 the pairs of distinct vectors the two share (``_check_orthobasis``), and a
-later basis costs at most 2n - 1 evaluations of b, the first n(n+1)/2.
+later basis costs at most 2n - 1 evaluations of b, the first n(n+1)/2.  A
+basis holding the vectors of an endpoint judged in full on the chain's
+space costs none: the endpoints a caller made are judged once.
 """
 
 from __future__ import annotations
@@ -30,19 +33,14 @@ from .matrices import mat_det
 
 
 def _b(space, x, y):
-    """b(x, y) as a carrier index, for vectors x and y of carrier indices,
-    in one pass over the nonzero Gram entries of each row of A."""
+    """b(x, y) = sum x_i A_ij y_j as a carrier index, for vectors x and y of
+    carrier indices, in one pass over the nonzero Gram entries of A."""
     add, mul = space.ring.add, space.ring.mul
     acc = 0
-    for xd, row in zip(x, space._sparse_rows):
-        if not xd:
-            continue
-        inner = 0
-        for j, g in row:
-            yd = y[j]
-            if yd:
-                inner = add[inner][g[yd]]
-        acc = add[acc][mul[xd][inner]]
+    for i, j, g in space._gram_entries:
+        xi, yj = x[i], y[j]
+        if xi and yj:
+            acc = add[acc][mul[xi][g[yj]]]
     return acc
 
 
@@ -59,6 +57,7 @@ def _check_orthobasis(space, basis, prev=frozenset()):
     still paired with itself, and fails since q(v) is a unit.  The other
     checks run in the order of a full check, and what is skipped has
     passed, so the first failure and its message do not depend on ``prev``.
+    A basis that passes in full is marked ``_judged = (space, q-values)``.
     """
     n, ring = space.n, space.ring
     from_elements = basis._indices is None
@@ -74,16 +73,21 @@ def _check_orthobasis(space, basis, prev=frozenset()):
         basis._indices = tuple(tuple(e.data for e in v) for v in vectors)
     indices = basis._indices
     residue = ring.residue_of
+    qs = []
     for i, v in enumerate(indices):
         kept = v in prev
-        if not kept and not residue[_b(space, v, v)]:
-            return False, f"vector {i} is not anisotropic"
+        if not kept:
+            qs.append(_b(space, v, v))
+            if not residue[qs[-1]]:
+                return False, f"vector {i} is not anisotropic"
         for j in range(i + 1, n):
             w = indices[j]
             if kept and w in prev and w != v:
                 continue
             if _b(space, v, w):
                 return False, f"vectors {i} and {j} are not orthogonal"
+    if not prev:
+        basis._judged = (space, tuple(qs))
     return True, "ok"
 
 
@@ -91,21 +95,25 @@ def verify_chain(chain, start, end):
     """Full certificate check; returns (ok, diagnostic).
 
     Every basis must be an orthogonal basis of the chain's space, checked
-    against the basis before it (see ``_check_orthobasis``); consecutive
+    against the basis before it (see ``_check_orthobasis``), or against an
+    endpoint judged on this very space whose vectors it holds; consecutive
     bases must share at least n-2 vectors, and the first and last bases must
     hold the vectors of start and end, on the chain's space.  The overlap
     and endpoint tests compare sets of index tuples.
     """
     space = chain.space
     n = space.n
+    judged = {frozenset(b._indices) for b in (start, end) if b._judged and b._judged[0] is space}
     sets = []
     for idx, basis in enumerate(chain.bases):
         if basis.space != space:
             return False, f"basis {idx} lives on a different space"
-        ok, msg = _check_orthobasis(space, basis, sets[-1] if sets else frozenset())
+        known = basis._indices is not None and frozenset(basis._indices)
+        prev = known if known in judged else sets[-1] if sets else frozenset()
+        ok, msg = _check_orthobasis(space, basis, prev)
         if not ok:
             return False, f"basis {idx}: {msg}"
-        sets.append(frozenset(basis.indices))
+        sets.append(known or frozenset(basis.indices))
     for idx in range(len(sets) - 1):
         overlap = len(sets[idx] & sets[idx + 1])
         if overlap < n - 2:

@@ -23,7 +23,8 @@ are needed.
 Builders evaluate b only for data they do not carry.  The contraction loop
 and ``_equal_mod_m_core`` keep the q-values of their current tuple, and the
 loop the coordinates of its target vector too, updated in closed form after
-each replacement: a chain evaluates b n + sum_{k=3..n} k times, O(n^2).
+each replacement: a chain evaluates b sum_{k=3..n} k times, O(n^2), plus n
+for the q-values of its start unless the checker judged it and kept them.
 
 Over F_2 the chain lemma fails outright: every orthogonal basis is alone in
 its chain component.  If u and v are orthogonal with q(u) = q(v) = 1 (the
@@ -55,7 +56,8 @@ and nothing inside a builder re-checks intermediate pieces.  Only
 ``_certified``, which verifies, and ``Chain.from_json``, whose chain the
 caller judges, construct a ``Chain``.  The checker judges each basis
 against the one before it, so a valid chain of k bases costs it at most
-n(n+1)/2 + (k-1)(2n-1) evaluations of b.
+n(n+1)/2 + (k-1)(2n-1) evaluations of b, and (k-2)(2n-1) between judged
+endpoints.
 
 Chain entries are stored as ordered tuples; the overlap condition and
 endpoint identity are evaluated on vector *sets*, matching the set
@@ -149,7 +151,10 @@ class OrthogonalBasis:
     """Ordered tuple of pairwise orthogonal anisotropic vectors forming a basis.
 
     Its vectors are kept as index tuples (``indices``), elements
-    (``vectors``) or both, each made from the other on first use."""
+    (``vectors``) or both, each made from the other on first use.
+    ``_judged`` is set by the checker only (``certify._check_orthobasis``)."""
+
+    _judged = None
 
     def __init__(self, space: BilinearSpace, vectors, validate: bool = True):
         self.space = space
@@ -648,15 +653,15 @@ def hat_chain(n: int, field: LocalRing) -> Chain:
     )
 
 
-def _chain_core(space, tup_a, tup_b):
+def _chain_core(space, tup_a, tup_b, qs=None):
     """Steps connecting two orthogonal tuples spanning the same subspace:
     the contraction loop where the residue field is not F_2; over residue
     F_2 (length >= 3) the set rule of the module docstring, then a
-    permutation and one equal-mod-m chain."""
+    permutation and one equal-mod-m chain.  ``qs`` goes to the loop."""
     ring = space.ring
     # the loop returns at once on tuples equal as sets or of length <= 2
     if ring.residue_field().size > 2 or len(tup_a) <= 2 or frozenset(tup_a) == frozenset(tup_b):
-        return _contraction_loop(space, tup_a, tup_b)
+        return _contraction_loop(space, tup_a, tup_b, qs)
     residues_a = [_residues(ring, v) for v in tup_a]
     if frozenset(residues_a) != frozenset(_residues(ring, v) for v in tup_b):
         raise ChainUnreachableError("endpoints lie in different chain components over F_2")
@@ -718,8 +723,9 @@ def _contraction_loop(space, tup_a, tup_b, qs=None):
 
     The loop carries the q-values of the current tuple and the coordinates
     of w1 on it, updated by the closed forms above; b is evaluated for the
-    coordinates once per level and for the q-values once per call from
-    ``_chain_core``, so a chain evaluates b n + sum_{d=3..n} d times.
+    coordinates once per level and for the q-values only when the caller
+    has none, so a chain evaluates b sum_{d=3..n} d times, n more from an
+    unjudged start.
     """
     if frozenset(tup_a) == frozenset(tup_b):
         return [tup_a]
@@ -802,7 +808,8 @@ def chain_local(b: OrthogonalBasis, c: OrthogonalBasis) -> Chain:
     space = b.space
     if c.space != space:
         raise ChainError("bases live on different spaces")
-    return _certified(space, _dedupe(_chain_core(space, b.indices, c.indices)), b, c)
+    qs = b._judged[1] if b._judged and b._judged[0] is space else None
+    return _certified(space, _dedupe(_chain_core(space, b.indices, c.indices, qs)), b, c)
 
 
 # ---------------------------------------------------------------------------

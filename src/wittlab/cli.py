@@ -30,7 +30,7 @@ from .bilinear import (
     CongruenceWitness,
     diagonalize,
 )
-from .rings import DEFAULT_SIZE_CAP, RingError, parse_ring
+from .rings import DEFAULT_SIZE_CAP, RingError, RingSyntaxError, _int, parse_ring
 
 SCHEMA = "witt-lab/1"
 
@@ -192,12 +192,11 @@ def _load_payload(text: str):
 
 def _decode(text: str, source: str):
     """``json.loads(text)``; UsageError when the JSON nests past the
-    recursion limit or spells an integer too long for ``int``."""
+    recursion limit or spells an integer too long for ``int`` (worded as
+    for ``--ring``)."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except (RecursionError, ValueError) as exc:
+        return json.loads(text, parse_int=_int)
+    except (RecursionError, RingSyntaxError) as exc:
         raise UsageError(f"cannot decode {source}: {exc}") from None
 
 

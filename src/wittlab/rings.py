@@ -22,8 +22,9 @@ one is 1 in every ring, and equal data means equal elements.  A family
 supplies sums and products (``LocalRing``), negatives and inverses are
 derived from products, and all of it is the kernel described at
 ``LocalRing.cached``.  Hot loops elsewhere index its tables directly:
-``certify._b`` (behind ``eval_b``) and ``check_congruence``,
-``bilinear._gram_row`` and ``_lincomb``, ``matrices.Echelon``, ``_dot``,
+``certify._b`` (behind ``eval_b``) and ``bilinear._gram_row``, one pass
+over a space's nonzero Gram entries each, ``check_congruence``,
+``bilinear._lincomb``, ``matrices.Echelon``, ``_dot``,
 ``mat_det`` and the chain engine, whose vectors are tuples of indices
 (``chains``).  An index carries no ring, so spaces, bases, witnesses and
 the public chain functions check the ring of the elements they take once,
@@ -745,12 +746,13 @@ def _prime_power(n: int):
 
 
 def _int(token: str) -> int:
-    """The int a spec spells, RingSyntaxError when it has too many digits
-    for ``int`` (CPython's limit on string conversion)."""
+    """The int a spec or a JSON number spells, RingSyntaxError when it has
+    too many digits for ``int`` (CPython's limit on string conversion)."""
     try:
         return int(token)
     except ValueError:
-        raise RingSyntaxError(f"integer literal of {len(token)} digits is too long") from None
+        digits = len(token.lstrip("-"))
+        raise RingSyntaxError(f"integer literal of {digits} digits is too long") from None
 
 
 def _parse_field(token: str, size_cap: int) -> LocalRing:

@@ -30,7 +30,7 @@ from wittlab.bilinear import _data
 from wittlab.certify import check_congruence
 
 import elimination_reference as reference
-from conftest import MATRIX_SPECS, seeded, vec_combo
+from conftest import F2_RESIDUE_SPECS, MATRIX_SPECS, seeded, vec_combo
 
 
 def ident(ring, n):
@@ -151,6 +151,45 @@ def _random_space(ring, n, rng, tries=50, diagonal=None):
         except Exception:
             continue
     return None
+
+
+@pytest.mark.parametrize("spec", MATRIX_SPECS + F2_RESIDUE_SPECS)
+def test_b_and_gram_row_match_element_arithmetic_on_dense_grams(spec, rings):
+    """``certify._b`` and ``bilinear._gram_row`` make one pass over the
+    nonzero Gram entries (i, j, mul[A_ij]).  On random symmetric Gram
+    matrices with unit determinant, mostly dense, and on sums of hyperbolic
+    planes (with <u> for odd n), n = 1..6, they agree with x^T A y and
+    x^T A computed entry by entry on elements, for vectors with and without
+    zero entries."""
+    ring = rings[spec]
+    rng = seeded(31)
+    H = BilinearSpace.hyperbolic(ring)
+    off_diagonal = 0
+    for n in range(1, 7):
+        hyperbolic = BilinearSpace.diagonal(ring, (ring.random_unit(rng),) * (n % 2))
+        for _ in range(n // 2):
+            hyperbolic = hyperbolic.orthogonal_sum(H)
+        spaces = [_random_space(ring, n, rng) for _ in range(3)] + [hyperbolic]
+        for S in spaces:
+            assert S is not None and S.n == n
+            A = S.gram
+            off_diagonal += sum(1 for i, j, _ in S._gram_entries if i != j)
+            for _ in range(8):
+                x, y = (
+                    tuple(ring.zero if rng.random() < 0.3 else ring.random_element(rng)
+                          for _ in range(n))
+                    for _ in range(2)
+                )
+                row = [ring.zero] * n
+                for i, j in itertools.product(range(n), repeat=2):
+                    row[j] = row[j] + x[i] * A[i][j]
+                value = ring.zero
+                for j in range(n):
+                    value = value + row[j] * y[j]
+                xd, yd = (tuple(e.data for e in v) for v in (x, y))
+                assert ring.elems[certify._b(S, xd, yd)] == value
+                assert bilinear._gram_row(S, xd) == [e.data for e in row]
+    assert off_diagonal > 100
 
 
 def _scan_find_anisotropic(space, basis):

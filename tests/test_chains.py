@@ -322,16 +322,30 @@ def test_incremental_check_agrees_with_the_full_check_on_random_mutants(spec):
             OrthogonalBasis(space, end, validate=False),
         )
         verdicts.add(got[1].split(": ")[-1].split(" (")[0])
+        # the same verdict between judged and between unjudged ``_of``
+        # endpoints, on the mutant and, where its entries lie in the ring,
+        # on the mutant made of index tuples as the builders make them
+        forms = [mutant]
+        if all(e.ring == ring for b in bases for v in b for e in v):
+            forms.append(Chain(space, [OrthogonalBasis._of(space, _idx(b)) for b in bases]))
+        for chain_form in forms:
+            for ends in ((OrthogonalBasis(space, start), OrthogonalBasis(space, end)),
+                         (OrthogonalBasis._of(space, _idx(start)),
+                          OrthogonalBasis._of(space, _idx(end)))):
+                assert _outcome(verify_chain, chain_form, *ends) == got
     assert len(verdicts) >= 5, verdicts
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("spec", MATRIX_SPECS + F2_RESIDUE_SPECS)
 def test_verify_chain_checks_each_basis_against_the_one_before(spec, n, monkeypatch):
-    """The checker's cost per basis: b runs at most n(n+1)/2 times on the
-    first basis and at most 2n - 1 times on each later one, which keeps
-    n - 2 vectors of the basis before it.  Over residue F_2, random
-    endpoints are kept where a chain joins them."""
+    """The checker's cost per basis: between unjudged ``_of`` endpoints b
+    runs n(n+1)/2 times on the first basis, a full check, and at most
+    2n - 1 times on each later one, which keeps n - 2 vectors of the basis
+    before it.  Between the judged endpoints the chain was built from, the
+    first and last bases cost nothing and the others keep the 2n - 1
+    bound.  Over residue F_2, random endpoints are kept where a chain joins
+    them."""
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(f"{spec} {n}".encode()))
     S = random_diagonal_space(ring, n, rng)
@@ -359,8 +373,84 @@ def test_verify_chain_checks_each_basis_against_the_one_before(spec, n, monkeypa
         costs.clear()
         assert verify_chain(chain, A, B) == (True, "ok")
         assert len(costs) == len(chain)
-        assert costs[0] <= n * (n + 1) // 2, costs
+        assert costs[0] == costs[-1] == 0, costs
+        assert max(costs) <= 2 * n - 1, costs
+        costs.clear()
+        start, end = OrthogonalBasis._of(S, A.indices), OrthogonalBasis._of(S, B.indices)
+        assert verify_chain(chain, start, end) == (True, "ok")
+        assert len(costs) == len(chain)
+        assert costs[0] == n * (n + 1) // 2, costs
         assert max(costs[1:], default=0) <= 2 * n - 1, costs
+
+
+def test_verify_chain_judges_in_full_what_no_judged_endpoint_covers(monkeypatch):
+    """A first basis is checked in full (``prev`` empty), with the full
+    check's verdict and diagnostic, unless it holds the vectors of an
+    endpoint judged on the chain's own space: so between ``_of`` endpoints,
+    between endpoints judged on an equal but other space, and where the
+    first basis differs from the judged start.  A last basis that differs
+    from the judged end is checked against the basis before it."""
+    prevs = []
+
+    def spy(space, basis, prev=frozenset(), _original=certify._check_orthobasis):
+        prevs.append(prev)
+        return _original(space, basis, prev)
+
+    monkeypatch.setattr(certify, "_check_orthobasis", spy)
+    for spec in ("GF(5)", "GF(4)", "Z/9", "GF(4)[y]/(y^2)"):
+        chain, A, B = _sample_chain(spec, 4, zlib.crc32(spec.encode()))
+        S, ring = chain.space, chain.space.ring
+        twin = BilinearSpace(ring, S.gram)
+        assert twin == S and twin is not S
+        for start, end in (
+            (OrthogonalBasis._of(S, A.indices), OrthogonalBasis._of(S, B.indices)),
+            (OrthogonalBasis(twin, A.vectors), OrthogonalBasis(twin, B.vectors)),
+        ):
+            prevs.clear()
+            assert assert_same_verdict(chain, start, end) == (True, "ok")
+            assert prevs[0] == frozenset() and prevs[-1] == frozenset(chain.bases[-2].indices)
+        rng = seeded(zlib.crc32(spec.encode()) + 1)
+        pool = [v for b in chain.bases for v in b.vectors]
+        unit = ring.units()[1]
+        cases = 0
+        for idx in (0, len(chain) - 1):
+            for pos in range(4):
+                vecs = list(chain.bases[idx].vectors)
+                for new in (tuple(unit * c for c in vecs[pos]), rng.choice(pool),
+                            tuple(ring.random_element(rng) for _ in range(4))):
+                    changed = vecs[:pos] + [new] + vecs[pos + 1:]
+                    if frozenset(changed) == frozenset(chain.bases[idx].vectors):
+                        continue
+                    bases = list(chain.bases)
+                    bases[idx] = OrthogonalBasis._of(S, _idx(changed))
+                    prevs.clear()
+                    ok, msg = assert_same_verdict(Chain(S, bases), A, B)
+                    assert not ok, msg
+                    if idx == 0:
+                        assert prevs[0] == frozenset(), msg
+                    elif len(prevs) == len(chain):
+                        assert prevs[-1] == frozenset(chain.bases[-2].indices), msg
+                    cases += 1
+        assert cases >= 16
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "GF(4)", "Z/27", "GF(4)[y]/(y^2)"])
+def test_only_a_full_check_marks_a_basis_judged(spec):
+    """A basis checked against the one before it is not marked judged, so
+    ``chain_local`` from a later basis of a chain evaluates its q-values
+    afresh and builds the chain it builds from an ``_of`` copy; a basis
+    checked in full carries its space and q-values."""
+    chain, A, B = _sample_chain(spec, 4, zlib.crc32(spec.encode()))
+    S = chain.space
+    assert A._judged == (S, tuple(q.data for q in A.q_values()))
+    assert all(basis._judged is None for basis in chain.bases)
+    start = OrthogonalBasis._of(S, A.indices)
+    assert verify_chain(chain, start, B) == (True, "ok")
+    assert chain.bases[0]._judged == A._judged and start._judged is None
+    for basis in chain.bases[1:]:
+        assert basis._judged is None
+        copy = OrthogonalBasis._of(S, basis.indices)
+        assert chain_local(basis, B).to_json() == chain_local(copy, B).to_json()
 
 
 def test_orthogonal_basis_checks_the_ring_of_each_vector_once(monkeypatch):
@@ -1093,7 +1183,9 @@ def test_contraction_loop_evaluates_b_only_for_data_it_does_not_carry(spec, monk
     """The loop carries the q-values of its tuple and the coordinates of the
     target vector, so a chain evaluates b at most n + sum_{k=3..n} k times:
     n q-values once and k coordinates per level of dimension k >= 3, on
-    every ring, a rotation included."""
+    every ring, a rotation included.  ``chain_local`` from a start judged
+    when it was made takes its q-values from the checker: n evaluations
+    fewer than from an unjudged ``_of`` copy, and the same chain."""
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()) + 7)
     pairs = []
@@ -1114,6 +1206,12 @@ def test_contraction_loop_evaluates_b_only_for_data_it_does_not_carry(spec, monk
         calls.clear()
         chains._chain_core(S, A.indices, B.indices)
         assert len(calls) <= n + sum(range(3, n + 1)), (n, len(calls))
+        calls.clear()
+        unjudged = chain_local(OrthogonalBasis._of(S, A.indices), B).to_json()
+        count = len(calls)
+        calls.clear()
+        assert chain_local(A, B).to_json() == unjudged
+        assert len(calls) == count - (0 if set(A.indices) == set(B.indices) else n)
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(4)[y]/(y^2)", "GF(16)"])
@@ -1828,12 +1926,33 @@ def _f4_certificate_mutants(count, seed):
     return mutants
 
 
+def _endpoint_forms(ring, space, vectors):
+    """An endpoint given as JSON vectors, as an unjudged ``_of`` basis and,
+    where it passes the check, as a basis judged on ``space``; [] when its
+    entries do not decode in ``ring``."""
+    try:
+        vectors = [tuple(ring.element_from_json(c) for c in v) for v in vectors]
+    except RingError:
+        return []
+    forms = [OrthogonalBasis._of(space, _idx(vectors))]
+    try:
+        forms.append(OrthogonalBasis(space, vectors))
+    except ChainError:
+        pass
+    return forms
+
+
 def test_verify_cli_on_mutants_of_the_paper_certificate(capsys):
     """300 single mutations of the paper's F_4 certificate through
     ``witt-lab verify``: each exits 0, 1 or 2 with one JSON object on
     stdout and no traceback, and each verdict (exit 0 or 1) is the full
-    check's on the decoded chain between its own first and last bases."""
+    check's on the decoded chain between its own first and last bases.
+    ``verify_chain`` on each decoded chain gives the full check's verdict
+    too, between its own end bases and between those of the paper's
+    certificate, each as ``_of`` and as judged bases."""
+    paper_bases = f4_chain_certificate()["bases"]
     codes = set()
+    judged = 0
     for k, text in enumerate(_f4_certificate_mutants(300, 8)):
         code = run(["verify", "--cert", text])
         out = capsys.readouterr()
@@ -1844,10 +1963,22 @@ def test_verify_cli_on_mutants_of_the_paper_certificate(capsys):
         if code == 2:
             assert data["error"], (k, text)
             continue
-        chain = Chain.from_json(json.loads(text))
+        cert = json.loads(text)
+        chain = Chain.from_json(cert)
         ok, msg = reference_verify(chain, chain.bases[0], chain.bases[-1])
         assert (code, data["valid"], data["diagnostic"]) == (0 if ok else 1, ok, msg), (k, text)
+        space, ring = chain.space, chain.space.ring
+        for bases in (cert["bases"], paper_bases):
+            starts = _endpoint_forms(ring, space, bases[0])
+            ends = _endpoint_forms(ring, space, bases[-1])
+            if not starts or not ends:
+                continue
+            expected = _outcome(reference_verify, chain, starts[0], ends[0])
+            for start, end in itertools.product(starts, ends):
+                assert _outcome(verify_chain, chain, start, end) == expected, (k, text)
+            judged += len(starts) + len(ends) - 2
     assert codes == {0, 1, 2}
+    assert judged > 300
 
 
 def test_elements_of_another_ring_raise_at_every_entry_point():
@@ -1898,29 +2029,56 @@ def test_elements_of_another_ring_raise_at_every_entry_point():
 def check_calls(monkeypatch):
     """Counts of ``chains.verify_chain`` calls, the name every builder calls
     it by, and of the per-basis check ``certify._check_orthobasis``, which
-    ``verify_chain`` and ``OrthogonalBasis`` call."""
+    ``verify_chain`` and ``OrthogonalBasis`` call; ``costs`` lists the
+    evaluations of b that each per-basis check makes."""
     calls = {"verify_chain": 0, "_check_orthobasis": 0}
+    costs = []
     for module, name in ((chains, "verify_chain"), (certify, "_check_orthobasis")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
+            if _name == "_check_orthobasis":
+                costs.append(0)
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
-    return calls
+
+    def counted_b(*args, _original=certify._b):
+        costs[-1] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(certify, "_b", counted_b)
+
+    def reset():
+        calls.update(verify_chain=0, _check_orthobasis=0)
+        costs.clear()
+        return costs
+
+    return calls, reset
 
 
 @pytest.mark.parametrize("spec", MATRIX_SPECS)
 def test_chain_local_checks_each_basis_once(spec, check_calls):
+    """One check per basis; the first and last bases hold the vectors of
+    the endpoints, judged when they were made, and cost no evaluation of b,
+    the others at most 2n - 1 = 7."""
+    calls, reset = check_calls
     ring = parse_ring(spec)
     rng = seeded(zlib.crc32(spec.encode()))
     S = random_diagonal_space(ring, 4, rng)
     A = random_orthogonal_basis(S, rng)
     B = random_orthogonal_basis(S, rng)
-    check_calls.update(verify_chain=0, _check_orthobasis=0)
+    costs = reset()
     chain = chain_local(A, B)
-    assert check_calls == {"verify_chain": 1, "_check_orthobasis": len(chain)}
+    assert calls == {"verify_chain": 1, "_check_orthobasis": len(chain)}
+    assert costs[0] == costs[-1] == 0 and max(costs) <= 7, costs
 
 
 def test_every_chain_builder_verifies_once(check_calls):
+    """One ``verify_chain`` and one check per basis for every builder.  A
+    first or last basis costs no evaluation of b when its endpoint was
+    judged when made (``OrthogonalBasis`` with validation); from an
+    unjudged ``_of`` endpoint the first costs a full check, n(n+1)/2, and
+    the last at most 2n - 1."""
+    calls, reset = check_calls
     rng = seeded(9)
     F4, F5, Z9, Z4 = (parse_ring(s) for s in ("GF(4)", "GF(5)", "Z/9", "Z/4"))
     S5 = random_diagonal_space(F5, 4, rng)
@@ -1931,15 +2089,20 @@ def test_every_chain_builder_verifies_once(check_calls):
     E4 = standard_basis(ident_space(Z4, 2))
     M4 = elementary_move(E4, Z4.from_int(2), 0, 1)
     A2, B2 = residue_f2_pair()
+    # (builder, whether its start and its end were judged)
     builders = [
-        lambda: chain_field(A5, B5),
-        lambda: chain_equal_mod_m(E9, M9),
-        lambda: extend_vector_chain(E5, (F5.one, F5.one, F5.zero, F5.one))[0],
-        lambda: hat_chain(4, F4),
-        lambda: bfs_chain_oracle(E4, M4).chain,
-        lambda: chain_local(A2, B2),
+        (lambda: chain_field(A5, B5), True, True),
+        (lambda: chain_equal_mod_m(E9, M9), True, True),
+        (lambda: extend_vector_chain(E5, (F5.one, F5.one, F5.zero, F5.one))[0], True, False),
+        (lambda: hat_chain(4, F4), False, False),
+        (lambda: bfs_chain_oracle(E4, M4).chain, True, True),
+        (lambda: chain_local(A2, B2), True, True),
     ]
-    for build in builders:
-        check_calls.update(verify_chain=0, _check_orthobasis=0)
+    for build, judged_start, judged_end in builders:
+        costs = reset()
         chain = build()
-        assert check_calls == {"verify_chain": 1, "_check_orthobasis": len(chain)}
+        assert calls == {"verify_chain": 1, "_check_orthobasis": len(chain)}
+        n = chain.space.n
+        assert len(chain) > 1 and costs[0] == (0 if judged_start else n * (n + 1) // 2), costs
+        assert (costs[-1] == 0) if judged_end else (0 < costs[-1] <= 2 * n - 1), costs
+        assert max(costs[1:-1], default=0) <= 2 * n - 1, costs

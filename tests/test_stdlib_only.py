@@ -222,3 +222,84 @@ def test_only_the_certifying_wrapper_and_the_decoder_construct_a_chain(path):
             if isinstance(node, ast.FunctionDef) and node.name == "_certified"
         )
         assert "verify" in _called_names(certified)
+
+
+# ---------------------------------------------------------------------------
+# judged bases: only the checker marks a basis as judged
+# ---------------------------------------------------------------------------
+
+JUDGED_MARK = "_judged"
+
+
+def judged_mark_assignments(source: str):
+    """The qualified names of the scopes of a source ("" for the module)
+    that assign the judged mark, with its q-values, on an object: an
+    attribute target ``x._judged`` of an assignment, augmented, annotated
+    or unpacked, or a ``setattr``/``__setattr__`` call naming it.  A class
+    body's default ``_judged = None`` assigns no object's mark."""
+    found = []
+
+    def marks(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == JUDGED_MARK
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return any(marks(elt) for elt in node.elts)
+        if isinstance(node, ast.Starred):
+            return marks(node.value)
+        return False
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Assign):
+                hit = any(marks(t) for t in child.targets)
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                hit = marks(child.target)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                hit = (
+                    name in ("setattr", "__setattr__") and len(child.args) >= 2
+                    and isinstance(child.args[1], ast.Constant)
+                    and child.args[1].value == JUDGED_MARK
+                )
+            else:
+                hit = False
+            if hit:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_judged_guard_sees_a_builder_that_marks_a_basis():
+    source = (
+        "class OrthogonalBasis:\n"
+        "    _judged = None\n"
+        "def _check_orthobasis(space, basis):\n"
+        "    basis._judged = (space, ())\n"
+        "def trusting_builder(space, basis, qs):\n"
+        "    basis._judged = (space, qs)\n"
+        "def unpacking_builder(space, basis, qs):\n"
+        "    basis._judged, n = (space, qs), 3\n"
+        "def by_name(basis):\n"
+        "    setattr(basis, '_judged', None)\n"
+        "def through_object(basis):\n"
+        "    object.__setattr__(basis, '_judged', None)\n"
+        "def reader(basis):\n"
+        "    return basis._judged\n"
+        "b._judged: tuple = ()\n"
+    )
+    assert judged_mark_assignments(source) == [
+        "_check_orthobasis", "trusting_builder", "unpacking_builder", "by_name",
+        "through_object", "",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_checker_marks_a_basis_judged(path):
+    found = judged_mark_assignments(path.read_text(encoding="utf-8"))
+    assert found == (["_check_orthobasis"] if path.name == "certify.py" else [])
